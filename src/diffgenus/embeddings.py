@@ -100,6 +100,10 @@ def trace_faces(g: SimpleGraph, scheme: EmbeddingScheme) -> FaceTrace:
             raise SchemeError(f"rotation at {v} is not a permutation of its neighbors")
 
     sign = scheme.sign_map()
+    for u, v in g.edges():
+        # any other value would send the orientation walk off without end
+        if sign.get((u, v)) not in (-1, 1):
+            raise SchemeError(f"sign of edge ({u},{v}) must be +-1")
     succ: list[dict[int, int]] = [dict() for _ in range(g.n)]
     pred: list[dict[int, int]] = [dict() for _ in range(g.n)]
     for v, rot in enumerate(scheme.rotations):
@@ -133,7 +137,8 @@ def trace_faces(g: SimpleGraph, scheme: EmbeddingScheme) -> FaceTrace:
                 faces.append(walk)
 
     edge_total = g.edge_count
-    assert sum(len(f) for f in faces) == 2 * edge_total, "face lengths must sum to 2E"
+    if sum(len(f) for f in faces) != 2 * edge_total:
+        raise SchemeError("face lengths must sum to 2E")
     comps = g.connected_components()
     isolated = sum(1 for c in comps if len(c) == 1 and not g.adj[c[0]])
     face_count = len(faces) + isolated

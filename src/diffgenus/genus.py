@@ -18,11 +18,10 @@ from typing import Optional
 
 import networkx as nx
 
-from .embeddings import EmbeddingScheme, make_scheme, trace_faces
+from .embeddings import EmbeddingScheme, SchemeError, make_scheme, trace_faces
 from .simplegraph import (
     SimpleGraph,
     block_decomposition,
-    find_complete_bipartite,
     girth_and_bipartite,
     induced_subgraph,
     reduce_homeomorphic,
@@ -73,7 +72,6 @@ class KuratowskiWitness:
 class PlanarityResult:
     planar: bool
     scheme: Optional[EmbeddingScheme] = None
-    witness: Optional[KuratowskiWitness] = None
 
 
 # ---------------------------------------------------------------------------
@@ -171,202 +169,207 @@ def rotation_space_size(g: SimpleGraph) -> int:
 # Planarity (library-backed; the embedding it returns is re-verified here)
 
 
-def is_planar(g: SimpleGraph) -> PlanarityResult:
-    """Planarity with a genus-0 scheme as a yes-witness or a Kuratowski
-    subdivision as a no-witness."""
-    if g.edge_count == 0:
-        scheme = make_scheme(g, [[] for _ in range(g.n)])
-        return PlanarityResult(True, scheme=scheme)
+def _nx_graph(g: SimpleGraph) -> nx.Graph:
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
     G.add_edges_from(g.edges())
-    ok, emb = nx.check_planarity(G, counterexample=False)
-    if ok:
-        rotations = [list(emb.neighbors_cw_order(v)) if g.adj[v] else [] for v in range(g.n)]
-        scheme = make_scheme(g, rotations)
-        trace = trace_faces(g, scheme)
-        assert trace.euler_genus == 0 and trace.orientable
+    return G
+
+
+def is_planar(g: SimpleGraph) -> PlanarityResult:
+    """Planarity with a genus-0 scheme as a yes-witness. A no-answer comes
+    without a witness; `kuratowski_witness` extracts one."""
+    if g.edge_count == 0:
+        scheme = make_scheme(g, [[] for _ in range(g.n)])
         return PlanarityResult(True, scheme=scheme)
-    _, counter = nx.check_planarity(G, counterexample=True)
+    ok, emb = nx.check_planarity(_nx_graph(g), counterexample=False)
+    if not ok:
+        return PlanarityResult(False)
+    rotations = [list(emb.neighbors_cw_order(v)) if g.adj[v] else [] for v in range(g.n)]
+    scheme = make_scheme(g, rotations)
+    trace = trace_faces(g, scheme)
+    if trace.euler_genus != 0 or not trace.orientable:
+        raise SchemeError("the planar embedding from networkx does not re-verify")
+    return PlanarityResult(True, scheme=scheme)
+
+
+def kuratowski_witness(g: SimpleGraph) -> Optional[KuratowskiWitness]:
+    """A K5 or K3,3 subdivision in g, or None when g is planar. networkx
+    runs one planarity test per edge to extract it, which is why `is_planar`
+    does not."""
+    ok, counter = nx.check_planarity(_nx_graph(g), counterexample=True)
+    if ok:
+        return None
     branch = sorted(v for v in counter.nodes if counter.degree(v) >= 3)
     kind = "K5" if any(counter.degree(v) >= 4 for v in branch) else "K3,3"
     edges = sorted(tuple(sorted(e)) for e in counter.edges)
-    return PlanarityResult(False, witness=KuratowskiWitness(kind, branch, edges))
+    return KuratowskiWitness(kind, branch, edges)
 
 
 # ---------------------------------------------------------------------------
-# Fast evaluators used by the searches
+# Face counting for the searches
 
 
 class _DartIndex:
+    """Edge i = (u, v) of g.edges() has darts 2i (u to v) and 2i + 1;
+    into[v][u] is the dart from u to v and out[v][w] the dart from v to w."""
+
     def __init__(self, g: SimpleGraph):
-        self.g = g
         self.edges = g.edges()
         self.m = len(self.edges)
-        self.dart: dict[tuple[int, int], int] = {}
-        self.head = [0] * (2 * self.m)
+        self.into: list[dict[int, int]] = [{} for _ in range(g.n)]
+        self.out: list[dict[int, int]] = [{} for _ in range(g.n)]
         for i, (u, v) in enumerate(self.edges):
-            self.dart[(u, v)] = 2 * i
-            self.dart[(v, u)] = 2 * i + 1
-            self.head[2 * i] = v
-            self.head[2 * i + 1] = u
+            self.into[v][u] = self.out[u][v] = 2 * i
+            self.into[u][v] = self.out[v][u] = 2 * i + 1
         comps = g.connected_components()
         self.base = 2 * len(comps) - g.n + self.m
         self.isolated = sum(1 for c in comps if len(c) == 1 and not g.adj[c[0]])
 
 
-class _OrientableEvaluator:
-    """Partial rotation system over plain darts; counts closed faces and
-    darts not yet on a closed face."""
+class _Evaluator:
+    """Partial rotation system, with edge signs when `signs` is given.
 
-    def __init__(self, idx: _DartIndex):
+    A face is a cycle of states under `nxt`. Without signs a state is a
+    dart; with signs each dart has two states, one per local orientation,
+    and closed state cycles come in mirror pairs, so a face is two cycles.
+    `nxt` of a state is set once the head of its dart has a rotation. The
+    heuristic moves vertices in any order, so `stats()` recounts every state.
+    """
+
+    def __init__(self, idx: _DartIndex, signs: Optional[list[int]] = None):
         self.idx = idx
-        self.nxt = [-1] * (2 * idx.m)
-        self._stamp = [0] * (2 * idx.m)
-        self._tick = 0
+        self.signs = None if signs is None else list(signs)  # per edge index
+        self.unit = 1 if signs is None else 2  # states per dart
+        self.nxt = [-1] * (2 * self.unit * idx.m)
 
-    def assign(self, v: int, rotation: list[int]) -> None:
-        dart = self.idx.dart
-        nxt = self.nxt
-        d = len(rotation)
-        for i, u in enumerate(rotation):
-            nxt[dart[(u, v)]] = dart[(v, rotation[(i + 1) % d])]
-
-    def unassign(self, v: int, rotation: list[int]) -> None:
-        dart = self.idx.dart
-        nxt = self.nxt
-        for u in rotation:
-            nxt[dart[(u, v)]] = -1
-
-    def stats(self) -> tuple[int, int]:
-        """(closed_faces, open_darts)."""
-        nxt = self.nxt
-        total = len(nxt)
-        self._tick += 1
-        tick = self._tick
-        stamp = self._stamp
-        closed = 0
-        open_darts = 0
-        for d0 in range(total):
-            if stamp[d0] == tick:
-                continue
-            path = []
-            d = d0
-            while d != -1 and stamp[d] != tick:
-                stamp[d] = tick
-                path.append(d)
-                d = nxt[d]
-            if d == -1:
-                open_darts += len(path)
-            elif d == d0 and path:
-                closed += 1
+    def _links(self, v: int, rotation: list[int]) -> list[tuple[int, int]]:
+        """(state, successor) for every state whose dart enters v. The walk
+        leaves v toward the neighbor after the one it came from in v's
+        rotation, or the one before when its orientation times the edge
+        sign is -1; the successor state carries that product."""
+        into, out = self.idx.into[v], self.idx.out[v]
+        after = rotation[1:] + rotation[:1]
+        if self.signs is None:
+            return [(into[u], out[w]) for u, w in zip(rotation, after)]
+        signs = self.signs
+        links = []
+        for u, w, x in zip(rotation, after, rotation[-1:] + rotation[:-1]):
+            d = into[u]
+            succ, pred = 2 * out[w], 2 * out[x] + 1
+            if signs[d >> 1] == 1:
+                links += ((2 * d, succ), (2 * d + 1, pred))
             else:
-                # ran into an already-stamped dart: every dart has a unique
-                # predecessor, so this only happens when d0's chain feeds a
-                # previously counted structure; treat as open prefix
-                if d in path:
-                    # closed cycle found mid-path: cycle part closed, prefix open
-                    k = path.index(d)
-                    open_darts += k
-                    closed += 1
-                else:
-                    open_darts += len(path)
-        return closed, open_darts
-
-    def euler(self) -> int:
-        closed, open_darts = self.stats()
-        assert open_darts == 0, "euler() on a partial assignment"
-        return self.idx.base - (closed + self.idx.isolated)
-
-
-class _SignedEvaluator:
-    """Partial rotation system with edge signs over (dart, orientation)
-    states; face count is half the state-cycle count."""
-
-    def __init__(self, idx: _DartIndex, signs: list[int]):
-        self.idx = idx
-        self.signs = list(signs)  # per edge index
-        self.nxt = [-1] * (4 * idx.m)
-        self._stamp = [0] * (4 * idx.m)
-        self._tick = 0
-        self._rotation_of: dict[int, list[int]] = {}
-
-    def _set_states_for_dart(self, u: int, v: int) -> None:
-        """Fill transitions of both orientation states of dart u->v; head v
-        must have an assigned rotation."""
-        idx = self.idx
-        rot = self._rotation_of[v]
-        d = idx.dart[(u, v)]
-        s = self.signs[d // 2]
-        i = rot.index(u)
-        deg = len(rot)
-        succ = rot[(i + 1) % deg]
-        pred = rot[(i - 1) % deg]
-        # o = +1 state
-        o2 = s
-        w = succ if o2 == 1 else pred
-        self.nxt[2 * d] = 2 * idx.dart[(v, w)] + (0 if o2 == 1 else 1)
-        # o = -1 state
-        o2 = -s
-        w = succ if o2 == 1 else pred
-        self.nxt[2 * d + 1] = 2 * idx.dart[(v, w)] + (0 if o2 == 1 else 1)
+                links += ((2 * d, pred), (2 * d + 1, succ))
+        return links
 
     def assign(self, v: int, rotation: list[int]) -> None:
-        self._rotation_of[v] = list(rotation)
-        for u in rotation:
-            self._set_states_for_dart(u, v)
+        nxt = self.nxt
+        for s, t in self._links(v, rotation):
+            nxt[s] = t
 
-    def unassign(self, v: int, rotation: list[int]) -> None:
-        del self._rotation_of[v]
-        for u in rotation:
-            d = self.idx.dart[(u, v)]
-            self.nxt[2 * d] = -1
-            self.nxt[2 * d + 1] = -1
+    def unassign(self, v: int) -> None:
+        nxt, unit = self.nxt, self.unit
+        blank = [-1] * unit
+        for d in self.idx.into[v].values():
+            nxt[unit * d : unit * (d + 1)] = blank
 
-    def set_edge_sign(self, edge_index: int, sign: int) -> None:
-        self.signs[edge_index] = sign
-        u, v = self.idx.edges[edge_index]
-        if v in self._rotation_of:
-            self._set_states_for_dart(u, v)
-        if u in self._rotation_of:
-            self._set_states_for_dart(v, u)
+    def flip_sign(self, edge_index: int) -> None:
+        """Negate an edge's sign: by the rule in `_links`, the two states
+        of each of its darts swap successors (both unset if unassigned)."""
+        self.signs[edge_index] = -self.signs[edge_index]
+        nxt = self.nxt
+        for s in (4 * edge_index, 4 * edge_index + 2):
+            nxt[s], nxt[s + 1] = nxt[s + 1], nxt[s]
 
     def stats(self) -> tuple[int, int]:
-        """(closed_faces, open_states); closed state cycles come in mirror
-        pairs, hence the halving."""
+        """(closed_faces, open_states). `nxt` is injective, so a walk from an
+        unvisited state either returns to it, closing a cycle, or ends at an
+        unset successor or at the start of an open chain walked before."""
         nxt = self.nxt
-        total = len(nxt)
-        self._tick += 1
-        tick = self._tick
-        stamp = self._stamp
-        cycles = 0
-        open_states = 0
-        for s0 in range(total):
-            if stamp[s0] == tick:
+        seen = [False] * len(nxt)
+        cycles = open_states = 0
+        for s0 in range(len(nxt)):
+            if seen[s0]:
                 continue
-            path = []
-            s = s0
-            while s != -1 and stamp[s] != tick:
-                stamp[s] = tick
-                path.append(s)
-                s = nxt[s]
-            if s == -1:
-                open_states += len(path)
-            elif s == s0 and path:
+            seen[s0] = True
+            s, walked = nxt[s0], 1
+            while s != -1 and not seen[s]:
+                seen[s] = True
+                s, walked = nxt[s], walked + 1
+            if s == s0:
                 cycles += 1
             else:
-                if s in path:
-                    open_states += path.index(s)
-                    cycles += 1
-                else:
-                    open_states += len(path)
-        assert cycles % 2 == 0, "state cycles must pair up"
-        return cycles // 2, open_states
+                open_states += walked
+        return self._faces(cycles), open_states
+
+    def _faces(self, cycles: int) -> int:
+        if cycles % self.unit:
+            raise SchemeError("state cycles must pair up")
+        return cycles // self.unit
 
     def euler(self) -> int:
         closed, open_states = self.stats()
-        assert open_states == 0, "euler() on a partial assignment"
+        if open_states:
+            raise SchemeError("euler() on a partial assignment")
         return self.idx.base - (closed + self.idx.isolated)
+
+
+class _FaceCounter(_Evaluator):
+    """The evaluator of the branch-and-bound, which assigns and unassigns
+    vertices last-in, first-out with fixed signs, and counts faces as it
+    goes. The open states form chains; at both endpoints of a chain `_other`
+    holds the far endpoint and `_length` the chain's length. Each successor
+    an assignment sets joins the end of one chain to the start of another,
+    or closes a chain into a cycle, in O(1); `unassign` undoes the latest
+    `assign` from its log, and `stats()` is O(1)."""
+
+    def __init__(self, idx: _DartIndex, signs: Optional[list[int]] = None):
+        super().__init__(idx, signs)
+        self._other = list(range(len(self.nxt)))
+        self._length = [1] * len(self.nxt)
+        self._cycles = 0
+        self._closed_states = 0
+        self._undo: list[tuple[int, list[tuple]]] = []
+
+    def assign(self, v: int, rotation: list[int]) -> None:
+        nxt, other, length = self.nxt, self._other, self._length
+        log = []
+        for a, b in self._links(v, rotation):
+            # a ends its chain (its successor was unset); b starts one (its
+            # only predecessor is a)
+            nxt[a] = b
+            start, end = other[a], other[b]
+            if start == b:
+                self._cycles += 1
+                self._closed_states += length[a]
+                log.append((a,))
+            else:
+                la, lb = length[a], length[b]
+                other[start], other[end] = end, start
+                length[start] = length[end] = la + lb
+                log.append((a, start, end, la, lb))
+        self._undo.append((v, log))
+
+    def unassign(self, v: int) -> None:
+        last, log = self._undo.pop()
+        if last != v:
+            raise SchemeError(f"unassign({v}) after assign({last}): not last-in, first-out")
+        nxt, other, length = self.nxt, self._other, self._length
+        for step in reversed(log):
+            a = step[0]
+            if len(step) == 1:
+                self._cycles -= 1
+                self._closed_states -= length[a]
+            else:
+                # only the two outer endpoints changed when the chains joined
+                _, start, end, la, lb = step
+                other[start], other[end] = a, nxt[a]
+                length[start], length[end] = la, lb
+            nxt[a] = -1
+
+    def stats(self) -> tuple[int, int]:
+        return self._faces(self._cycles), len(self.nxt) - self._closed_states
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +429,10 @@ def _bnb_min_euler(
     best_rot: Optional[list[list[int]]] = None
     current: dict[int, list[int]] = {}
     nodes = 0
-    state_unit = 2 if isinstance(evaluator, _SignedEvaluator) else 1
 
     def bound_after_partial() -> int:
         closed, open_count = evaluator.stats()
-        extra = open_count // (min_face_len * state_unit)
+        extra = open_count // (min_face_len * evaluator.unit)
         return evaluator.idx.base - (closed + extra + evaluator.idx.isolated)
 
     def rec(k: int) -> None:
@@ -457,7 +459,7 @@ def _bnb_min_euler(
                 lb += 1
             if best_euler is None or lb < best_euler:
                 rec(k + 1)
-            evaluator.unassign(v, rot)
+            evaluator.unassign(v)
             del current[v]
 
     completed = True
@@ -469,8 +471,7 @@ def _bnb_min_euler(
 
 
 def _exhaustive_orientable(g: SimpleGraph, budget: SearchBudget, lower_euler: int):
-    idx = _DartIndex(g)
-    ev = _OrientableEvaluator(idx)
+    ev = _FaceCounter(_DartIndex(g))
     order = _assignment_order(g)
     mfl = 3 if min(g.degree(v) for v in range(g.n)) >= 2 else 2
     return _bnb_min_euler(g, ev, order, mfl, lower_euler, budget.node_cap, parity_even=True)
@@ -513,7 +514,7 @@ def _exhaustive_nonorientable(g: SimpleGraph, budget: SearchBudget, lower_euler:
         for bit, ei in enumerate(cotree):
             if pattern >> bit & 1:
                 signs[ei] = -1
-        ev = _SignedEvaluator(idx, signs)
+        ev = _FaceCounter(idx, signs)
         e, rot, done = _bnb_min_euler(
             g, ev, order, mfl, lower_euler, budget.node_cap,
             parity_even=False, initial_best=best,
@@ -541,14 +542,11 @@ def _greedy_insertion_rotations(g: SimpleGraph, rng: random.Random, shuffle: boo
 
     def partial_euler() -> int:
         sub = SimpleGraph(g.n, placed)
-        idx = _DartIndex(sub)
-        ev = _OrientableEvaluator(idx)
+        ev = _Evaluator(_DartIndex(sub))
         for v in range(g.n):
             if rotations[v]:
                 ev.assign(v, rotations[v])
-        closed, open_darts = ev.stats()
-        assert open_darts == 0
-        return idx.base - (closed + idx.isolated)
+        return ev.euler()
 
     for u, v in edge_order:
         placed.append((u, v))
@@ -621,7 +619,7 @@ def heuristic_embedding(
     if not movable and surface == ORIENTABLE:
         # rotations are forced; the single scheme either hits or misses
         rotations = [g.neighbors(v) for v in range(g.n)]
-        ev = _OrientableEvaluator(idx)
+        ev = _Evaluator(idx)
         for v in range(g.n):
             ev.assign(v, rotations[v])
         if ev.euler() != target_euler:
@@ -634,13 +632,12 @@ def heuristic_embedding(
             rotations = _greedy_insertion_rotations(g, rng, shuffle=restart > 0)
         else:
             rotations = _random_rotations(g, rng)
-        if surface == ORIENTABLE:
-            ev = _OrientableEvaluator(idx)
-        else:
+        signs = None
+        if surface == NONORIENTABLE:
             signs = [1] * idx.m
             for ei in rng.sample(cotree, rng.randrange(1, min(4, len(cotree) + 1))):
                 signs[ei] = -1
-            ev = _SignedEvaluator(idx, signs)
+        ev = _Evaluator(idx, signs)
         for v in range(g.n):
             ev.assign(v, rotations[v])
         current = ev.euler()
@@ -657,12 +654,12 @@ def heuristic_embedding(
                 negatives = sum(1 for i in cotree if ev.signs[i] == -1)
                 if ev.signs[ei] == -1 and negatives == 1:
                     continue  # keep at least one negative co-tree sign
-                ev.set_edge_sign(ei, -ev.signs[ei])
+                ev.flip_sign(ei)
                 e = ev.euler()
                 if e <= current or rng.random() < math.exp((current - e) / temp):
                     current = e
                 else:
-                    ev.set_edge_sign(ei, -ev.signs[ei])
+                    ev.flip_sign(ei)
             else:
                 v = movable[rng.randrange(len(movable))]
                 rot = rotations[v]
@@ -673,19 +670,18 @@ def heuristic_embedding(
                 moved = rot[i]
                 trial = rot[:i] + rot[i + 1 :]
                 trial.insert(j, moved)
-                ev.unassign(v, rot)
+                ev.unassign(v)
                 ev.assign(v, trial)
                 e = ev.euler()
                 if e <= current or rng.random() < math.exp((current - e) / temp):
                     rotations[v] = trial
                     current = e
                 else:
-                    ev.unassign(v, trial)
+                    ev.unassign(v)
                     ev.assign(v, rot)
 
         if current == target_euler:
-            signs_list = ev.signs if surface == NONORIENTABLE else None
-            return _verified_scheme(g, idx, rotations, signs_list, seed, target_euler, surface)
+            return _verified_scheme(g, idx, rotations, ev.signs, seed, target_euler, surface)
     return None
 
 
@@ -731,7 +727,7 @@ def _exact_surface(g: SimpleGraph, surface: str, budget: SearchBudget) -> GenusR
             provenance=["planar embedding found"],
         )
 
-    prov = [f"nonplanar ({planar.witness.kind} subdivision)"]
+    prov = ["nonplanar"]
     lower = 1
     elb = euler_lower_bound(g, surface)
     if elb > lower:

@@ -236,7 +236,7 @@ class ReductionLog:
     """Replayable record of a homeomorphic reduction.
 
     Step kinds: removed_isolated(v), removed_degree_one(v),
-    suppressed_degree_two(v, u, w), dropped_parallel(u, v), dropped_loop(v).
+    suppressed_degree_two(v, u, w), dropped_parallel(u, v).
     vertex_map sends surviving original ids to output ids.
     """
 
@@ -317,8 +317,6 @@ def replay_reduction(g: SimpleGraph, log: ReductionLog) -> SimpleGraph:
                 adj[w].add(u)
         elif kind == "dropped_parallel":
             pass  # suppression above already kept the single copy
-        elif kind == "dropped_loop":
-            pass
         else:
             raise ValueError(f"replay: unknown step {kind}")
     survivors = sorted(adj)

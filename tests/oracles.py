@@ -151,3 +151,44 @@ def brute_force_bipartite(g) -> bool:
         if all(coloring[u] != coloring[v] for u in range(g.n) for v in g.adj[u] if u < v):
             return True
     return False
+
+
+def partial_face_counts(g, rotations: dict, signs=None) -> tuple[int, int]:
+    """(closed faces, open states) of a partial rotation system, by walking
+    every state again: the reference for the searches' face counters.
+
+    Without signs a state is a dart (u, v); with signs (a dict keyed by
+    (u, v), u < v) it is (u, v, o) for a local orientation o, and the walk
+    turns the other way round v when o times the sign of uv is -1. A state
+    has a successor once v has a rotation. Closed state cycles pair up
+    with their mirror walks, so with signs a face is two cycles.
+    """
+    succ = {}
+    for v, rot in rotations.items():
+        d = len(rot)
+        for i, u in enumerate(rot):
+            if signs is None:
+                succ[(u, v)] = (v, rot[(i + 1) % d])
+                continue
+            for o in (1, -1):
+                o2 = o * signs[(u, v) if u < v else (v, u)]
+                w = rot[(i + 1) % d] if o2 == 1 else rot[(i - 1) % d]
+                succ[(u, v, o)] = (v, w, o2)
+    darts = [(u, v) for u in range(g.n) for v in g.adj[u]]
+    states = darts if signs is None else [(u, v, o) for u, v in darts for o in (1, -1)]
+    on_cycle = set()
+    cycles = 0
+    for s0 in states:
+        if s0 in on_cycle:
+            continue
+        walk = [s0]
+        s = succ.get(s0)
+        while s is not None and s != s0:
+            walk.append(s)
+            s = succ.get(s)
+        if s == s0:
+            cycles += 1
+            on_cycle.update(walk)
+    per_face = 1 if signs is None else 2
+    assert cycles % per_face == 0
+    return cycles // per_face, len(states) - len(on_cycle)

@@ -148,3 +148,28 @@ def test_isolated_vertices_count_as_faces():
     trace = trace_faces(g, make_scheme(g, [[1], [0], []]))
     assert trace.euler_genus == 0
     assert trace.face_count == 2  # edge face plus the isolated vertex's sphere
+
+
+@pytest.mark.parametrize("sign", [0, 2, None])
+def test_trace_rejects_corrupted_signs(sign):
+    # certificate files reach trace_faces without make_scheme's checks
+    k4 = SimpleGraph.complete(4)
+    doc = json.loads(certificate_to_json(planar_k4_scheme(k4), "orientable", 0))
+    if sign is None:
+        del doc["signs"][0]
+    else:
+        doc["signs"][0]["s"] = sign
+    scheme, _, _ = certificate_from_json(json.dumps(doc))
+    with pytest.raises(SchemeError, match="sign"):
+        trace_faces(k4, scheme)
+
+
+def test_trace_checks_face_lengths_against_edge_count():
+    class Miscounted(SimpleGraph):
+        @property
+        def edge_count(self):
+            return super().edge_count + 1
+
+    k4 = SimpleGraph.complete(4)
+    with pytest.raises(SchemeError, match="2E"):
+        trace_faces(Miscounted(4, k4.edges()), planar_k4_scheme(k4))

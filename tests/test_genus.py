@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 import oracles
-from diffgenus.embeddings import trace_faces, verify_certificate
+from diffgenus import genus as genus_module
+from diffgenus.embeddings import FaceTrace, SchemeError, make_scheme, trace_faces, verify_certificate
 from diffgenus.genus import (
     NONORIENTABLE,
     ORIENTABLE,
@@ -17,6 +21,7 @@ from diffgenus.genus import (
     genus_of_graph,
     heuristic_embedding,
     is_planar,
+    kuratowski_witness,
     rotation_space_size,
 )
 from diffgenus.simplegraph import SimpleGraph, block_decomposition, reduce_homeomorphic
@@ -118,12 +123,15 @@ def test_planar_yes_with_scheme():
 
 
 def test_planar_no_with_witness():
-    res = is_planar(SimpleGraph.complete_bipartite(3, 3))
-    assert not res.planar
-    assert res.witness.kind == "K3,3"
-    assert len(res.witness.branch_vertices) == 6
-    res5 = is_planar(SimpleGraph.complete(5))
-    assert res5.witness.kind == "K5"
+    k33 = SimpleGraph.complete_bipartite(3, 3)
+    assert not is_planar(k33).planar
+    witness = kuratowski_witness(k33)
+    assert witness.kind == "K3,3"
+    assert len(witness.branch_vertices) == 6
+    k5 = SimpleGraph.complete(5)
+    assert not is_planar(k5).planar
+    assert kuratowski_witness(k5).kind == "K5"
+    assert kuratowski_witness(SimpleGraph.complete(4)) is None
 
 
 def test_planar_agrees_with_exact_genus_on_corpus():
@@ -334,3 +342,129 @@ def test_node_cap_abort_degrades_to_bounds():
     assert not res.exact
     assert res.lower == 1
     assert any("aborted" in line for line in res.provenance)
+
+
+# -- face counting -------------------------------------------------------------
+
+
+def _random_signs(rng: random.Random, g: SimpleGraph) -> dict:
+    return {e: rng.choice((1, -1)) for e in g.edges()}
+
+
+def test_face_counter_matches_full_recount():
+    """The branch-and-bound's incremental counter, and the heuristic's
+    recounting evaluator, against the reference recount after every assign
+    and unassign, in a random last-in, first-out order, and the evaluator
+    after a sign flip; at full assignments against face tracing too."""
+    rng = random.Random(83)
+    for _ in range(200):
+        g = connected_random_graph(rng, n_max=7, space_cap=20_000)
+        idx = genus_module._DartIndex(g)
+        for sign_map in (None, _random_signs(rng, g)):
+            signs = None if sign_map is None else [sign_map[e] for e in idx.edges]
+            counter = genus_module._FaceCounter(idx, signs)
+            recount = genus_module._Evaluator(idx, signs)
+            order = list(range(g.n))
+            rng.shuffle(order)
+            assigned: dict[int, list[int]] = {}
+
+            def check():
+                want = oracles.partial_face_counts(g, assigned, sign_map)
+                assert counter.stats() == want
+                assert recount.stats() == want
+                if signs is not None:  # the heuristic's sign move, and back
+                    ei = rng.randrange(idx.m)
+                    recount.flip_sign(ei)
+                    flipped = dict(sign_map)
+                    flipped[idx.edges[ei]] *= -1
+                    assert recount.stats() == oracles.partial_face_counts(g, assigned, flipped)
+                    recount.flip_sign(ei)
+
+            full_seen = 0
+            while full_seen < 2:
+                if len(assigned) == g.n:
+                    rotations = [assigned[v] for v in range(g.n)]
+                    trace = trace_faces(g, make_scheme(g, rotations, sign_map))
+                    assert counter.stats() == (trace.face_count, 0)
+                    assert counter.euler() == recount.euler() == trace.euler_genus
+                    full_seen += 1
+                if assigned and (len(assigned) == g.n or rng.random() < 0.4):
+                    v = order[len(assigned) - 1]
+                    counter.unassign(v)
+                    recount.unassign(v)
+                    del assigned[v]
+                else:
+                    v = order[len(assigned)]
+                    rotation = g.neighbors(v)
+                    rng.shuffle(rotation)
+                    counter.assign(v, rotation)
+                    recount.assign(v, rotation)
+                    assigned[v] = rotation
+                check()
+            while assigned:
+                v = order[len(assigned) - 1]
+                counter.unassign(v)
+                recount.unassign(v)
+                del assigned[v]
+                check()
+
+
+def test_face_counter_requires_last_in_first_out():
+    g = SimpleGraph.complete(4)
+    counter = genus_module._FaceCounter(genus_module._DartIndex(g))
+    counter.assign(0, g.neighbors(0))
+    counter.assign(1, g.neighbors(1))
+    with pytest.raises(SchemeError):
+        counter.unassign(0)
+
+
+# -- correctness guards --------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["_Evaluator", "_FaceCounter"])
+@pytest.mark.parametrize("signed", [False, True])
+def test_euler_on_partial_assignment_raises(kind, signed):
+    g = SimpleGraph.complete(4)
+    idx = genus_module._DartIndex(g)
+    ev = getattr(genus_module, kind)(idx, [1] * idx.m if signed else None)
+    ev.assign(0, g.neighbors(0))
+    with pytest.raises(SchemeError, match="partial"):
+        ev.euler()
+
+
+def test_unpaired_state_cycles_raise():
+    g = SimpleGraph(2, [(0, 1)])
+    ev = genus_module._Evaluator(genus_module._DartIndex(g), [1])
+    ev.nxt = [1, 0, 2, 3]  # three state cycles cannot be mirror pairs
+    with pytest.raises(SchemeError, match="pair up"):
+        ev.stats()
+
+
+def test_is_planar_rejects_an_embedding_that_does_not_reverify(monkeypatch):
+    monkeypatch.setattr(genus_module, "trace_faces", lambda g, scheme: FaceTrace([], 0, 2, True))
+    with pytest.raises(SchemeError, match="re-verify"):
+        is_planar(SimpleGraph.complete(4))
+
+
+def test_guards_survive_optimized_mode():
+    code = (
+        "import sys\n"
+        "from diffgenus import genus\n"
+        "from diffgenus.embeddings import SchemeError\n"
+        "from diffgenus.simplegraph import SimpleGraph\n"
+        "assert False, 'asserts are live'\n"
+        "g = SimpleGraph.complete(4)\n"
+        "ev = genus._FaceCounter(genus._DartIndex(g))\n"
+        "ev.assign(0, g.neighbors(0))\n"
+        "try:\n"
+        "    ev.euler()\n"
+        "except SchemeError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(genus_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
