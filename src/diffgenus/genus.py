@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Optional
 
 import networkx as nx
@@ -36,7 +36,9 @@ class SearchBudget:
     """Effort knobs for the exact and heuristic searches."""
 
     exhaustive_cap: int = 10_000_000  # max rotation-configuration space for BnB
-    node_cap: int = 3_000_000        # safety abort on explored BnB nodes
+    # safety abort on rotations assigned by the BnB; a crosscap search
+    # gets node_cap per nonzero co-tree sign pattern
+    node_cap: int = 3_000_000
     restarts: int = 64
     moves_per_restart: int = 20_000
     seed: int = 0
@@ -413,68 +415,87 @@ class _BnBAbort(Exception):
 
 def _bnb_min_euler(
     g: SimpleGraph,
-    evaluator,
-    order: list[int],
-    min_face_len: int,
     stop_at: int,
     node_cap: int,
-    parity_even: bool,
-    initial_best: Optional[int] = None,
-) -> tuple[Optional[int], Optional[list[list[int]]], bool]:
-    """Branch and bound over rotations for a fixed evaluator (signs, if any,
-    are already frozen inside it). Returns (best_euler, best_rotations,
-    completed); completed is False when the node cap aborted the search.
-    best_rotations stays None when nothing beats initial_best."""
-    best_euler: Optional[int] = initial_best
+    cotree: Optional[list[int]] = None,
+) -> tuple[Optional[int], Optional[list[list[int]]], Optional[list[int]], bool]:
+    """Minimum Euler genus by branch and bound: over rotation systems when
+    `cotree` is None, else over unbalanced schemes, with spanning-tree signs
+    fixed +1 and the co-tree signs decided in the search. When vertex
+    order[k] is assigned, the search first branches over the signs of the
+    co-tree edges that first reach the assigned vertices there, negative
+    before positive, then over its rotations, so a rotation prefix is
+    searched once for all the signs it has not read yet. Once every co-tree
+    sign is decided, a branch with none negative is pruned: its schemes are
+    balanced. Returns (best_euler, best_rotations, best_signs, completed);
+    completed is False when more than node_cap rotations were assigned
+    before the search could stop."""
+    idx = _DartIndex(g)
+    order = _assignment_order(g)
+    evaluator = _FaceCounter(idx, None if cotree is None else [1] * idx.m)
+    signs = evaluator.signs  # co-tree entries are set as the search decides them
+    min_face_len = 3 if min(g.degree(v) for v in range(g.n)) >= 2 else 2
+    # schedule[k]: the co-tree edges whose signs are decided at level k
+    schedule: list[list[int]] = [[] for _ in order]
+    last = len(order)  # the prune applies from the last level that decides a sign
+    if cotree is not None:
+        position = {v: k for k, v in enumerate(order)}
+        for ei in cotree:
+            u, w = idx.edges[ei]
+            schedule[min(position[u], position[w])].append(ei)
+        last = max((k for k, eis in enumerate(schedule) if eis), default=-1)
+    patterns = [list(product((-1, 1), repeat=len(eis))) for eis in schedule]
+    best_euler: Optional[int] = None
     best_rot: Optional[list[list[int]]] = None
+    best_signs: Optional[list[int]] = None
     current: dict[int, list[int]] = {}
     nodes = 0
 
     def bound_after_partial() -> int:
         closed, open_count = evaluator.stats()
         extra = open_count // (min_face_len * evaluator.unit)
-        return evaluator.idx.base - (closed + extra + evaluator.idx.isolated)
+        return idx.base - (closed + extra + idx.isolated)
 
-    def rec(k: int) -> None:
-        nonlocal best_euler, best_rot, nodes
+    def rec(k: int, negatives: int) -> None:
+        nonlocal best_euler, best_rot, best_signs, nodes
         if best_euler is not None and best_euler <= stop_at:
             raise _BnBAbort  # cannot do better than the known lower bound
         if k == len(order):
             e = evaluator.euler()
-            if parity_even and e % 2:
-                raise AssertionError("orientable scheme with odd euler genus")
+            if signs is None and e % 2:
+                raise SchemeError("orientable scheme with odd euler genus")
             if best_euler is None or e < best_euler:
                 best_euler = e
                 best_rot = [list(current[v]) for v in range(g.n)]
+                best_signs = None if signs is None else list(signs)
             return
         v = order[k]
-        for rot in _rotation_candidates(g, v, quotient_reflection=(k == 0)):
-            nodes += 1
-            if nodes > node_cap:
-                raise _BnBAbort
-            evaluator.assign(v, rot)
-            current[v] = rot
-            lb = bound_after_partial()
-            if parity_even and lb % 2:
-                lb += 1
-            if best_euler is None or lb < best_euler:
-                rec(k + 1)
-            evaluator.unassign(v)
-            del current[v]
+        for pattern in patterns[k]:
+            for ei, sign in zip(schedule[k], pattern):
+                signs[ei] = sign
+            negs = negatives + pattern.count(-1)
+            if k >= last and not negs:
+                continue  # every co-tree sign is +1: balanced
+            for rot in _rotation_candidates(g, v, quotient_reflection=(k == 0)):
+                nodes += 1
+                if nodes > node_cap:
+                    raise _BnBAbort
+                evaluator.assign(v, rot)
+                current[v] = rot
+                lb = bound_after_partial()
+                if signs is None and lb % 2:
+                    lb += 1
+                if best_euler is None or lb < best_euler:
+                    rec(k + 1, negs)
+                evaluator.unassign(v)
+                del current[v]
 
     completed = True
     try:
-        rec(0)
+        rec(0, 0)
     except _BnBAbort:
         completed = nodes <= node_cap and best_euler is not None and best_euler <= stop_at
-    return best_euler, best_rot, completed
-
-
-def _exhaustive_orientable(g: SimpleGraph, budget: SearchBudget, lower_euler: int):
-    ev = _FaceCounter(_DartIndex(g))
-    order = _assignment_order(g)
-    mfl = 3 if min(g.degree(v) for v in range(g.n)) >= 2 else 2
-    return _bnb_min_euler(g, ev, order, mfl, lower_euler, budget.node_cap, parity_even=True)
+    return best_euler, best_rot, best_signs, completed
 
 
 def _cotree_edges(g: SimpleGraph) -> list[int]:
@@ -497,34 +518,6 @@ def _cotree_edges(g: SimpleGraph) -> list[int]:
                     queue.append(w)
     return [i for i in range(len(edges)) if i not in tree]
 
-
-def _exhaustive_nonorientable(g: SimpleGraph, budget: SearchBudget, lower_euler: int):
-    """Minimum Euler genus over unbalanced schemes: spanning-tree signs are
-    fixed +1, every nonempty negative pattern on co-tree edges is tried."""
-    idx = _DartIndex(g)
-    order = _assignment_order(g)
-    mfl = 3 if min(g.degree(v) for v in range(g.n)) >= 2 else 2
-    cotree = _cotree_edges(g)
-    best: Optional[int] = None
-    best_rot = None
-    best_signs = None
-    completed = True
-    for pattern in range(1, 1 << len(cotree)):
-        signs = [1] * idx.m
-        for bit, ei in enumerate(cotree):
-            if pattern >> bit & 1:
-                signs[ei] = -1
-        ev = _FaceCounter(idx, signs)
-        e, rot, done = _bnb_min_euler(
-            g, ev, order, mfl, lower_euler, budget.node_cap,
-            parity_even=False, initial_best=best,
-        )
-        completed = completed and done
-        if rot is not None and (best is None or e < best):
-            best, best_rot, best_signs = e, rot, signs
-            if best <= lower_euler:
-                break
-    return best, best_rot, best_signs, completed
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +626,12 @@ def heuristic_embedding(
         else:
             rotations = _random_rotations(g, rng)
         signs = None
+        negatives = 0  # negative co-tree signs
         if surface == NONORIENTABLE:
             signs = [1] * idx.m
             for ei in rng.sample(cotree, rng.randrange(1, min(4, len(cotree) + 1))):
                 signs[ei] = -1
+                negatives += 1
         ev = _Evaluator(idx, signs)
         for v in range(g.n):
             ev.assign(v, rotations[v])
@@ -651,13 +646,13 @@ def heuristic_embedding(
                 break  # rotations are forced; nothing to search
             if surface == NONORIENTABLE and (not movable or rng.random() < _SA_SIGN_MOVE_P):
                 ei = cotree[rng.randrange(len(cotree))]
-                negatives = sum(1 for i in cotree if ev.signs[i] == -1)
                 if ev.signs[ei] == -1 and negatives == 1:
                     continue  # keep at least one negative co-tree sign
                 ev.flip_sign(ei)
                 e = ev.euler()
                 if e <= current or rng.random() < math.exp((current - e) / temp):
                     current = e
+                    negatives -= ev.signs[ei]  # one more if now -1, one fewer if +1
                 else:
                     ev.flip_sign(ei)
             else:
@@ -751,16 +746,16 @@ def _exact_surface(g: SimpleGraph, surface: str, budget: SearchBudget) -> GenusR
         )
 
     # the heuristic missed the bound: settle exhaustively if affordable
-    space = rotation_space_size(g)
+    cotree, patterns = None, 1  # patterns: nonzero co-tree sign patterns
     if surface == NONORIENTABLE:
-        space *= max(1, (1 << len(_cotree_edges(g))) - 1)
+        cotree = _cotree_edges(g)
+        patterns = max(1, (1 << len(cotree)) - 1)
+    space = rotation_space_size(g) * patterns
     if space <= budget.exhaustive_cap:
         lower_euler = 2 * lower if surface == ORIENTABLE else lower
-        if surface == ORIENTABLE:
-            best, rot, done = _exhaustive_orientable(g, budget, lower_euler)
-            signs = None
-        else:
-            best, rot, signs, done = _exhaustive_nonorientable(g, budget, lower_euler)
+        best, rot, signs, done = _bnb_min_euler(
+            g, lower_euler, budget.node_cap * patterns, cotree
+        )
         if done and best is not None:
             value = best // 2 if surface == ORIENTABLE else best
             sign_map = None
@@ -878,7 +873,7 @@ def genus_of_graph(
         upper = sum(uppers) if uppers and all(u is not None for u in uppers) else None
         exact = bool(sub_results) and all(r.exact for r in sub_results)
         if exact and upper is not None and upper < lower:
-            raise AssertionError(
+            raise SchemeError(
                 f"component bound {lower} exceeds exact block sum {upper}"
             )
         exact = exact and upper == lower

@@ -53,6 +53,49 @@ def brute_force_genus(g) -> int:
     return best if best is not None else 0
 
 
+def brute_force_crosscap(g) -> int:
+    """Least Euler genus over the unbalanced signed rotation systems of a
+    connected graph, which for a nonplanar graph is its crosscap. Switching
+    at vertices turns any scheme into one whose DFS spanning-tree edges are
+    +1, and such a scheme is unbalanced exactly when some other edge is -1;
+    so every rotation system is tried with every such sign pattern, and the
+    faces are counted by `partial_face_counts`. Stops at 1, the least Euler
+    genus of a nonorientable surface."""
+    nbrs = {v: sorted(g.adj[v]) for v in range(g.n)}
+    tree = set()
+    seen = set()
+
+    def dfs(v):
+        seen.add(v)
+        for w in nbrs[v]:
+            if w not in seen:
+                tree.add((min(v, w), max(v, w)))
+                dfs(w)
+
+    dfs(0)
+    edges = [(u, v) for u in range(g.n) for v in nbrs[u] if u < v]
+    cotree = [e for e in edges if e not in tree]
+    choices = [
+        [tuple(ns)] if len(ns) <= 1 else [(ns[0],) + p for p in permutations(ns[1:])]
+        for ns in nbrs.values()
+    ]
+    best = None
+    for rots in product(*choices):
+        rotations = dict(enumerate(rots))
+        for pattern in product((1, -1), repeat=len(cotree)):
+            if -1 not in pattern:
+                continue
+            signs = dict.fromkeys(tree, 1)
+            signs.update(zip(cotree, pattern))
+            faces, _ = partial_face_counts(g, rotations, signs)
+            euler = 2 - g.n + len(edges) - faces
+            if best is None or euler < best:
+                best = euler
+                if best == 1:
+                    return best
+    return best
+
+
 def _components(g) -> tuple[int, int]:
     seen = set()
     comps = 0

@@ -11,6 +11,7 @@ from diffgenus.embeddings import FaceTrace, SchemeError, make_scheme, trace_face
 from diffgenus.genus import (
     NONORIENTABLE,
     ORIENTABLE,
+    GenusResult,
     SearchBudget,
     bipartite_subgraph_bound,
     derived_subgraphs,
@@ -327,12 +328,17 @@ def test_exhaustive_only_matches_bruteforce_random():
     done = 0
     while done < 12:
         g = connected_random_graph(rng, n_max=6, space_cap=4_000)
-        if is_planar(g).planar:
+        # fewer than 9 edges is planar: K3,3 has 9 edges and K5 has 10
+        if g.edge_count < 9 or is_planar(g).planar:
             continue
         done += 1
         res = exact_genus(g, _bnb_only())
         assert res.exact
         assert res.value == oracles.brute_force_genus(g)
+        res = exact_crosscap(g, _bnb_only())
+        assert res.exact
+        assert res.value == oracles.brute_force_crosscap(g)
+        assert verify_certificate(res.certificate_graph, res.certificate, NONORIENTABLE, res.value)
 
 
 def test_node_cap_abort_degrades_to_bounds():
@@ -342,6 +348,29 @@ def test_node_cap_abort_degrades_to_bounds():
     assert not res.exact
     assert res.lower == 1
     assert any("aborted" in line for line in res.provenance)
+
+
+def test_crosscap_node_cap_abort_degrades_to_bounds():
+    # the crosscap search may assign node_cap rotations per co-tree sign
+    # pattern: 15 here, against 480 configurations
+    res = exact_crosscap(
+        SimpleGraph.complete_bipartite(3, 3), SearchBudget(restarts=0, node_cap=1)
+    )
+    assert not res.exact
+    assert res.lower == 1
+    assert any("aborted" in line for line in res.provenance)
+
+
+def test_crosscap_search_skips_balanced_schemes():
+    # K4 is planar, so only a balanced scheme reaches Euler genus 0
+    g = SimpleGraph.complete(4)
+    cotree = genus_module._cotree_edges(g)
+    best, rotations, signs, completed = genus_module._bnb_min_euler(g, 0, 10_000, cotree)
+    assert completed and best == 1
+    assert any(signs[ei] == -1 for ei in cotree)
+    sign_map = dict(zip(g.edges(), signs))
+    trace = trace_faces(g, make_scheme(g, rotations, sign_map))
+    assert trace.euler_genus == 1 and not trace.orientable
 
 
 # -- face counting -------------------------------------------------------------
@@ -444,6 +473,20 @@ def test_is_planar_rejects_an_embedding_that_does_not_reverify(monkeypatch):
     monkeypatch.setattr(genus_module, "trace_faces", lambda g, scheme: FaceTrace([], 0, 2, True))
     with pytest.raises(SchemeError, match="re-verify"):
         is_planar(SimpleGraph.complete(4))
+
+
+def test_orientable_search_rejects_odd_euler_genus(monkeypatch):
+    monkeypatch.setattr(genus_module._FaceCounter, "euler", lambda self: 3)
+    with pytest.raises(SchemeError, match="odd euler genus"):
+        exact_genus(SimpleGraph.complete_bipartite(3, 3), _bnb_only())
+
+
+def test_component_bound_above_exact_block_sum_raises(monkeypatch):
+    monkeypatch.setattr(
+        genus_module, "_exact_surface", lambda g, surface, budget: GenusResult(surface, 0, 0, True)
+    )
+    with pytest.raises(SchemeError, match="exceeds exact block sum"):
+        genus_of_graph(SimpleGraph.complete(5))
 
 
 def test_guards_survive_optimized_mode():
