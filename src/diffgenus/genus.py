@@ -230,13 +230,17 @@ class _DartIndex:
 
 
 class _Evaluator:
-    """Partial rotation system, with edge signs when `signs` is given.
+    """Rotation system, with edge signs when `signs` is given.
 
     A face is a cycle of states under `nxt`. Without signs a state is a
     dart; with signs each dart has two states, one per local orientation,
     and closed state cycles come in mirror pairs, so a face is two cycles.
-    `nxt` of a state is set once the head of its dart has a rotation. The
-    heuristic moves vertices in any order, so `stats()` recounts every state.
+    `nxt` of a state is set once the head of its dart has a rotation.
+
+    `stats()` walks every state and labels each with the walk that met it.
+    Once `nxt` is a permutation, `retrace` changes a few successors and
+    re-walks only the cycles through them, so a heuristic move costs the
+    length of the faces it touches rather than a recount.
     """
 
     def __init__(self, idx: _DartIndex, signs: Optional[list[int]] = None):
@@ -244,6 +248,15 @@ class _Evaluator:
         self.signs = None if signs is None else list(signs)  # per edge index
         self.unit = 1 if signs is None else 2  # states per dart
         self.nxt = [-1] * (2 * self.unit * idx.m)
+        # set by stats(), kept by retrace() and accept()
+        self.cycles = 0  # closed state cycles
+        self._label: list[int] = []  # per state: its cycle's id
+        self._fresh = 0  # the next unused cycle id
+        self._seen: list[int] = []  # per state: the last retrace() that walked it
+        self._stamp = 0
+        self._changed: list[int] = []  # states whose successor retrace() replaced
+        self._old: list[int] = []  # and their successors before
+        self._after = 0  # closed state cycles after the pending retrace()
 
     def _links(self, v: int, rotation: list[int]) -> list[tuple[int, int]]:
         """(state, successor) for every state whose dart enters v. The walk
@@ -265,45 +278,83 @@ class _Evaluator:
                 links += ((2 * d, pred), (2 * d + 1, succ))
         return links
 
+    def _sign_links(self, edge_index: int) -> list[tuple[int, int]]:
+        """(state, successor) once the edge's sign is negated: by the rule in
+        `_links`, the two states of each of its darts swap successors."""
+        nxt = self.nxt
+        return [(s, nxt[s ^ 1]) for s in range(4 * edge_index, 4 * edge_index + 4)]
+
     def assign(self, v: int, rotation: list[int]) -> None:
         nxt = self.nxt
         for s, t in self._links(v, rotation):
             nxt[s] = t
 
-    def unassign(self, v: int) -> None:
-        nxt, unit = self.nxt, self.unit
-        blank = [-1] * unit
-        for d in self.idx.into[v].values():
-            nxt[unit * d : unit * (d + 1)] = blank
-
-    def flip_sign(self, edge_index: int) -> None:
-        """Negate an edge's sign: by the rule in `_links`, the two states
-        of each of its darts swap successors (both unset if unassigned)."""
-        self.signs[edge_index] = -self.signs[edge_index]
-        nxt = self.nxt
-        for s in (4 * edge_index, 4 * edge_index + 2):
-            nxt[s], nxt[s + 1] = nxt[s + 1], nxt[s]
-
     def stats(self) -> tuple[int, int]:
         """(closed_faces, open_states). `nxt` is injective, so a walk from an
         unvisited state either returns to it, closing a cycle, or ends at an
-        unset successor or at the start of an open chain walked before."""
+        unset successor or at the start of an open chain walked before. Each
+        state is labelled with the state its walk started from."""
         nxt = self.nxt
-        seen = [False] * len(nxt)
+        label = [-1] * len(nxt)
         cycles = open_states = 0
         for s0 in range(len(nxt)):
-            if seen[s0]:
+            if label[s0] != -1:
                 continue
-            seen[s0] = True
+            label[s0] = s0
             s, walked = nxt[s0], 1
-            while s != -1 and not seen[s]:
-                seen[s] = True
+            while s != -1 and label[s] == -1:
+                label[s] = s0
                 s, walked = nxt[s], walked + 1
             if s == s0:
                 cycles += 1
             else:
                 open_states += walked
+        self.cycles, self._label, self._fresh = cycles, label, len(nxt)
+        self._seen, self._stamp = [0] * len(nxt), 0
         return self._faces(cycles), open_states
+
+    def retrace(self, links: list[tuple[int, int]]) -> int:
+        """Set the successors in `links` and return the face count after,
+        on a permutation `nxt` labelled by `stats()`. The changed states
+        keep the same set of successors between them, so the cycles through
+        them afterwards cover exactly the states of the cycles through them
+        before; only those are walked. Follow with `accept` or `reject`."""
+        nxt, seen, label = self.nxt, self._seen, self._label
+        changed, old = self._changed, self._old = [], []
+        for s, t in links:
+            o = nxt[s]
+            if o != t:
+                changed.append(s)
+                old.append(o)
+                nxt[s] = t
+        stamp = self._stamp = self._stamp + 1
+        after = 0
+        for s in changed:
+            if seen[s] != stamp:
+                after += 1
+                while seen[s] != stamp:
+                    seen[s] = stamp
+                    s = nxt[s]
+        self._after = self.cycles + after - len({label[s] for s in changed})
+        return self._faces(self._after)
+
+    def accept(self) -> None:
+        """Keep the last `retrace`, giving its new cycles fresh labels."""
+        nxt, label = self.nxt, self._label
+        first = fresh = self._fresh
+        for s in self._changed:
+            if label[s] < first:
+                while label[s] < first:
+                    label[s] = fresh
+                    s = nxt[s]
+                fresh += 1
+        self._fresh, self.cycles = fresh, self._after
+
+    def reject(self) -> None:
+        """Undo the last `retrace`; the labels still describe `nxt`."""
+        nxt = self.nxt
+        for s, o in zip(self._changed, self._old):
+            nxt[s] = o
 
     def _faces(self, cycles: int) -> int:
         if cycles % self.unit:
@@ -526,42 +577,50 @@ def _cotree_edges(g: SimpleGraph) -> list[int]:
 
 def _greedy_insertion_rotations(g: SimpleGraph, rng: random.Random, shuffle: bool) -> list[list[int]]:
     """Insert edges one at a time, each at the cyclic positions that keep the
-    running Euler genus smallest. Cheap and a strong starting point."""
+    running Euler genus smallest. Cheap and a strong starting point. One
+    evaluator over all of g's darts scores every slot: an unplaced dart is a
+    fixed point of `nxt`, and a slot is tried by re-tracing the faces through
+    the darts that enter its two endpoints."""
     edge_order = g.edges()
     if shuffle:
         rng.shuffle(edge_order)
     rotations: list[list[int]] = [[] for _ in range(g.n)]
-    placed: list[tuple[int, int]] = []
-
-    def partial_euler() -> int:
-        sub = SimpleGraph(g.n, placed)
-        ev = _Evaluator(_DartIndex(sub))
-        for v in range(g.n):
-            if rotations[v]:
-                ev.assign(v, rotations[v])
-        return ev.euler()
+    ev = _Evaluator(_DartIndex(g))
+    ev.nxt = list(range(len(ev.nxt)))  # nothing placed: all fixed points
+    ev.stats()
+    unplaced = len(ev.nxt)  # darts of edges not placed yet
+    # 2 * components - n + edges, and the isolated vertices, of the placed edges
+    base, isolated = g.n, g.n
+    component = list(range(g.n))
 
     for u, v in edge_order:
-        placed.append((u, v))
-        slots_u = max(1, len(rotations[u]))
-        slots_v = max(1, len(rotations[v]))
+        unplaced -= 2
+        isolated -= (not rotations[u]) + (not rotations[v])
+        base += 1
+        cu, cv = component[u], component[v]
+        if cu != cv:
+            base -= 2
+            component = [cu if c == cv else c for c in component]
+        rot_u, rot_v = rotations[u], rotations[v]
         best = None
-        for i in range(slots_u):
-            for j in range(slots_v):
-                rotations[u].insert(i, v)
-                rotations[v].insert(j, u)
-                e = partial_euler()
+        for i in range(max(1, len(rot_u))):
+            for j in range(max(1, len(rot_v))):
+                faces = ev.retrace(
+                    ev._links(u, rot_u[:i] + [v] + rot_u[i:]) + ev._links(v, rot_v[:j] + [u] + rot_v[j:])
+                )
+                ev.reject()
+                e = base - (faces - unplaced + isolated)
                 if best is None or e < best[0]:
                     best = (e, i, j)
-                rotations[u].remove(v)
-                rotations[v].remove(u)
                 if best[0] == 0:
                     break
             if best[0] == 0:
                 break
         _, i, j = best
-        rotations[u].insert(i, v)
-        rotations[v].insert(j, u)
+        rot_u.insert(i, v)
+        rot_v.insert(j, u)
+        ev.retrace(ev._links(u, rot_u) + ev._links(v, rot_v))
+        ev.accept()
     return rotations
 
 
@@ -619,6 +678,7 @@ def heuristic_embedding(
             return None
         return _verified_scheme(g, idx, rotations, None, seed, target_euler, surface)
     cooling = (_SA_T_END / _SA_T_START) ** (1.0 / max(1, budget.moves_per_restart))
+    offset = idx.base - idx.isolated  # euler genus = offset - faces
 
     for restart in range(budget.restarts):
         if restart % 2 == 0:
@@ -635,26 +695,25 @@ def heuristic_embedding(
         ev = _Evaluator(idx, signs)
         for v in range(g.n):
             ev.assign(v, rotations[v])
-        current = ev.euler()
+        current = ev.euler()  # labels every state for retrace()
         temp = _SA_T_START
 
         for _ in range(budget.moves_per_restart):
             if current == target_euler:
                 break
             temp *= cooling
-            if not movable and surface == ORIENTABLE:
-                break  # rotations are forced; nothing to search
             if surface == NONORIENTABLE and (not movable or rng.random() < _SA_SIGN_MOVE_P):
                 ei = cotree[rng.randrange(len(cotree))]
                 if ev.signs[ei] == -1 and negatives == 1:
                     continue  # keep at least one negative co-tree sign
-                ev.flip_sign(ei)
-                e = ev.euler()
+                e = offset - ev.retrace(ev._sign_links(ei))
                 if e <= current or rng.random() < math.exp((current - e) / temp):
+                    ev.accept()
+                    ev.signs[ei] = -ev.signs[ei]
                     current = e
                     negatives -= ev.signs[ei]  # one more if now -1, one fewer if +1
                 else:
-                    ev.flip_sign(ei)
+                    ev.reject()
             else:
                 v = movable[rng.randrange(len(movable))]
                 rot = rotations[v]
@@ -665,15 +724,13 @@ def heuristic_embedding(
                 moved = rot[i]
                 trial = rot[:i] + rot[i + 1 :]
                 trial.insert(j, moved)
-                ev.unassign(v)
-                ev.assign(v, trial)
-                e = ev.euler()
+                e = offset - ev.retrace(ev._links(v, trial))
                 if e <= current or rng.random() < math.exp((current - e) / temp):
+                    ev.accept()
                     rotations[v] = trial
                     current = e
                 else:
-                    ev.unassign(v)
-                    ev.assign(v, rot)
+                    ev.reject()
 
         if current == target_euler:
             return _verified_scheme(g, idx, rotations, ev.signs, seed, target_euler, surface)
@@ -687,7 +744,11 @@ def _verified_scheme(g, idx, rotations, signs, seed, target_euler, surface):
     scheme = make_scheme(g, rotations, sign_map, seed=seed)
     trace = trace_faces(g, scheme)
     if trace.euler_genus != target_euler or trace.orientable != (surface == ORIENTABLE):
-        return None
+        raise SchemeError(
+            f"heuristic scheme scored at euler genus {target_euler} on the {surface} surface"
+            f" does not re-verify (traced {trace.euler_genus},"
+            f" {'orientable' if trace.orientable else 'nonorientable'})"
+        )
     return scheme
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -239,6 +240,39 @@ def test_heuristic_deterministic_given_seed():
     assert a.rotations == b.rotations
 
 
+def _petersen() -> SimpleGraph:
+    g = SimpleGraph(10)
+    for i in range(5):
+        g.add_edge(i, (i + 1) % 5)
+        g.add_edge(i, i + 5)
+        g.add_edge(i + 5, (i + 2) % 5 + 5)
+    return g
+
+
+def test_heuristic_certificates_are_pinned():
+    """Rotations and signs of fixed heuristic calls on both surfaces. The
+    hits come from a greedy start (K6, K7), a random start (Petersen
+    genus 2, K3,3 crosscap) and a shuffled greedy start (K5 and Petersen
+    crosscap). The digest was taken before the heuristic re-traced faces
+    locally; its Euler values are exact, so every move, and the random
+    stream, must be the same."""
+    calls = [
+        (SimpleGraph.complete(6), 1, ORIENTABLE, 100),
+        (SimpleGraph.complete(7), 3, ORIENTABLE, 30),
+        (_petersen(), 2, ORIENTABLE, 100),
+        (SimpleGraph.complete_bipartite(3, 3), 1, NONORIENTABLE, 30),
+        (SimpleGraph.complete(5), 1, NONORIENTABLE, 100),
+        (_petersen(), 1, NONORIENTABLE, 100),
+    ]
+    found = []
+    for g, target, surface, moves in calls:
+        budget = SearchBudget(restarts=4, moves_per_restart=moves)
+        scheme = heuristic_embedding(g, target, surface, seed=1, budget=budget)
+        found.append((scheme.rotations, scheme.signs))
+    digest = hashlib.sha256(repr(found).encode()).hexdigest()
+    assert digest == "0bd0222b610f9e63d6c8b69bc020a19e0c3f2514f42c3859ad68039965501eca"
+
+
 # -- orchestrator -------------------------------------------------------------
 
 
@@ -381,10 +415,10 @@ def _random_signs(rng: random.Random, g: SimpleGraph) -> dict:
 
 
 def test_face_counter_matches_full_recount():
-    """The branch-and-bound's incremental counter, and the heuristic's
-    recounting evaluator, against the reference recount after every assign
-    and unassign, in a random last-in, first-out order, and the evaluator
-    after a sign flip; at full assignments against face tracing too."""
+    """The branch-and-bound's incremental counter, and an evaluator that
+    walks every state, against the reference recount after every assign and
+    unassign, in a random last-in, first-out order; at full assignments
+    against face tracing too."""
     rng = random.Random(83)
     for _ in range(200):
         g = connected_random_graph(rng, n_max=7, space_cap=20_000)
@@ -392,22 +426,20 @@ def test_face_counter_matches_full_recount():
         for sign_map in (None, _random_signs(rng, g)):
             signs = None if sign_map is None else [sign_map[e] for e in idx.edges]
             counter = genus_module._FaceCounter(idx, signs)
-            recount = genus_module._Evaluator(idx, signs)
             order = list(range(g.n))
             rng.shuffle(order)
             assigned: dict[int, list[int]] = {}
 
+            def recount():
+                ev = genus_module._Evaluator(idx, signs)
+                for v, rotation in assigned.items():
+                    ev.assign(v, rotation)
+                return ev
+
             def check():
                 want = oracles.partial_face_counts(g, assigned, sign_map)
                 assert counter.stats() == want
-                assert recount.stats() == want
-                if signs is not None:  # the heuristic's sign move, and back
-                    ei = rng.randrange(idx.m)
-                    recount.flip_sign(ei)
-                    flipped = dict(sign_map)
-                    flipped[idx.edges[ei]] *= -1
-                    assert recount.stats() == oracles.partial_face_counts(g, assigned, flipped)
-                    recount.flip_sign(ei)
+                assert recount().stats() == want
 
             full_seen = 0
             while full_seen < 2:
@@ -415,27 +447,146 @@ def test_face_counter_matches_full_recount():
                     rotations = [assigned[v] for v in range(g.n)]
                     trace = trace_faces(g, make_scheme(g, rotations, sign_map))
                     assert counter.stats() == (trace.face_count, 0)
-                    assert counter.euler() == recount.euler() == trace.euler_genus
+                    assert counter.euler() == recount().euler() == trace.euler_genus
                     full_seen += 1
                 if assigned and (len(assigned) == g.n or rng.random() < 0.4):
                     v = order[len(assigned) - 1]
                     counter.unassign(v)
-                    recount.unassign(v)
                     del assigned[v]
                 else:
                     v = order[len(assigned)]
                     rotation = g.neighbors(v)
                     rng.shuffle(rotation)
                     counter.assign(v, rotation)
-                    recount.assign(v, rotation)
                     assigned[v] = rotation
                 check()
             while assigned:
                 v = order[len(assigned) - 1]
                 counter.unassign(v)
-                recount.unassign(v)
                 del assigned[v]
                 check()
+
+
+def _reference_euler(g: SimpleGraph, rotations: dict, sign_map) -> int:
+    comps, isolated = oracles._components(g)
+    faces, open_states = oracles.partial_face_counts(g, rotations, sign_map)
+    assert open_states == 0
+    return 2 * comps - g.n + g.edge_count - (faces + isolated)
+
+
+def test_local_retrace_matches_full_recount():
+    """The heuristic's moves: after every tried relocation and sign flip,
+    accepted or rejected, the Euler genus from `retrace` equals the
+    reference recount of the scheme it was tried on. Relocations at degree-2
+    vertices change no successor."""
+    rng = random.Random(89)
+    for _ in range(200):
+        g = connected_random_graph(rng, n_max=7, space_cap=20_000)
+        idx = genus_module._DartIndex(g)
+        movable = [v for v in range(g.n) if g.degree(v) >= 2]
+        for sign_map in (None, _random_signs(rng, g)):
+            signs = None if sign_map is None else [sign_map[e] for e in idx.edges]
+            rotations = dict(enumerate(genus_module._random_rotations(g, rng)))
+            ev = genus_module._Evaluator(idx, signs)
+            for v, rotation in rotations.items():
+                ev.assign(v, rotation)
+            assert ev.euler() == _reference_euler(g, rotations, sign_map)
+            for _ in range(30):
+                trial, trial_signs, flipped = dict(rotations), sign_map, None
+                if sign_map is not None and rng.random() < 0.3:
+                    flipped = rng.randrange(idx.m)
+                    trial_signs = dict(sign_map)
+                    trial_signs[idx.edges[flipped]] *= -1
+                    faces = ev.retrace(ev._sign_links(flipped))
+                else:
+                    v = rng.choice(movable)
+                    rotation = list(rotations[v])
+                    rotation.insert(rng.randrange(len(rotation)), rotation.pop(rng.randrange(len(rotation))))
+                    trial[v] = rotation
+                    faces = ev.retrace(ev._links(v, rotation))
+                euler = idx.base - (faces + idx.isolated)
+                assert euler == _reference_euler(g, trial, trial_signs)
+                if rng.random() < 0.5:
+                    ev.accept()
+                    rotations, sign_map = trial, trial_signs
+                    if flipped is not None:
+                        ev.signs[flipped] = -ev.signs[flipped]
+                else:
+                    ev.reject()
+            assert ev.euler() == _reference_euler(g, rotations, sign_map)
+
+
+def _reference_greedy(g: SimpleGraph, edge_order: list) -> tuple[list, list]:
+    """Greedy insertion scored from scratch: a slot's Euler genus is the
+    recount of SimpleGraph(g.n, placed) with the slot's rotations. Also
+    returns, for every slot tried and every edge placed, the face count
+    with each unplaced dart as a face of its own, which is what the
+    package's evaluator counts."""
+    rotations: list[list[int]] = [[] for _ in range(g.n)]
+    placed: list[tuple[int, int]] = []
+    face_counts = []
+
+    def score() -> int:
+        sub = SimpleGraph(g.n, placed)
+        comps, isolated = oracles._components(sub)
+        faces, open_states = oracles.partial_face_counts(sub, dict(enumerate(rotations)))
+        assert open_states == 0
+        face_counts.append(faces + 2 * (g.edge_count - len(placed)))
+        return 2 * comps - g.n + len(placed) - (faces + isolated)
+
+    for u, v in edge_order:
+        placed.append((u, v))
+        best = None
+        for i in range(max(1, len(rotations[u]))):
+            for j in range(max(1, len(rotations[v]))):
+                rotations[u].insert(i, v)
+                rotations[v].insert(j, u)
+                e = score()
+                rotations[u].remove(v)
+                rotations[v].remove(u)
+                if best is None or e < best[0]:
+                    best = (e, i, j)
+                if best[0] == 0:
+                    break
+            if best[0] == 0:
+                break
+        _, i, j = best
+        rotations[u].insert(i, v)
+        rotations[v].insert(j, u)
+        score()
+    return rotations, face_counts
+
+
+def test_greedy_insertion_scores_slots_like_a_recount(monkeypatch):
+    """Every slot greedy insertion tries, and every edge it places, gets
+    the face count of a recount of the placed edges. The slots tried stop
+    at the first one of Euler genus 0, so the same sequence of calls also
+    checks the Euler genus the greedy pass derives from that count. Graphs
+    with an isolated vertex and two components are included."""
+    face_counts = []
+    retrace = genus_module._Evaluator.retrace
+
+    def spy(self, links):
+        faces = retrace(self, links)
+        face_counts.append(faces)
+        return faces
+
+    monkeypatch.setattr(genus_module._Evaluator, "retrace", spy)
+    rng = random.Random(97)
+    for k in range(60):
+        g = connected_random_graph(rng, n_max=8)
+        if k % 3 == 1:
+            g = SimpleGraph(g.n + 1, g.edges())
+        elif k % 3 == 2:
+            g = SimpleGraph(g.n + 3, g.edges() + [(g.n, g.n + 1), (g.n + 1, g.n + 2), (g.n, g.n + 2)])
+        edge_order = g.edges()
+        if k % 2:
+            random.Random(k).shuffle(edge_order)
+        want_rotations, want_counts = _reference_greedy(g, edge_order)
+        face_counts.clear()
+        rotations = genus_module._greedy_insertion_rotations(g, random.Random(k), shuffle=k % 2 == 1)
+        assert rotations == want_rotations
+        assert face_counts == want_counts
 
 
 def test_face_counter_requires_last_in_first_out():
@@ -473,6 +624,13 @@ def test_is_planar_rejects_an_embedding_that_does_not_reverify(monkeypatch):
     monkeypatch.setattr(genus_module, "trace_faces", lambda g, scheme: FaceTrace([], 0, 2, True))
     with pytest.raises(SchemeError, match="re-verify"):
         is_planar(SimpleGraph.complete(4))
+
+
+@pytest.mark.parametrize("surface", [ORIENTABLE, NONORIENTABLE])
+def test_heuristic_rejects_a_scheme_that_does_not_reverify(monkeypatch, surface):
+    monkeypatch.setattr(genus_module, "trace_faces", lambda g, scheme: FaceTrace([], 0, 99, True))
+    with pytest.raises(SchemeError, match="re-verify"):
+        heuristic_embedding(SimpleGraph.complete(5), 1, surface, seed=0)
 
 
 def test_orientable_search_rejects_odd_euler_genus(monkeypatch):
