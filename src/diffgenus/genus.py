@@ -424,6 +424,12 @@ class _FaceCounter(_Evaluator):
     def stats(self) -> tuple[int, int]:
         return self._faces(self._cycles), len(self.nxt) - self._closed_states
 
+    def _unlabelled(self, *args) -> None:
+        raise SchemeError("_FaceCounter keeps no cycle labels to retrace")
+
+    # the local re-trace reads labels that only `_Evaluator.stats()` fills
+    retrace = accept = reject = _unlabelled
+
 
 # ---------------------------------------------------------------------------
 # Exhaustive search (branch and bound)

@@ -8,7 +8,6 @@ Elements are indices 0..n-1 with the identity fixed at 0.
 from __future__ import annotations
 
 import math
-import random
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -69,8 +68,6 @@ class IsomorphismCapError(ValueError):
     """Group order exceeds the isomorphism search cap."""
 
 
-FULL_ASSOC_CHECK_MAX = 256
-ASSOC_SAMPLE_COUNT = 1_000_000
 ISO_DEFAULT_CAP = 128
 
 
@@ -78,8 +75,10 @@ class GroupTable:
     """A finite group given by its full multiplication table.
 
     mult[a][b] is the index of the product a*b; index 0 is the identity.
-    Instances are immutable after construction and cache derived data
-    (element orders, cyclic subgroups, Sylow decomposition).
+    Every table is validated as a group on construction. Instances are
+    immutable after construction and cache derived data (element orders,
+    cyclic subgroups, Sylow decomposition); they keep the table as tuples,
+    not as a numpy array.
     """
 
     def __init__(
@@ -87,14 +86,17 @@ class GroupTable:
         mult: Sequence[Sequence[int]],
         names: Optional[Sequence[str]] = None,
         source: str = "",
-        _validated: bool = False,
     ):
-        self._mult = tuple(tuple(int(x) for x in row) for row in mult)
-        self.order = len(self._mult)
+        n = len(mult)
+        for i, row in enumerate(mult):
+            if len(row) != n:
+                raise LatinSquareError(f"row {i} has length {len(row)}, expected {n}")
+        arr = np.array(mult, dtype=np.int64).reshape(n, n)
+        _validate_table(arr)
+        self._mult = tuple(map(tuple, arr.tolist()))
+        self.order = n
         self.names = list(names) if names is not None else None
         self.source = source
-        if not _validated:
-            _validate_table(self._mult)
         self._orders: Optional[list[int]] = None
         self._inverses: Optional[list[int]] = None
         self._cyclic_subs: Optional[list[Subgroup]] = None
@@ -158,10 +160,6 @@ class GroupTable:
             members.append(x)
             x = self._mult[x][g]
         return frozenset(members)
-
-    def is_abelian(self) -> bool:
-        m = self._mult
-        return all(m[a][b] == m[b][a] for a in range(self.order) for b in range(a))
 
     def name_of(self, g: int) -> str:
         if self.names is not None:
@@ -236,45 +234,51 @@ class SylowDecomposition:
 # Table validation
 
 
-def _validate_table(mult: tuple[tuple[int, ...], ...]) -> None:
-    n = len(mult)
+def _validate_table(arr: np.ndarray) -> None:
+    """Raise unless the square table `arr` is a group with identity 0.
+
+    Associativity is proven by Light's test (Clifford and Preston 1961,
+    section 1.2): the elements g with (x*g)*y == x*(g*y) for all x, y are
+    closed under the product, so it suffices to check the generators that
+    `_generating_sequence` picks, in O(|gens| n^2).
+    """
+    n = len(arr)
     if n == 0:
         raise GroupError("empty table")
-    target = frozenset(range(n))
-    for i, row in enumerate(mult):
-        if len(row) != n:
-            raise LatinSquareError(f"row {i} has length {len(row)}, expected {n}")
-        if frozenset(row) != target:
-            raise LatinSquareError(f"row {i} is not a permutation of 0..{n - 1}")
-    arr = np.array(mult, dtype=np.int64)
-    for j in range(n):
-        if frozenset(arr[:, j].tolist()) != target:
-            raise LatinSquareError(f"column {j} is not a permutation of 0..{n - 1}")
-    if not (np.array_equal(arr[0], np.arange(n)) and np.array_equal(arr[:, 0], np.arange(n))):
+    target = np.arange(n)
+    for what, lines in (("row", arr), ("column", arr.T)):
+        bad = np.flatnonzero((np.sort(lines, axis=1) != target).any(axis=1))
+        if bad.size:
+            raise LatinSquareError(f"{what} {bad[0]} is not a permutation of 0..{n - 1}")
+    if not (np.array_equal(arr[0], target) and np.array_equal(arr[:, 0], target)):
         raise IdentityError("index 0 is not a two-sided identity")
-    # two-sided inverses
-    for i in range(n):
-        j = int(np.where(arr[i] == 0)[0][0])
-        if arr[j][i] != 0:
-            raise InverseError(i)
-    _check_associativity(arr)
+    right_inverse = np.argmax(arr == 0, axis=1)
+    bad = np.flatnonzero(arr[right_inverse, target] != 0)
+    if bad.size:
+        raise InverseError(int(bad[0]))
+    for g in _generating_sequence(arr):
+        bad = np.argwhere(arr[arr[:, g]] != arr[:, arr[g]])  # (x*g)*y against x*(g*y)
+        if bad.size:
+            x, y = map(int, bad[0])
+            raise AssociativityError((x, g, y))
 
 
-def _check_associativity(arr: np.ndarray) -> None:
-    n = len(arr)
-    if n <= FULL_ASSOC_CHECK_MAX:
-        for a in range(n):
-            left = arr[arr[a], :]       # (a*b)*c
-            right = arr[a][arr]         # a*(b*c)
-            if not np.array_equal(left, right):
-                b, c = map(int, np.argwhere(left != right)[0])
-                raise AssociativityError((a, b, c))
-    else:
-        rng = random.Random(0xA55)
-        for _ in range(ASSOC_SAMPLE_COUNT):
-            a, b, c = (rng.randrange(n) for _ in range(3))
-            if arr[arr[a][b]][c] != arr[a][arr[b][c]]:
-                raise AssociativityError((a, b, c))
+def _generating_sequence(arr: np.ndarray) -> list[int]:
+    """Generators of the table's product, each the smallest element outside
+    the closure of 0 and the generators before it."""
+    span = np.zeros(len(arr), dtype=bool)
+    span[0] = True
+    gens: list[int] = []
+    while not span.all():
+        g = int(np.argmin(span))
+        gens.append(g)
+        span[g] = True
+        while True:
+            members = np.flatnonzero(span)
+            span[arr[np.ix_(members, members)]] = True
+            if np.count_nonzero(span) == members.size:
+                break
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +331,12 @@ def normalize_descriptor(text: str) -> str:
     return " x ".join(f"{f}{n}" for f, n in parse_group_descriptor(text))
 
 
-def _cyclic_atom(n: int) -> tuple[list[list[int]], list[str]]:
-    mult = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return mult, [str(i) for i in range(n)]
+def _cyclic_atom(n: int) -> tuple[np.ndarray, list[str]]:
+    r = np.arange(n)
+    return (r[:, None] + r) % n, [str(i) for i in range(n)]
 
 
-def _two_generator_atom(family: str, order: int) -> tuple[list[list[int]], list[str]]:
+def _two_generator_atom(family: str, order: int) -> tuple[np.ndarray, list[str]]:
     """Dihedral, quaternion, or semidihedral group of the given 2-power order.
 
     Elements are x^i*y^j encoded as i + half*j, with x of order `half`.
@@ -346,36 +350,23 @@ def _two_generator_atom(family: str, order: int) -> tuple[list[list[int]], list[
         r, ysq = half - 1, half // 2
     else:  # SD
         r, ysq = half // 2 - 1, 0
-    mult = [[0] * order for _ in range(order)]
-    for a in range(half):
-        for b in (0, 1):
-            for c in range(half):
-                for d in (0, 1):
-                    i = (a + c * pow(r, b, half) + (ysq if b and d else 0)) % half
-                    j = (b + d) % 2
-                    mult[a + half * b][c + half * d] = i + half * j
+    x, y = np.arange(order) % half, np.arange(order) // half  # exponents
+    twist = np.where(y == 1, r, 1)[:, None]
+    i = (x[:, None] + x * twist + ysq * (y[:, None] & y)) % half
+    mult = i + half * ((y[:, None] + y) % 2)
     names = [f"x{i}" if j == 0 else f"x{i}y" for j in (0, 1) for i in range(half)]
     return mult, names
 
 
 def _direct_product(
-    tables: list[list[list[int]]], names: list[list[str]]
-) -> tuple[list[list[int]], list[str]]:
+    tables: list[np.ndarray], names: list[list[str]]
+) -> tuple[np.ndarray, list[str]]:
+    """Pair (a, b) is the element a*nb + b, nb the order of the right factor."""
     mult, nms = tables[0], names[0]
     for t, nm in zip(tables[1:], names[1:]):
         nb = len(t)
-        na = len(mult)
-        combined = [[0] * (na * nb) for _ in range(na * nb)]
-        for a1 in range(na):
-            for b1 in range(nb):
-                row = combined[a1 * nb + b1]
-                mrow = mult[a1]
-                trow = t[b1]
-                for a2 in range(na):
-                    base = mrow[a2] * nb
-                    for b2 in range(nb):
-                        row[a2 * nb + b2] = base + trow[b2]
-        mult = combined
+        n = len(mult) * nb
+        mult = (mult[:, None, :, None] * nb + t[None, :, None, :]).reshape(n, n)
         nms = [f"({x},{y})" for x in nms for y in nm]
     return mult, nms
 
@@ -422,14 +413,14 @@ def ingest_table(text: str, source: str = "<table>") -> GroupTable:
                 raise TableParseError(f"order must be positive, got {n}", lineno)
             continue
         try:
-            row = [int(tok) for tok in line.split()]
+            row = list(map(int, line.split()))
         except ValueError:
             raise TableParseError(f"non-integer entry in {line!r}", lineno)
         if len(row) != n:
             raise TableParseError(f"expected {n} entries, got {len(row)}", lineno)
-        for x in row:
-            if not 0 <= x < n:
-                raise TableParseError(f"entry {x} out of range 0..{n - 1}", lineno)
+        if min(row) < 0 or max(row) >= n:
+            x = next(x for x in row if not 0 <= x < n)
+            raise TableParseError(f"entry {x} out of range 0..{n - 1}", lineno)
         rows.append(row)
         if len(rows) == n:
             break
@@ -437,25 +428,17 @@ def ingest_table(text: str, source: str = "<table>") -> GroupTable:
         raise TableParseError("empty table file")
     if len(rows) != n:
         raise TableParseError(f"expected {n} rows, found {len(rows)}")
-    rows = _relabel_identity_to_zero(rows)
-    return GroupTable(rows, source=source)
+    return GroupTable(_relabel_identity_to_zero(rows), source=source)
 
 
-def _relabel_identity_to_zero(rows: list[list[int]]) -> list[list[int]]:
-    n = len(rows)
-    identity = None
-    for e in range(n):
-        if all(rows[e][j] == j for j in range(n)) and all(rows[i][e] == i for i in range(n)):
-            identity = e
-            break
-    if identity is None:
+def _relabel_identity_to_zero(rows: list[list[int]]) -> np.ndarray:
+    arr = np.array(rows, dtype=np.int64)
+    perm = np.arange(len(arr))
+    found = np.flatnonzero((arr == perm).all(axis=1) & (arr == perm[:, None]).all(axis=0))
+    if not found.size:
         raise IdentityError("no two-sided identity element in table")
-    if identity == 0:
-        return rows
-    perm = list(range(n))
-    perm[0], perm[identity] = identity, 0
-    inv = perm  # a transposition is its own inverse
-    return [[inv[rows[perm[i]][perm[j]]] for j in range(n)] for i in range(n)]
+    perm[[0, found[0]]] = found[0], 0  # a transposition is its own inverse
+    return perm[arr[np.ix_(perm, perm)]]
 
 
 def table_to_text(g: GroupTable) -> str:
@@ -645,91 +628,75 @@ def group_isomorphic(
         return False, None
     if cyclic_subgroup_counts(a) != cyclic_subgroup_counts(b):
         return False, None
-    if a.is_abelian() != b.is_abelian():
+    ma, mb = np.array(a.rows()), np.array(b.rows())
+    if np.array_equal(ma, ma.T) != np.array_equal(mb, mb.T):  # abelian or not
         return False, None
 
-    gens = _generating_sequence(a)
+    gens = _generating_sequence(ma)
     by_order: dict[int, list[int]] = {}
     for y in range(b.order):
         by_order.setdefault(b.element_order(y), []).append(y)
+    candidates = [by_order.get(a.element_order(g), []) for g in gens]
 
-    mapping = _extend_isomorphism(a, b, {0: 0}, gens, 0, by_order)
+    phi = np.full(a.order, -1)
+    phi[0] = 0
+    mapping = _extend_isomorphism(ma, mb, gens, [], phi, candidates)
     if mapping is None:
         return False, None
-    return True, [mapping[x] for x in range(a.order)]
-
-
-def _generating_sequence(g: GroupTable) -> list[int]:
-    gens: list[int] = []
-    span = {0}
-    while len(span) < g.order:
-        nxt = min(x for x in range(g.order) if x not in span)
-        gens.append(nxt)
-        span = _closure(g, span | {nxt})
-    return gens
-
-
-def _closure(g: GroupTable, seed: set[int]) -> set[int]:
-    span = set(seed)
-    frontier = list(seed)
-    while frontier:
-        x = frontier.pop()
-        for y in list(span):
-            for z in (g.mult(x, y), g.mult(y, x)):
-                if z not in span:
-                    span.add(z)
-                    frontier.append(z)
-    return span
+    return True, mapping.tolist()
 
 
 def _extend_isomorphism(
-    a: GroupTable,
-    b: GroupTable,
-    phi: dict[int, int],
+    ma: np.ndarray,
+    mb: np.ndarray,
     gens: list[int],
-    k: int,
-    by_order: dict[int, list[int]],
-) -> Optional[dict[int, int]]:
-    if len(phi) == a.order:
+    images: list[int],
+    phi: np.ndarray,
+    candidates: list[list[int]],
+) -> Optional[np.ndarray]:
+    """Try the candidate images of the next generator in order; `phi` is the
+    homomorphism that sends the generators before it to `images`."""
+    k = len(images)
+    if k == len(gens):
         return phi
-    g = gens[k]
-    used = set(phi.values())
-    for h in by_order.get(a.element_order(g), []):
-        if h in used:
+    used = np.zeros(len(mb), dtype=bool)
+    used[phi[phi >= 0]] = True
+    for h in candidates[k]:
+        if used[h]:
             continue
-        extended = _try_extend(a, b, phi, g, h)
+        extended = _try_extend(ma, mb, gens[: k + 1], images + [h])
         if extended is None:
             continue
-        result = _extend_isomorphism(a, b, extended, gens, k + 1, by_order)
+        result = _extend_isomorphism(ma, mb, gens, images + [h], extended, candidates)
         if result is not None:
             return result
     return None
 
 
 def _try_extend(
-    a: GroupTable, b: GroupTable, phi: dict[int, int], g: int, h: int
-) -> Optional[dict[int, int]]:
-    new = dict(phi)
-    image = set(new.values())
-    if h in image:
+    ma: np.ndarray, mb: np.ndarray, gens: list[int], images: list[int]
+) -> Optional[np.ndarray]:
+    """The injective homomorphism from the subgroup generated by `gens` that
+    sends each generator to its image, with -1 outside that subgroup; None
+    when there is none.
+
+    A breadth-first search from the identity by right multiplication defines
+    phi(x*s) = phi(x)*phi(s) for every generator s, and checks that equation
+    at every x and s it meets. A map on a subgroup that respects right
+    multiplication by its generators respects every product, since every
+    element is a word in them.
+    """
+    phi = np.full(len(ma), -1)
+    phi[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached = ma[np.ix_(frontier, gens)].ravel()
+        mapped = mb[np.ix_(phi[frontier], images)].ravel()
+        fresh = phi[reached] < 0
+        phi[reached[fresh]] = mapped[fresh]
+        if not np.array_equal(phi[reached], mapped):
+            return None
+        frontier = np.flatnonzero(np.bincount(reached[fresh]))  # distinct, sorted
+    if np.bincount(phi[phi >= 0]).max() > 1:
         return None
-    new[g] = h
-    image.add(h)
-    queue = [g]
-    while queue:
-        x = queue.pop()
-        for y in list(new):
-            for p, q in (
-                (a.mult(x, y), b.mult(new[x], new[y])),
-                (a.mult(y, x), b.mult(new[y], new[x])),
-            ):
-                if p in new:
-                    if new[p] != q:
-                        return None
-                else:
-                    if q in image:
-                        return None
-                    new[p] = q
-                    image.add(q)
-                    queue.append(p)
-    return new
+    return phi

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -14,6 +15,17 @@ def test_catalog_orders_and_names():
     assert "Z12" in names and "Q8 x Z3" in names
     # cyclic listings win the dedup, so redundant product spellings are gone
     assert "Z4 x Z3" not in names and "Z2 x Z5" not in names
+
+
+def test_catalog_tables_are_pinned():
+    """Name, Cayley table, element names and source of every catalog group.
+    The digest was taken before the group layer used numpy; the tables must
+    not change."""
+    h = hashlib.sha256()
+    for e in builtin_catalog():
+        g = e.group
+        h.update(repr((e.name, g.rows(), g.names, g.source)).encode())
+    assert h.hexdigest() == "a5d406830b3a68f6e87aa3d5e29fa7670b02c2c195ad0d6cd098ef4bd42c939c"
 
 
 def test_catalog_max_order_filter():

@@ -598,6 +598,17 @@ def test_face_counter_requires_last_in_first_out():
         counter.unassign(0)
 
 
+@pytest.mark.parametrize("method", ["retrace", "accept", "reject"])
+def test_face_counter_refuses_the_local_retrace(method):
+    g = SimpleGraph.complete(4)
+    counter = genus_module._FaceCounter(genus_module._DartIndex(g))
+    for v in range(g.n):
+        counter.assign(v, g.neighbors(v))
+    args = ([(0, counter.nxt[0])],) if method == "retrace" else ()
+    with pytest.raises(SchemeError, match="no cycle labels"):
+        getattr(counter, method)(*args)
+
+
 # -- correctness guards --------------------------------------------------------
 
 

@@ -1,8 +1,12 @@
+import hashlib
 import math
+import random
 
+import numpy as np
 import pytest
 
 from diffgenus import groups as gr
+from diffgenus.catalog import builtin_catalog
 
 
 def test_trivial_group():
@@ -221,19 +225,118 @@ def test_ingest_no_identity():
         gr.ingest_table("3\n1 0 2\n2 1 0\n0 2 1\n")
 
 
+LOOP5 = "5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n"
+
+
 def test_ingest_non_associative_reports_witness():
     # a Latin square with identity and inverses that is not a group
-    text = "5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n"
     with pytest.raises(gr.AssociativityError) as exc_info:
-        gr.ingest_table(text)
+        gr.ingest_table(LOOP5)
+    m = [[int(x) for x in line.split()] for line in LOOP5.splitlines()[1:]]
     a, b, c = exc_info.value.triple
-    assert 0 <= a < 5 and 0 <= b < 5 and 0 <= c < 5
+    assert m[m[a][b]][c] != m[a][m[b][c]]
 
 
 def test_ingest_parse_error_has_line_number():
     with pytest.raises(gr.TableParseError) as exc_info:
         gr.ingest_table("2\n0 x\n1 0\n")
     assert exc_info.value.line == 2
+
+
+# -- validation ---------------------------------------------------------------
+
+
+def test_ragged_row_is_not_a_latin_square():
+    with pytest.raises(gr.LatinSquareError, match="row 1 has length 1"):
+        gr.GroupTable([[0, 1], [1]])
+
+
+def test_out_of_range_entry_is_not_a_latin_square():
+    with pytest.raises(gr.LatinSquareError, match="row 1"):
+        gr.GroupTable([[0, 1], [1, 2]])
+
+
+def test_permutation_rows_with_a_repeated_column():
+    # every row is a permutation of 0..2, column 0 repeats 1
+    with pytest.raises(gr.LatinSquareError, match="column 0"):
+        gr.GroupTable([[0, 1, 2], [1, 2, 0], [1, 0, 2]])
+
+
+def test_identity_must_sit_at_index_zero():
+    # Z3 with its identity at index 1
+    with pytest.raises(gr.IdentityError):
+        gr.GroupTable([[2, 0, 1], [0, 1, 2], [1, 2, 0]])
+
+
+def test_right_inverse_that_is_not_a_left_inverse():
+    # a loop of order 5: 1*2 = 0 but 2*1 = 4, so element 1 is the first
+    # without a two-sided inverse
+    table = [
+        [0, 1, 2, 3, 4],
+        [1, 3, 0, 4, 2],
+        [2, 4, 3, 1, 0],
+        [3, 0, 4, 2, 1],
+        [4, 2, 1, 0, 3],
+    ]
+    with pytest.raises(gr.InverseError) as exc_info:
+        gr.GroupTable(table)
+    assert exc_info.value.element == 1
+
+
+def test_empty_table():
+    with pytest.raises(gr.GroupError, match="empty"):
+        gr.GroupTable([])
+
+
+def test_associativity_is_exact_above_order_256():
+    """Z_258 with one intercalate swapped (rows 1 and 130, columns 1 and
+    130) is a Latin square with identity 0 and the inverses of Z_258; only
+    a few thousand of its 258^3 triples fail associativity."""
+    n = 258
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    half = n // 2
+    for r in (1, 1 + half):
+        table[r][1], table[r][1 + half] = table[r][1 + half], table[r][1]
+    with pytest.raises(gr.AssociativityError) as exc_info:
+        gr.GroupTable(table)
+    a, b, c = exc_info.value.triple
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def test_associativity_checks_every_generator():
+    """The order-5 loop times Z3, pair (a, b) at index 3a + b. Its first
+    generator, 1 = (0, 1), lies in the Z3 factor and associates with every
+    pair; only the second, 3 = (1, 0), exposes the loop."""
+    loop = [[int(x) for x in line.split()] for line in LOOP5.splitlines()[1:]]
+    table = [
+        [loop[a1][a2] * 3 + (b1 + b2) % 3 for a2 in range(5) for b2 in range(3)]
+        for a1 in range(5)
+        for b1 in range(3)
+    ]
+    with pytest.raises(gr.AssociativityError) as exc_info:
+        gr.GroupTable(table)
+    a, b, c = exc_info.value.triple
+    assert b == 3
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def test_associativity_witness_fails_in_its_own_order(s3):
+    """S3 with the intercalate at rows 2, 4 and columns 3, 4 swapped: a
+    noncommutative loop whose witness (a*b)*c != a*(b*c) does not survive
+    reordering, so the triple must come back in the order that fails."""
+    table = [list(row) for row in s3.rows()]
+    for r in (2, 4):
+        table[r][3], table[r][4] = table[r][4], table[r][3]
+    with pytest.raises(gr.AssociativityError) as exc_info:
+        gr.GroupTable(table)
+    a, b, c = exc_info.value.triple
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def test_large_product_validates():
+    g = gr.build_group("Q16 x Z3 x Z25")
+    assert g.order == 1200
+    assert g.exponent() == 8 * 3 * 25
 
 
 # -- isomorphism -------------------------------------------------------------
@@ -265,6 +368,23 @@ def test_iso_cap(z12):
         gr.group_isomorphic(big, big, cap=128)
 
 
+def test_iso_same_invariants_not_isomorphic():
+    """Z4 x| Z4 (y^-1 x y = x^-1) and Q8 x Z2 are nonabelian with three
+    involutions, twelve elements of order 4 and six cyclic subgroups of
+    order 4, so only the search can tell them apart."""
+    # x^a y^b at index a + 4b
+    semidirect = [
+        [(a + (c if b % 2 == 0 else -c)) % 4 + 4 * ((b + d) % 4) for d in range(4) for c in range(4)]
+        for b in range(4)
+        for a in range(4)
+    ]
+    g, h = gr.GroupTable(semidirect), gr.build_group("Q8 x Z2")
+    assert g.order_spectrum() == h.order_spectrum()
+    assert gr.cyclic_subgroup_counts(g) == gr.cyclic_subgroup_counts(h)
+    assert gr.group_isomorphic(g, h) == (False, None)
+    assert gr.group_isomorphic(h, g) == (False, None)
+
+
 def test_iso_witness_is_homomorphism(q8):
     shuffled = _shuffle_nonidentity(q8, seed=7)
     found, phi = gr.group_isomorphic(q8, shuffled)
@@ -281,9 +401,31 @@ def test_iso_zm_zn_coprime():
         assert gr.group_isomorphic(a, b)[0]
 
 
-def _shuffle_nonidentity(g, seed):
-    import random
+def test_isomorphism_results_are_pinned():
+    """group_isomorphic on every same-order pair of catalog groups up to
+    order 128, and between each of those groups and a seeded relabelled
+    copy; each returned mapping must be an isomorphism. The digest was
+    taken before the group layer used numpy; the search tries candidates
+    in a fixed order, so every mapping must be the same."""
+    cat = builtin_catalog(128)
+    results = []
+    for i, a in enumerate(cat):
+        for b in cat[i + 1 :]:
+            if a.order == b.order:
+                results.append((a.name, b.name, gr.group_isomorphic(a.group, b.group)))
+    rng = random.Random(11)
+    for e in cat:
+        copy = _shuffle_nonidentity(e.group, seed=rng.randrange(2**32))
+        found, phi = gr.group_isomorphic(e.group, copy)
+        assert found, e.name
+        a, b, p = np.array(e.group.rows()), np.array(copy.rows()), np.array(phi)
+        assert (p[a] == b[np.ix_(p, p)]).all(), e.name
+        results.append((e.name, phi))
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "ded98f33a95908fcbee51a41a1cf9389772b803420a52595a7c2d994e13981ec"
 
+
+def _shuffle_nonidentity(g, seed):
     rng = random.Random(seed)
     perm = list(range(1, g.order))
     rng.shuffle(perm)
