@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, permutations, product
 from typing import Optional
 
@@ -762,44 +762,67 @@ def _verified_scheme(g, idx, rotations, signs, seed, target_euler, surface):
 # Exact computations
 
 
+@dataclass
+class _Piece:
+    """A connected graph with what both surfaces' searches need to know: a
+    planar embedding, or else a lower bound on its Euler genus
+    min(2 genus, crosscap). That bounds the crosscap as it stands and the
+    genus once halved, rounding up."""
+
+    graph: SimpleGraph
+    planar: PlanarityResult
+    euler_lower: int = 0
+    provenance: list[str] = field(default_factory=list)
+
+
+def _piece(g: SimpleGraph) -> _Piece:
+    if g.edge_count and not g.is_connected():
+        raise ValueError("exact search needs a connected graph")
+    planar = is_planar(g)
+    if planar.planar:
+        return _Piece(g, planar, provenance=["planar embedding found"])
+    # the crosscap bounds below are Euler genus bounds: K_{m,n} has Euler
+    # genus min(2 genus, crosscap) = its crosscap
+    lower, prov = 1, ["nonplanar"]
+    elb = euler_lower_bound(g, NONORIENTABLE)
+    if elb > lower:
+        lower = elb
+        prov.append(f"euler bound {elb}")
+    sub_bound, sub_desc = bipartite_subgraph_bound(g, NONORIENTABLE)
+    if sub_bound > lower:
+        lower = sub_bound
+        prov.append(f"subgraph {sub_desc} bound {sub_bound}")
+    return _Piece(g, planar, lower, prov)
+
+
+def _lower_on(surface: str, euler_lower: int) -> int:
+    return euler_lower if surface == NONORIENTABLE else (euler_lower + 1) // 2
+
+
 def exact_genus(g: SimpleGraph, budget: Optional[SearchBudget] = None) -> GenusResult:
     """Orientable genus of a connected graph: lower bounds, then heuristic
     witness search at the bound, then exhaustive branch-and-bound when the
     configuration space fits the budget."""
-    return _exact_surface(g, ORIENTABLE, budget or DEFAULT_BUDGET)
+    return _exact_surface(_piece(g), ORIENTABLE, budget or DEFAULT_BUDGET)
 
 
 def exact_crosscap(g: SimpleGraph, budget: Optional[SearchBudget] = None) -> GenusResult:
     """Nonorientable genus (crosscap) of a connected graph; the search is
     restricted to unbalanced schemes, with planarity handled separately."""
-    return _exact_surface(g, NONORIENTABLE, budget or DEFAULT_BUDGET)
+    return _exact_surface(_piece(g), NONORIENTABLE, budget or DEFAULT_BUDGET)
 
 
-def _exact_surface(g: SimpleGraph, surface: str, budget: SearchBudget) -> GenusResult:
-    if g.edge_count == 0:
-        return GenusResult(surface, 0, 0, True, provenance=["empty graph"])
-    if not g.is_connected():
-        raise ValueError("exact search needs a connected graph")
-
-    planar = is_planar(g)
-    if planar.planar:
+def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusResult:
+    g = piece.graph
+    if piece.planar.planar:
         return GenusResult(
             surface, 0, 0, True,
-            certificate=planar.scheme, certificate_graph=g,
-            provenance=["planar embedding found"],
+            certificate=piece.planar.scheme, certificate_graph=g,
+            provenance=list(piece.provenance),
         )
 
-    prov = ["nonplanar"]
-    lower = 1
-    elb = euler_lower_bound(g, surface)
-    if elb > lower:
-        lower = elb
-        prov.append(f"euler bound {elb}")
-    sub_bound, sub_desc = bipartite_subgraph_bound(g, surface)
-    if sub_bound > lower:
-        lower = sub_bound
-        prov.append(f"subgraph {sub_desc} bound {sub_bound}")
-
+    lower = _lower_on(surface, piece.euler_lower)
+    prov = [*piece.provenance, f"lower bound {lower}"]
     if budget.lower_stop is not None and lower >= budget.lower_stop:
         prov.append(f"stopped at lower bound >= {budget.lower_stop}")
         return GenusResult(surface, lower, None, False, provenance=prov)
@@ -847,14 +870,8 @@ def _exact_surface(g: SimpleGraph, surface: str, budget: SearchBudget) -> GenusR
             prov.append(f"heuristic upper bound {t}")
             break
     if upper is None and surface == NONORIENTABLE:
-        inner = SearchBudget(
-            exhaustive_cap=budget.exhaustive_cap,
-            node_cap=budget.node_cap,
-            restarts=max(4, budget.restarts // 4),
-            moves_per_restart=budget.moves_per_restart,
-            seed=budget.seed,
-        )
-        orient = _exact_surface(g, ORIENTABLE, inner)
+        inner = replace(budget, restarts=max(4, budget.restarts // 4), lower_stop=None)
+        orient = _exact_surface(piece, ORIENTABLE, inner)
         if orient.upper is not None:
             upper = 2 * orient.upper + 1
             prov.append(f"orientable-doubling upper bound {upper}")
@@ -868,110 +885,95 @@ def _exact_surface(g: SimpleGraph, surface: str, budget: SearchBudget) -> GenusR
 # Orchestrator
 
 
+def _components(g: SimpleGraph) -> list[SimpleGraph]:
+    return [induced_subgraph(g, comp) for comp in g.connected_components() if len(comp) > 1]
+
+
+def _split(component: SimpleGraph) -> tuple[SimpleGraph, list[SimpleGraph], list[SimpleGraph]]:
+    """The component's homeomorphic reduction, the blocks of that, and each
+    block reduced again: the pieces `genus_of_graph` combines over.
+    Reduction keeps the genus and the crosscap."""
+    reduced, _ = reduce_homeomorphic(component)
+    blocks, _ = block_decomposition(reduced)
+    return reduced, blocks, [reduce_homeomorphic(block)[0] for block in blocks]
+
+
 def genus_of_graph(
     g: SimpleGraph,
     budget: Optional[SearchBudget] = None,
     surface: str = ORIENTABLE,
 ) -> GenusResult:
-    """Full pipeline: split into components, reduce homeomorphically, split
-    the orientable case into blocks (genus adds over blocks and components),
-    and run the exact machinery on each piece. Crosscap is computed per
-    reduced component without block splitting, which is not sound for it.
+    """Genus or crosscap of any graph, combined over the pieces `_split`
+    makes of its nonplanar components. Planar pieces count 0, and each
+    component's own bounds bound the sum over its pieces.
+
+    The genus adds over the pieces. The crosscap (Stahl and Beineke, J.
+    Graph Theory 1 (1977) 75-78) is the sum over the nonplanar pieces of
+    eg(B) = min(2 genus(B), crosscap(B)), plus 1 when every one of them is
+    orientably simple, crosscap(B) = 2 genus(B) + 1. With one nonplanar
+    piece that is the piece's crosscap, so only with more are the pieces
+    searched on the orientable surface too. An unsettled piece leaves the
+    bracket [sum of min(2 genus, crosscap) lower bounds, sum of crosscap
+    upper bounds]. An exact value that rests on a single piece, or on a
+    single planar component, comes with that one's certificate.
     """
     budget = budget or DEFAULT_BUDGET
-    if g.n == 0 or g.edge_count == 0:
+    if g.edge_count == 0:
         return GenusResult(surface, 0, 0, True, provenance=["empty graph"])
 
-    comps = g.connected_components()
-    results: list[GenusResult] = []
     prov: list[str] = []
-    pieces: list[tuple[SimpleGraph, GenusResult]] = []
-
-    for ci, comp in enumerate(comps):
-        if len(comp) == 1:
-            continue
-        sub = induced_subgraph(g, comp)
-        planar = is_planar(sub)
-        if planar.planar:
+    results: list[GenusResult] = []  # the planar components', then the pieces'
+    searched: list[tuple[int, list[_Piece]]] = []  # per component: bound, nonplanar pieces
+    lower, upper, exact = 0, 0, True
+    for ci, sub in enumerate(_components(g)):
+        whole = _piece(sub)
+        if whole.planar.planar:
             prov.append(f"component {ci}: planar")
-            res = GenusResult(surface, 0, 0, True, certificate=planar.scheme,
-                              certificate_graph=sub, provenance=["planar"])
-            results.append(res)
+            results.append(_exact_surface(whole, surface, budget))
             continue
-
-        # bounds on the unreduced component also bound the component's value
-        # (reduction can e.g. break bipartiteness and weaken the girth bound)
-        comp_lower = max(1, euler_lower_bound(sub, surface))
-        sub_bound, sub_desc = bipartite_subgraph_bound(sub, surface)
-        comp_lower = max(comp_lower, sub_bound)
-        prov.append(
-            f"component {ci}: euler/subgraph lower bound {comp_lower}"
-            + (f" ({sub_desc})" if sub_bound == comp_lower and sub_desc else "")
-        )
-        if budget.lower_stop is not None and comp_lower >= budget.lower_stop:
+        # the unreduced component's bounds also bound the sum over its pieces
+        # (reduction can break bipartiteness and weaken the girth bound)
+        floor = _lower_on(surface, whole.euler_lower)
+        prov.append(f"component {ci}: lower bound {floor} [{'; '.join(whole.provenance)}]")
+        if budget.lower_stop is not None and floor >= budget.lower_stop:
             prov.append(f"component {ci}: stopped at lower bound >= {budget.lower_stop}")
-            results.append(GenusResult(surface, comp_lower, None, False, provenance=[]))
+            lower, upper, exact = lower + floor, None, False
             continue
+        blocks = [b for b in _split(sub)[2] if b.edge_count]
+        # a component the split left whole keeps the facts found for it
+        pieces = [whole if b.checksum() == sub.checksum() else _piece(b) for b in blocks]
+        searched.append((floor, [p for p in pieces if not p.planar.planar]))
 
-        reduced, _ = reduce_homeomorphic(sub)
-        prov.append(
-            f"component {ci}: reduced {sub.n}->{reduced.n} vertices,"
-            f" {sub.edge_count}->{reduced.edge_count} edges"
-        )
-        sub_results: list[GenusResult] = []
-        if surface == ORIENTABLE:
-            blocks, _ = block_decomposition(reduced)
-            for bi, block in enumerate(blocks):
-                block_red, _ = reduce_homeomorphic(block)
-                if block_red.edge_count == 0:
-                    continue
-                res = _exact_surface(block_red, surface, budget)
-                prov.append(f"component {ci} block {bi}: {_describe(res)}")
-                sub_results.append(res)
-                pieces.append((block_red, res))
-        else:
-            res = _exact_surface(reduced, surface, budget)
-            prov.append(f"component {ci}: {_describe(res)}")
-            sub_results.append(res)
-            pieces.append((reduced, res))
+    both = surface == NONORIENTABLE and sum(len(pieces) for _, pieces in searched) > 1
+    simple = True
+    for floor, pieces in searched:
+        total, settled = 0, True  # of genus, of crosscap with one piece, else of eg
+        for p in pieces:
+            res = _exact_surface(p, surface, budget)
+            prov.append(f"piece {len(results)}: {_describe(res)}")
+            results.append(res)
+            part, settled = res.lower, settled and res.exact
+            if both:
+                orient = _exact_surface(p, ORIENTABLE, budget)
+                prov.append(f"piece {len(results) - 1} orientable: {_describe(orient)}")
+                part, settled = min(2 * orient.lower, res.lower), settled and orient.exact
+                simple = simple and res.lower == 2 * orient.lower + 1
+            total += part
+            upper = None if upper is None or res.upper is None else upper + res.upper
+        if settled and floor > total:
+            raise SchemeError(f"component bound {floor} exceeds exact block sum {total}")
+        lower += max(floor, total)
+        exact = exact and settled
 
-        lower = max(comp_lower, sum(r.lower for r in sub_results))
-        uppers = [r.upper for r in sub_results]
-        upper = sum(uppers) if uppers and all(u is not None for u in uppers) else None
-        exact = bool(sub_results) and all(r.exact for r in sub_results)
-        if exact and upper is not None and upper < lower:
-            raise SchemeError(
-                f"component bound {lower} exceeds exact block sum {upper}"
-            )
-        exact = exact and upper == lower
-        comp_res = GenusResult(surface, lower, upper, exact)
-        if len(sub_results) == 1:
-            comp_res.certificate = sub_results[0].certificate
-            comp_res.certificate_graph = sub_results[0].certificate_graph
-        results.append(comp_res)
-
-    if not results:
-        return GenusResult(surface, 0, 0, True, provenance=prov + ["all components planar/trivial"])
-
-    lower = sum(r.lower for r in results)
-    uppers = [r.upper for r in results]
-    upper = sum(uppers) if all(u is not None for u in uppers) else None
-    exact = all(r.exact for r in results)
-    if surface == NONORIENTABLE and len([r for r in results if r.lower > 0 or not r.exact]) > 1:
-        # crosscap is not additive over components; fall back to a bracket
-        lower = max(r.lower for r in results)
-        exact = False
-        prov.append("multiple nonplanar components: crosscap bracketed, not exact")
-
-    with_cert = [r for r in results if r.certificate is not None]
-    certificate = None
-    certificate_graph = None
-    if len(with_cert) == 1 and exact:
-        certificate = with_cert[0].certificate
-        certificate_graph = with_cert[0].certificate_graph
-    return GenusResult(surface, lower, upper, exact,
-                       certificate=certificate, certificate_graph=certificate_graph,
-                       provenance=prov)
+    if exact:
+        lower = upper = lower + (both and simple)
+    one = results[0] if exact and len(results) == 1 else None
+    return GenusResult(
+        surface, lower, upper, exact,
+        certificate=one.certificate if one else None,
+        certificate_graph=one.certificate_graph if one else None,
+        provenance=prov,
+    )
 
 
 def _describe(res: GenusResult) -> str:
@@ -982,27 +984,14 @@ def _describe(res: GenusResult) -> str:
 
 
 def derived_subgraphs(g: SimpleGraph) -> list[SimpleGraph]:
-    """The graphs the pipeline may bind a certificate to: the graph itself,
-    each component, their reductions, and each block of those reductions,
-    reduced again. Used to match a certificate back to its graph by checksum."""
-    out = [g]
-    for comp in g.connected_components():
-        if len(comp) < 2:
-            continue
-        sub = induced_subgraph(g, comp)
-        out.append(sub)
-        reduced, _ = reduce_homeomorphic(sub)
-        out.append(reduced)
-        blocks, _ = block_decomposition(reduced)
-        for block in blocks:
-            out.append(block)
-            block_red, _ = reduce_homeomorphic(block)
-            out.append(block_red)
-    seen = set()
-    unique = []
-    for h in out:
-        c = h.checksum()
-        if c not in seen:
-            seen.add(c)
-            unique.append(h)
-    return unique
+    """The graphs the pipeline may bind a certificate to, each once by
+    checksum: the graph itself, its components, and what `_split` makes of
+    each. Used to match a certificate back to its graph."""
+    graphs = [g]
+    for sub in _components(g):
+        reduced, blocks, pieces = _split(sub)
+        graphs += [sub, reduced, *blocks, *pieces]
+    unique: dict[str, SimpleGraph] = {}
+    for h in graphs:
+        unique.setdefault(h.checksum(), h)
+    return list(unique.values())

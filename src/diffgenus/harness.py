@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .catalog import builtin_catalog
@@ -160,14 +160,7 @@ def _budget_for(predicted: GenusClass, budget: SearchBudget) -> SearchBudget:
     the full search budget."""
     if predicted.value < GE3:
         return budget
-    return SearchBudget(
-        exhaustive_cap=budget.exhaustive_cap,
-        node_cap=budget.node_cap,
-        restarts=budget.restarts,
-        moves_per_restart=budget.moves_per_restart,
-        seed=budget.seed,
-        lower_stop=3,
-    )
+    return replace(budget, lower_stop=3)
 
 
 @dataclass

@@ -3,6 +3,7 @@ its timing. Certificates produced by the genus/crosscap computations are
 collected and re-verified through the command-line verifier in the last
 test."""
 
+import hashlib
 import json
 import random
 import time
@@ -234,6 +235,18 @@ def test_criterion_7_full_sweep():
                 assert computed.exact and computed.value == predicted.value, r.group_name
             else:
                 assert computed.lower >= 3, (r.group_name, computed.lower)
+    # every value, status and certificate of the sweep; provenance only words
+    # how a value was reached
+    rows = []
+    for r in records:
+        for res in (r.computed_genus, r.computed_crosscap):
+            cert = res.certificate
+            rows.append((r.group_name, res.surface, res.lower, res.upper, res.exact, r.status,
+                         None if res.certificate_graph is None else res.certificate_graph.checksum(),
+                         None if cert is None else cert.rotations,
+                         None if cert is None else cert.signs))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "6c6164c850a2ededb3fe5c1fe93fbdb8be479c1db87ef401db56a9f4979d2064"
     elapsed = time.perf_counter() - start
     assert elapsed <= 900.0, elapsed
     print(

@@ -3,10 +3,12 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 import oracles
+from diffgenus.catalog import builtin_catalog
 from diffgenus import genus as genus_module
 from diffgenus.embeddings import FaceTrace, SchemeError, make_scheme, trace_faces, verify_certificate
 from diffgenus.genus import (
@@ -26,6 +28,8 @@ from diffgenus.genus import (
     kuratowski_witness,
     rotation_space_size,
 )
+from diffgenus.groupgraphs import difference_graph
+from diffgenus.groups import is_p_group
 from diffgenus.simplegraph import SimpleGraph, block_decomposition, reduce_homeomorphic
 
 
@@ -276,6 +280,33 @@ def test_heuristic_certificates_are_pinned():
 # -- orchestrator -------------------------------------------------------------
 
 
+def _glue(a: SimpleGraph, b: SimpleGraph, how: str) -> SimpleGraph:
+    """a and a copy of b: "apart", "shared" (b's vertex 0 is a's vertex 0)
+    or "bridge" (an edge joins a's vertex 0 to b's)."""
+    shift = a.n - 1 if how == "shared" else a.n
+    g = SimpleGraph(shift + b.n)
+    for u, v in a.edges():
+        g.add_edge(u, v)
+    for u, v in b.edges():
+        g.add_edge(*(0 if how == "shared" and x == 0 else x + shift for x in (u, v)))
+    if how == "bridge":
+        g.add_edge(0, shift)
+    return g
+
+
+def _assert_crosscap_two(g: SimpleGraph) -> None:
+    """Crosscap exactly 2 from the combine rule in under a second, and an
+    independent embedding in the Klein bottle found on the whole graph."""
+    start = time.perf_counter()
+    res = genus_of_graph(g, surface=NONORIENTABLE)
+    assert time.perf_counter() - start < 1.0
+    assert res.exact and res.value == 2, (res.lower, res.upper, res.provenance)
+    scheme = heuristic_embedding(g, 2, NONORIENTABLE)
+    assert scheme is not None
+    trace = trace_faces(g, scheme)
+    assert trace.euler_genus == 2 and not trace.orientable
+
+
 def test_genus_of_graph_block_additivity():
     # two K5 blocks sharing a cut vertex: genus 2
     g = SimpleGraph(9)
@@ -288,6 +319,11 @@ def test_genus_of_graph_block_additivity():
             g.add_edge(block2[i], block2[j])
     res = genus_of_graph(g)
     assert res.exact and res.value == 2
+    # crosscap over blocks: each block has crosscap 1 = Euler genus 1
+    k33 = SimpleGraph.complete_bipartite(3, 3)
+    for g in (g, _glue(k33, k33, "shared"), _glue(k33, k33, "bridge")):
+        assert g.is_connected() and len(block_decomposition(g)[0]) >= 2
+        _assert_crosscap_two(g)
 
 
 def test_genus_of_graph_component_additivity():
@@ -300,6 +336,30 @@ def test_genus_of_graph_component_additivity():
             g.add_edge(u, v)  # K6
     res = genus_of_graph(g)
     assert res.exact and res.value == 2
+    g = _glue(SimpleGraph.complete(5), SimpleGraph.complete_bipartite(3, 3), "apart")
+    assert len(g.connected_components()) == 2
+    _assert_crosscap_two(g)
+
+
+@pytest.mark.parametrize(
+    "k5_values,want", [((1, 3), 5), ((1, 1), 3)], ids=["both_simple", "k5_not_simple"]
+)
+def test_crosscap_adds_one_when_every_piece_is_orientably_simple(monkeypatch, k5_values, want):
+    # (genus, crosscap) stubbed per piece: K3,3 at (1, 3), orientably simple,
+    # and K5 at k5_values; the sum of eg = min(2 genus, crosscap) is 4 or 3
+    values = {5: k5_values, 6: (1, 3)}
+
+    def stub(piece, surface, budget):
+        value = values[piece.graph.n][surface == NONORIENTABLE]
+        return GenusResult(surface, value, value, True)
+
+    monkeypatch.setattr(genus_module, "_exact_surface", stub)
+    g = _glue(SimpleGraph.complete(5), SimpleGraph.complete_bipartite(3, 3), "apart")
+    res = genus_of_graph(g, surface=NONORIENTABLE)
+    assert res.exact and res.value == want
+    assert res.certificate is None  # the value rests on two pieces
+    # the genus adds without the orientable-simple rule
+    assert genus_of_graph(g).value == 2
 
 
 def test_genus_of_graph_empty():
@@ -321,6 +381,39 @@ def test_genus_equals_blocks_and_reduction_on_corpus():
             rb, _ = reduce_homeomorphic(b)
             total += exact_genus(rb).value if rb.n else 0
         assert total == base.value
+
+
+def test_certificates_bind_to_derived_subgraphs():
+    """genus_of_graph and derived_subgraphs read one split: every certificate
+    the first returns is bound to a graph the second lists."""
+    graphs = [
+        difference_graph(e.group).graph for e in builtin_catalog(40) if not is_p_group(e.group)
+    ]
+    rng = random.Random(67)
+    path = SimpleGraph(3, [(0, 1), (1, 2)])
+    nonplanar = [SimpleGraph.complete(5), SimpleGraph.complete_bipartite(3, 3)]
+    for i in range(8):
+        a = connected_random_graph(rng, n_max=7, space_cap=20_000)
+        b = _glue(nonplanar[i % 2], path, "shared")
+        graphs += [a, _glue(a, path, "shared"), _glue(a, b, "apart")]
+        graphs.append(_glue(b, a, ("shared", "bridge")[i % 2]))
+    # K3,3 with an edge subdivided at vertex 0, where a K4 hangs: the
+    # nonplanar piece is a block reduced again, unlike the whole reduction
+    k33_edges = [(u, v) for u in (1, 2, 3) for v in (4, 5, 6) if (u, v) != (1, 4)]
+    subdivided = SimpleGraph(7, [(0, 1), (0, 4)] + k33_edges)
+    graphs.append(_glue(subdivided, SimpleGraph.complete(4), "shared"))
+    certified = 0
+    for g in graphs:
+        checksums = {h.checksum() for h in derived_subgraphs(g)}
+        for surface in (ORIENTABLE, NONORIENTABLE):
+            # the sweep's budget: a lower bound of 3 settles a predicted ">=3"
+            res = genus_of_graph(g, SearchBudget(lower_stop=3), surface=surface)
+            if res.certificate is not None:
+                certified += 1
+                assert res.certificate_graph.checksum() == res.certificate.graph_checksum
+                assert res.certificate.graph_checksum in checksums
+                assert verify_certificate(res.certificate_graph, res.certificate, surface, res.value)
+    assert certified >= len(graphs)
 
 
 def test_derived_subgraphs_contains_reduction():
