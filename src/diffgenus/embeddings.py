@@ -38,9 +38,6 @@ class EmbeddingScheme:
     def sign_map(self) -> dict[tuple[int, int], int]:
         return {(u, v): s for u, v, s in self.signs}
 
-    def is_all_positive(self) -> bool:
-        return all(s == 1 for _, _, s in self.signs)
-
     def to_json_dict(self, surface: str, genus: int) -> dict:
         return {
             "graph_checksum": self.graph_checksum,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 from typing import Optional
 
@@ -30,15 +30,14 @@ from .simplegraph import (
 ORIENTABLE = "orientable"
 NONORIENTABLE = "nonorientable"
 
+_EXHAUSTIVE_CAP = 10_000_000  # max rotation-configuration space for BnB
+_NODE_CAP = 3_000_000  # BnB safety abort: rotations assigned, per nonzero co-tree sign pattern
+
 
 @dataclass
 class SearchBudget:
-    """Effort knobs for the exact and heuristic searches."""
+    """Effort knobs for the heuristic search, and where to stop."""
 
-    exhaustive_cap: int = 10_000_000  # max rotation-configuration space for BnB
-    # safety abort on rotations assigned by the BnB; a crosscap search
-    # gets node_cap per nonzero co-tree sign pattern
-    node_cap: int = 3_000_000
     restarts: int = 64
     moves_per_restart: int = 20_000
     seed: int = 0
@@ -651,15 +650,18 @@ def heuristic_embedding(
     seed: int = 0,
     budget: Optional[SearchBudget] = None,
 ) -> Optional[EmbeddingScheme]:
-    """Annealed local search for a scheme achieving exactly the target genus
-    or crosscap. Starts alternate between greedy edge insertion and random
+    """Annealed local search for a scheme achieving the target genus or
+    crosscap. Starts alternate between greedy edge insertion and random
     rotations; moves relocate one neighbor within one rotation, or flip one
     co-tree edge sign on nonorientable surfaces (the scheme is kept
     unbalanced throughout). Uphill moves are accepted with probability
     exp(-delta/T) under a geometric cooling schedule per restart.
 
-    Any returned scheme has been re-verified by face tracing. None means the
-    budget ran out; that is a valid outcome, not an error.
+    A hit returns the scheme at the first visit of the target; a miss, the
+    one at the first visit of the lowest Euler genus met, where a run aimed
+    at that value would stop, as the target is read only by the stop test.
+    None comes only from no restart, a nonorientable forest, or orientable
+    target 0 on a nonplanar graph. Returned schemes are re-verified.
     """
     budget = budget or DEFAULT_BUDGET
     if surface == ORIENTABLE and target == 0:
@@ -675,16 +677,15 @@ def heuristic_embedding(
         return None  # forests have no unbalanced scheme
     movable = [v for v in range(g.n) if g.degree(v) >= 3]
     if not movable and surface == ORIENTABLE:
-        # rotations are forced; the single scheme either hits or misses
+        # rotations are forced: the single scheme is the answer
         rotations = [g.neighbors(v) for v in range(g.n)]
         ev = _Evaluator(idx)
         for v in range(g.n):
             ev.assign(v, rotations[v])
-        if ev.euler() != target_euler:
-            return None
-        return _verified_scheme(g, idx, rotations, None, seed, target_euler, surface)
+        return _verified_scheme(g, idx, rotations, None, seed, ev.euler(), surface)
     cooling = (_SA_T_END / _SA_T_START) ** (1.0 / max(1, budget.moves_per_restart))
     offset = idx.base - idx.isolated  # euler genus = offset - faces
+    best = None  # (euler, rotations, signs) at the first visit of the lowest
 
     for restart in range(budget.restarts):
         if restart % 2 == 0:
@@ -705,6 +706,9 @@ def heuristic_embedding(
         temp = _SA_T_START
 
         for _ in range(budget.moves_per_restart):
+            if best is None or current < best[0]:
+                copy = None if signs is None else list(ev.signs)
+                best = (current, [list(r) for r in rotations], copy)
             if current == target_euler:
                 break
             temp *= cooling
@@ -738,20 +742,25 @@ def heuristic_embedding(
                 else:
                     ev.reject()
 
+        if current == target_euler or best is None or current < best[0]:
+            best = (current, rotations, ev.signs)  # this restart changes them no more
         if current == target_euler:
-            return _verified_scheme(g, idx, rotations, ev.signs, seed, target_euler, surface)
-    return None
+            break
+    if best is None:
+        return None
+    euler, rotations, signs = best
+    return _verified_scheme(g, idx, rotations, signs, seed, euler, surface)
 
 
-def _verified_scheme(g, idx, rotations, signs, seed, target_euler, surface):
+def _verified_scheme(g, idx, rotations, signs, seed, euler, surface):
     sign_map = None
     if signs is not None:
         sign_map = {idx.edges[i]: signs[i] for i in range(idx.m)}
     scheme = make_scheme(g, rotations, sign_map, seed=seed)
     trace = trace_faces(g, scheme)
-    if trace.euler_genus != target_euler or trace.orientable != (surface == ORIENTABLE):
+    if trace.euler_genus != euler or trace.orientable != (surface == ORIENTABLE):
         raise SchemeError(
-            f"heuristic scheme scored at euler genus {target_euler} on the {surface} surface"
+            f"heuristic scheme scored at euler genus {euler} on the {surface} surface"
             f" does not re-verify (traced {trace.euler_genus},"
             f" {'orientable' if trace.orientable else 'nonorientable'})"
         )
@@ -800,9 +809,10 @@ def _lower_on(surface: str, euler_lower: int) -> int:
 
 
 def exact_genus(g: SimpleGraph, budget: Optional[SearchBudget] = None) -> GenusResult:
-    """Orientable genus of a connected graph: lower bounds, then heuristic
-    witness search at the bound, then exhaustive branch-and-bound when the
-    configuration space fits the budget."""
+    """Orientable genus of a connected graph: lower bounds, then one
+    annealing run aimed at the bound, then exhaustive branch-and-bound when
+    the configuration space fits `_EXHAUSTIVE_CAP`. A bracket's upper end is
+    the lowest scheme of the run."""
     return _exact_surface(_piece(g), ORIENTABLE, budget or DEFAULT_BUDGET)
 
 
@@ -828,12 +838,16 @@ def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusRe
         return GenusResult(surface, lower, None, False, provenance=prov)
 
     scheme = heuristic_embedding(g, lower, surface, seed=budget.seed, budget=budget)
+    upper = None
     if scheme is not None:
-        prov.append(f"heuristic certificate at {lower} (seed {budget.seed})")
-        return GenusResult(
-            surface, lower, lower, True,
-            certificate=scheme, certificate_graph=g, provenance=prov,
-        )
+        euler = trace_faces(g, scheme).euler_genus
+        upper = euler // 2 if surface == ORIENTABLE else euler
+        if upper == lower:
+            prov.append(f"heuristic certificate at {lower} (seed {budget.seed})")
+            return GenusResult(
+                surface, lower, lower, True,
+                certificate=scheme, certificate_graph=g, provenance=prov,
+            )
 
     # the heuristic missed the bound: settle exhaustively if affordable
     cotree, patterns = None, 1  # patterns: nonzero co-tree sign patterns
@@ -841,11 +855,9 @@ def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusRe
         cotree = _cotree_edges(g)
         patterns = max(1, (1 << len(cotree)) - 1)
     space = rotation_space_size(g) * patterns
-    if space <= budget.exhaustive_cap:
+    if space <= _EXHAUSTIVE_CAP:
         lower_euler = 2 * lower if surface == ORIENTABLE else lower
-        best, rot, signs, done = _bnb_min_euler(
-            g, lower_euler, budget.node_cap * patterns, cotree
-        )
+        best, rot, signs, done = _bnb_min_euler(g, lower_euler, _NODE_CAP * patterns, cotree)
         if done and best is not None:
             value = best // 2 if surface == ORIENTABLE else best
             sign_map = None
@@ -860,24 +872,11 @@ def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusRe
             )
         prov.append("exhaustive search aborted by node cap")
 
-    # bounds only: push the upper bound down with a short ladder
-    upper = None
-    cert = None
-    for t in range(lower + 1, lower + 5):
-        scheme = heuristic_embedding(g, t, surface, seed=budget.seed, budget=budget)
-        if scheme is not None:
-            upper, cert = t, scheme
-            prov.append(f"heuristic upper bound {t}")
-            break
-    if upper is None and surface == NONORIENTABLE:
-        inner = replace(budget, restarts=max(4, budget.restarts // 4), lower_stop=None)
-        orient = _exact_surface(piece, ORIENTABLE, inner)
-        if orient.upper is not None:
-            upper = 2 * orient.upper + 1
-            prov.append(f"orientable-doubling upper bound {upper}")
+    if upper is not None:
+        prov.append(f"heuristic upper bound {upper}")
     return GenusResult(
         surface, lower, upper, False,
-        certificate=cert, certificate_graph=g if cert else None, provenance=prov,
+        certificate=scheme, certificate_graph=g if scheme else None, provenance=prov,
     )
 
 
@@ -914,8 +913,8 @@ def genus_of_graph(
     piece that is the piece's crosscap, so only with more are the pieces
     searched on the orientable surface too. An unsettled piece leaves the
     bracket [sum of min(2 genus, crosscap) lower bounds, sum of crosscap
-    upper bounds]. An exact value that rests on a single piece, or on a
-    single planar component, comes with that one's certificate.
+    upper bounds]. The certificate of a single piece, or of a single planar
+    component, comes with the result, exact or not, at its upper end.
     """
     budget = budget or DEFAULT_BUDGET
     if g.edge_count == 0:
@@ -967,7 +966,7 @@ def genus_of_graph(
 
     if exact:
         lower = upper = lower + (both and simple)
-    one = results[0] if exact and len(results) == 1 else None
+    one = results[0] if len(results) == 1 and upper is not None else None
     return GenusResult(
         surface, lower, upper, exact,
         certificate=one.certificate if one else None,

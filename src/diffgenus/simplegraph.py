@@ -408,6 +408,8 @@ def girth_and_bipartite(g: SimpleGraph) -> tuple[float, bool]:
 
     best = _math.inf
     for s in range(g.n):
+        if best == 3:
+            break  # no cycle is shorter
         dist = {s: 0}
         parent = {s: -1}
         dq = deque([s])

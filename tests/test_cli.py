@@ -70,6 +70,20 @@ def test_genus_compute_and_verify(tmp_path):
     assert "certificate valid" in result.output
 
 
+def test_genus_compute_certifies_a_bracket(tmp_path):
+    # one nonplanar piece carries the upper end, so its annealing scheme
+    # comes with the bracket
+    path = tmp_path / "d24.el"
+    path.write_text(run("graph", "build", "--kind", "difference", "Z24").output)
+    cert = tmp_path / "cert.json"
+    result = run("genus", "compute", str(path), "--surface", "n", "--budget", "200", "--cert", str(cert))
+    assert result.exit_code == 0, result.output
+    assert "crosscap: in [8, 13]" in result.output
+    result = run("genus", "verify", str(path), str(cert))
+    assert result.exit_code == 0
+    assert "certificate valid: nonorientable 13" in result.output
+
+
 def test_genus_verify_rejects_wrong_graph(tmp_path):
     el20 = run("graph", "build", "--kind", "difference", "Z20").output
     el18 = run("graph", "build", "--kind", "difference", "Z18").output

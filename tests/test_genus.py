@@ -244,6 +244,17 @@ def test_heuristic_deterministic_given_seed():
     assert a.rotations == b.rotations
 
 
+def test_heuristic_miss_returns_the_lowest_scheme_met():
+    # with no moves, the one state a restart visits is its greedy start
+    g = SimpleGraph.complete(7)
+    budget = SearchBudget(restarts=1, moves_per_restart=0)
+    scheme = heuristic_embedding(g, 1, ORIENTABLE, seed=3, budget=budget)
+    greedy = genus_module._greedy_insertion_rotations(g, random.Random(3), shuffle=False)
+    assert scheme.rotations == tuple(map(tuple, greedy))
+    assert trace_faces(g, scheme).euler_genus > 2
+    assert heuristic_embedding(g, 1, ORIENTABLE, budget=SearchBudget(restarts=0)) is None
+
+
 def _petersen() -> SimpleGraph:
     g = SimpleGraph(10)
     for i in range(5):
@@ -275,6 +286,72 @@ def test_heuristic_certificates_are_pinned():
         found.append((scheme.rotations, scheme.signs))
     digest = hashlib.sha256(repr(found).encode()).hexdigest()
     assert digest == "0bd0222b610f9e63d6c8b69bc020a19e0c3f2514f42c3859ad68039965501eca"
+
+
+def _nonplanar_random_graph(rng: random.Random) -> SimpleGraph:
+    """Random connected nonplanar graph on 8 to 13 vertices."""
+    while True:
+        n = rng.randint(8, 13)
+        g = SimpleGraph(n)
+        order = list(range(n))
+        rng.shuffle(order)
+        for i in range(1, n):
+            g.add_edge(order[i], order[rng.randrange(i)])
+        for _ in range(rng.randint(n, 2 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v and not g.has_edge(u, v):
+                g.add_edge(u, v)
+        if not is_planar(g).planar:
+            return g
+
+
+def _starved_results(monkeypatch) -> list[tuple[int, GenusResult]]:
+    """Both surfaces of 20 seeded nonplanar graphs under 4 restarts of 400
+    moves, with the branch-and-bound off, so most upper ends come from the
+    annealing run alone."""
+    monkeypatch.setattr(genus_module, "_EXHAUSTIVE_CAP", 0)
+    budget = SearchBudget(restarts=4, moves_per_restart=400)
+    rng = random.Random(7)
+    out = []
+    for i in range(20):
+        g = _nonplanar_random_graph(rng)
+        out += [(i, exact_genus(g, budget)), (i, exact_crosscap(g, budget))]
+    return out
+
+
+def test_lowest_scheme_matches_the_rerun_ladder(monkeypatch):
+    """A miss at the lower bound used to rerun the annealer at lower + 1,
+    ..., lower + 4 and keep the first hit. The moves and the random stream
+    do not read the target, so that hit is the first visit of the lowest
+    Euler genus the run at the bound met. The digest pins the 19 results
+    whose upper end the ladder found, taken while the ladder was in place."""
+    ladder = [
+        (0, NONORIENTABLE), (1, NONORIENTABLE), (2, NONORIENTABLE), (3, NONORIENTABLE),
+        (5, NONORIENTABLE), (6, ORIENTABLE), (7, ORIENTABLE), (7, NONORIENTABLE),
+        (8, NONORIENTABLE), (9, ORIENTABLE), (10, NONORIENTABLE), (11, NONORIENTABLE),
+        (14, NONORIENTABLE), (15, ORIENTABLE), (16, NONORIENTABLE), (17, NONORIENTABLE),
+        (18, ORIENTABLE), (18, NONORIENTABLE), (19, NONORIENTABLE),
+    ]
+    pinned = [
+        (r.surface, r.lower, r.upper, r.certificate.rotations, r.certificate.signs)
+        for i, r in _starved_results(monkeypatch)
+        if (i, r.surface) in ladder
+    ]
+    assert len(pinned) == len(ladder)
+    digest = hashlib.sha256(repr(pinned).encode()).hexdigest()
+    assert digest == "94ba8d1c5d9e68245966098b6ac2d5afb6b71ada857d7ee640ee491651381043"
+
+
+def test_every_bracket_from_a_run_carries_its_certificate(monkeypatch):
+    brackets = 0
+    for _, r in _starved_results(monkeypatch):
+        if r.exact:
+            continue
+        brackets += 1
+        assert r.upper is not None and r.upper > r.lower
+        assert r.certificate_graph.checksum() == r.certificate.graph_checksum
+        assert verify_certificate(r.certificate_graph, r.certificate, r.surface, r.upper)
+    assert brackets >= 20
 
 
 # -- orchestrator -------------------------------------------------------------
@@ -412,7 +489,8 @@ def test_certificates_bind_to_derived_subgraphs():
                 certified += 1
                 assert res.certificate_graph.checksum() == res.certificate.graph_checksum
                 assert res.certificate.graph_checksum in checksums
-                assert verify_certificate(res.certificate_graph, res.certificate, surface, res.value)
+                # at the upper end, which is the value when the result is exact
+                assert verify_certificate(res.certificate_graph, res.certificate, surface, res.upper)
     assert certified >= len(graphs)
 
 
@@ -468,21 +546,19 @@ def test_exhaustive_only_matches_bruteforce_random():
         assert verify_certificate(res.certificate_graph, res.certificate, NONORIENTABLE, res.value)
 
 
-def test_node_cap_abort_degrades_to_bounds():
-    res = exact_genus(
-        SimpleGraph.complete_bipartite(3, 3), SearchBudget(restarts=0, node_cap=5)
-    )
+def test_node_cap_abort_degrades_to_bounds(monkeypatch):
+    monkeypatch.setattr(genus_module, "_NODE_CAP", 5)
+    res = exact_genus(SimpleGraph.complete_bipartite(3, 3), _bnb_only())
     assert not res.exact
     assert res.lower == 1
     assert any("aborted" in line for line in res.provenance)
 
 
-def test_crosscap_node_cap_abort_degrades_to_bounds():
-    # the crosscap search may assign node_cap rotations per co-tree sign
+def test_crosscap_node_cap_abort_degrades_to_bounds(monkeypatch):
+    # the crosscap search may assign _NODE_CAP rotations per co-tree sign
     # pattern: 15 here, against 480 configurations
-    res = exact_crosscap(
-        SimpleGraph.complete_bipartite(3, 3), SearchBudget(restarts=0, node_cap=1)
-    )
+    monkeypatch.setattr(genus_module, "_NODE_CAP", 1)
+    res = exact_crosscap(SimpleGraph.complete_bipartite(3, 3), _bnb_only())
     assert not res.exact
     assert res.lower == 1
     assert any("aborted" in line for line in res.provenance)
