@@ -92,6 +92,8 @@ def trace_faces(g: SimpleGraph, scheme: EmbeddingScheme) -> FaceTrace:
     """
     if scheme.graph_checksum != g.checksum():
         raise CertificateMismatch("scheme checksum does not match graph")
+    if len(scheme.rotations) != g.n:  # a scheme read from a file skips make_scheme
+        raise SchemeError(f"expected {g.n} rotations, got {len(scheme.rotations)}")
     for v, rot in enumerate(scheme.rotations):
         if sorted(rot) != g.neighbors(v):
             raise SchemeError(f"rotation at {v} is not a permutation of its neighbors")
@@ -195,14 +197,23 @@ def certificate_to_json(scheme: EmbeddingScheme, surface: str, genus: int) -> st
 
 
 def certificate_from_json(text: str) -> tuple[EmbeddingScheme, str, int]:
+    """Parse a certificate file. Raises SchemeError on a missing field, a
+    field of the wrong shape or an unknown surface."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise SchemeError("certificate must be a JSON object")
     for key in ("graph_checksum", "surface", "genus", "rotations", "signs"):
         if key not in doc:
             raise SchemeError(f"certificate missing field {key!r}")
-    scheme = EmbeddingScheme(
-        rotations=tuple(tuple(int(x) for x in rot) for rot in doc["rotations"]),
-        signs=tuple((int(e["u"]), int(e["v"]), int(e["s"])) for e in doc["signs"]),
-        graph_checksum=str(doc["graph_checksum"]),
-        seed=int(doc.get("seed", 0)),
-    )
-    return scheme, str(doc["surface"]), int(doc["genus"])
+    if doc["surface"] not in ("orientable", "nonorientable"):
+        raise SchemeError(f"unknown surface {doc['surface']!r}")
+    try:
+        scheme = EmbeddingScheme(
+            rotations=tuple(tuple(int(x) for x in rot) for rot in doc["rotations"]),
+            signs=tuple((int(e["u"]), int(e["v"]), int(e["s"])) for e in doc["signs"]),
+            graph_checksum=str(doc["graph_checksum"]),
+            seed=int(doc.get("seed", 0)),
+        )
+        return scheme, doc["surface"], int(doc["genus"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemeError(f"malformed certificate ({type(exc).__name__}: {exc})") from exc

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import GroupTable, cyclic_subgroups, maximal_cyclic_subgroups
+from .groups import GroupTable, maximal_cyclic_subgroups
 from .simplegraph import SimpleGraph
 
 
@@ -90,35 +90,3 @@ def difference_graph(g: GroupTable) -> GroupGraph:
     vertices = [x for x in range(1, g.order) if diff[x]]
     return _graph_from_rows(g, diff, vertices, "difference")
 
-
-def vertex_membership(g: GroupTable, x: int) -> bool:
-    """Predicate for membership in the difference graph's vertex set,
-    computed from subgroup structure rather than from the graph.
-
-    A non-identity x is excluded exactly when its span is a maximal cyclic
-    subgroup or every cyclic subgroup containing x has prime-power order.
-    The identity returns False by convention.
-    """
-    if x == 0:
-        return False
-    span = g.cyclic_span(x)
-    maximal = {s.members for s in maximal_cyclic_subgroups(g)}
-    if span in maximal:
-        return False
-    containers = [s for s in cyclic_subgroups(g) if x in s.members]
-    if all(_is_prime_power(s.order) for s in containers):
-        return False
-    return True
-
-
-def _is_prime_power(n: int) -> bool:
-    if n == 1:
-        return True
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                n //= d
-            return n == 1
-        d += 1
-    return True

@@ -11,7 +11,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -98,7 +98,6 @@ class GroupTable:
         self.names = list(names) if names is not None else None
         self.source = source
         self._orders: Optional[list[int]] = None
-        self._inverses: Optional[list[int]] = None
         self._cyclic_subs: Optional[list[Subgroup]] = None
         self._maximal_cyclic: Optional[list[Subgroup]] = None
         self._sylow: Optional[SylowDecomposition] = None
@@ -109,26 +108,6 @@ class GroupTable:
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         return self._mult
-
-    def inverse(self, a: int) -> int:
-        if self._inverses is None:
-            inv = [0] * self.order
-            for i, row in enumerate(self._mult):
-                inv[i] = row.index(0)
-            self._inverses = inv
-        return self._inverses[a]
-
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverse(g), -k)
-        acc = 0
-        base = g
-        while k:
-            if k & 1:
-                acc = self._mult[acc][base]
-            base = self._mult[base][base]
-            k >>= 1
-        return acc
 
     def element_order(self, g: int) -> int:
         if not 0 <= g < self.order:
@@ -173,35 +152,14 @@ class GroupTable:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of a GroupTable given by its member set.
-
-    generator is set when the subgroup was produced as a cyclic span.
-    """
+    """A subgroup of a GroupTable given by its member set."""
 
     parent: GroupTable
     members: frozenset[int]
-    generator: Optional[int] = None
 
     @property
     def order(self) -> int:
         return len(self.members)
-
-    @classmethod
-    def cyclic(cls, parent: GroupTable, g: int) -> "Subgroup":
-        return cls(parent, parent.cyclic_span(g), generator=g)
-
-    @classmethod
-    def from_members(cls, parent: GroupTable, members: Iterable[int]) -> "Subgroup":
-        mem = frozenset(int(x) for x in members)
-        if 0 not in mem:
-            raise GroupError("subgroup must contain the identity")
-        for a in mem:
-            if parent.inverse(a) not in mem:
-                raise GroupError(f"subgroup not closed under inverse at {a}")
-            for b in mem:
-                if parent.mult(a, b) not in mem:
-                    raise GroupError(f"subgroup not closed at {a}*{b}")
-        return cls(parent, mem)
 
     def as_group(self) -> tuple[GroupTable, list[int]]:
         """Relabel this subgroup as a standalone GroupTable.
@@ -219,15 +177,10 @@ class Subgroup:
 
 @dataclass
 class SylowDecomposition:
-    """Sylow components of a nilpotent group and the product bijection."""
+    """Sylow components of a nilpotent group, one per prime of its order."""
 
-    group: GroupTable
     primes: list[int]
     components: list[Subgroup]
-    projection: dict[int, tuple[int, ...]]
-
-    def component_for(self, p: int) -> Subgroup:
-        return self.components[self.primes.index(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -452,22 +405,14 @@ def table_to_text(g: GroupTable) -> str:
 # Structural queries
 
 
-def element_order(g: GroupTable, x: int) -> int:
-    return g.element_order(x)
-
-
-def exponent(g: GroupTable) -> int:
-    return g.exponent()
-
-
 def cyclic_subgroups(g: GroupTable) -> list[Subgroup]:
-    """All distinct cyclic subgroups, trivial included, each with a generator."""
+    """All distinct cyclic subgroups, trivial included."""
     if g._cyclic_subs is None:
         seen: dict[frozenset[int], Subgroup] = {}
         for x in range(g.order):
             members = g.cyclic_span(x)
             if members not in seen:
-                seen[members] = Subgroup(g, members, generator=x)
+                seen[members] = Subgroup(g, members)
         g._cyclic_subs = sorted(
             seen.values(), key=lambda s: (s.order, sorted(s.members))
         )
@@ -527,7 +472,9 @@ def sylow_decomposition(g: GroupTable) -> SylowDecomposition:
     """Split a nilpotent group into its Sylow components.
 
     Raises NotNilpotentError when, for some prime p, the p-elements are not
-    closed under multiplication.
+    closed under multiplication. When they are closed for every p, each set
+    of p-elements is the unique Sylow p-subgroup, and the group is the
+    direct product of these.
     """
     if g._sylow is not None:
         return g._sylow
@@ -546,24 +493,7 @@ def sylow_decomposition(g: GroupTable) -> SylowDecomposition:
                     g._sylow_error = err
                     raise err
         components.append(Subgroup(g, mem_set))
-
-    projection: dict[int, tuple[int, ...]] = {}
-    for x in range(g.order):
-        m = g.element_order(x)
-        parts = []
-        for p in primes:
-            q = 1
-            while m % (q * p) == 0:
-                q *= p
-            if q == 1:
-                parts.append(0)
-            else:
-                cofactor = m // q
-                parts.append(g.power(x, cofactor * pow(cofactor, -1, q)))
-        projection[x] = tuple(parts)
-    if len(set(projection.values())) != g.order:
-        raise GroupError("Sylow projection is not a bijection")
-    dec = SylowDecomposition(g, primes, components, projection)
+    dec = SylowDecomposition(primes, components)
     g._sylow = dec
     return dec
 
@@ -574,35 +504,8 @@ def _is_power_of(m: int, p: int) -> bool:
     return m == 1
 
 
-def is_nilpotent(g: GroupTable) -> bool:
-    try:
-        sylow_decomposition(g)
-        return True
-    except NotNilpotentError:
-        return False
-
-
 def is_p_group(g: GroupTable) -> bool:
     return len(_prime_factors(g.order)) <= 1
-
-
-def is_eppo(g: GroupTable) -> bool:
-    """True when every element order is a prime power (1 included)."""
-    return all(len(_prime_factors(g.element_order(x))) <= 1 for x in range(g.order))
-
-
-def lcm_witness(g: GroupTable, s: int, t: int) -> int:
-    """An element of order lcm(s, t); exists in every nilpotent group in which
-    s and t are realized as element orders."""
-    sylow_decomposition(g)  # NotNilpotentError propagates
-    orders = set(g.orders())
-    if s not in orders or t not in orders:
-        raise GroupError(f"orders {s}, {t} not both realized in the group")
-    target = math.lcm(s, t)
-    for x in range(g.order):
-        if g.element_order(x) == target:
-            return x
-    raise RuntimeError(f"no element of order {target} found in nilpotent group")
 
 
 # ---------------------------------------------------------------------------

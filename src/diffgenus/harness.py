@@ -20,7 +20,7 @@ from .genus import (
     genus_of_graph,
 )
 from .groupgraphs import difference_graph
-from .groups import GroupTable, NotNilpotentError, is_p_group
+from .groups import GroupTable, is_p_group
 
 CONSISTENT = "consistent"
 CONTRADICTION = "contradiction"
@@ -176,18 +176,12 @@ class SweepSummary:
 
 
 def verify_sweep(
-    max_order: int,
-    budget: Optional[SearchBudget] = None,
-    include_p_groups: bool = True,
+    max_order: int, budget: Optional[SearchBudget] = None
 ) -> tuple[list[ClassificationRecord], SweepSummary]:
     """Run verify_group over every catalog group of order <= max_order.
     p-groups appear as trivial rows exercising the empty-graph claim."""
     budget = budget or DEFAULT_BUDGET
-    records: list[ClassificationRecord] = []
-    for entry in builtin_catalog(max_order):
-        if is_p_group(entry.group) and not include_p_groups:
-            continue
-        records.append(verify_group(entry.group, budget, name=entry.name))
+    records = [verify_group(e.group, budget, name=e.name) for e in builtin_catalog(max_order)]
     records.sort(key=lambda r: (r.order, r.group_name))
     summary = SweepSummary(
         total=len(records),

@@ -1,6 +1,5 @@
 """Simple undirected graphs with the operations the genus pipeline needs:
-induced subgraphs, complete-multipartite recognition, complete-bipartite
-subgraph search, genus-preserving homeomorphic reduction, block
+induced subgraphs, genus-preserving homeomorphic reduction, block
 decomposition, and girth/bipartiteness."""
 
 from __future__ import annotations
@@ -65,9 +64,6 @@ class SimpleGraph:
                 m |= 1 << v
             masks[u] = m
         return masks
-
-    def copy(self) -> "SimpleGraph":
-        return SimpleGraph(self.n, self.edges(), labels=list(self.labels))
 
     def checksum(self) -> str:
         """Hex digest identifying the graph up to labels (vertex ids + edges)."""
@@ -150,83 +146,6 @@ def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
     return sub
 
 
-def complete_multipartite_parts(g: SimpleGraph) -> Optional[list[int]]:
-    """Sorted part sizes when g is complete multipartite, else None.
-
-    A graph is complete multipartite exactly when its complement is a
-    disjoint union of cliques; the parts are the complement's components.
-    """
-    if g.n == 0:
-        return []
-    comp_adj = [set(range(g.n)) - g.adj[v] - {v} for v in range(g.n)]
-    seen = [False] * g.n
-    parts = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in comp_adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        comp_set = set(comp)
-        for x in comp:
-            if not comp_set - comp_adj[x] == {x}:
-                return None  # complement component is not a clique
-        parts.append(len(comp))
-    return sorted(parts)
-
-
-BIPARTITE_SIDE_CAP = 4
-
-
-def find_complete_bipartite(
-    g: SimpleGraph, m: int, n: int
-) -> Optional[tuple[list[int], list[int]]]:
-    """Search for disjoint vertex sets A (|A|=m) and B (|B|=n) with every A-B
-    edge present (extra edges are allowed; this is subgraph containment).
-
-    The small side is capped at 4; deterministic first-found order.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("part sizes must be positive")
-    if m > BIPARTITE_SIDE_CAP:
-        raise ValueError(f"small side {m} exceeds cap {BIPARTITE_SIDE_CAP}")
-    masks = g.adjacency_masks()
-    candidates = [v for v in range(g.n) if g.degree(v) >= n]
-
-    def rec(start: int, chosen: list[int], common: int) -> Optional[tuple[list[int], list[int]]]:
-        if len(chosen) == m:
-            avail = common
-            for c in chosen:
-                avail &= ~(1 << c)
-            if avail.bit_count() >= n:
-                b_side = []
-                while avail and len(b_side) < n:
-                    low = avail & -avail
-                    b_side.append(low.bit_length() - 1)
-                    avail ^= low
-                return list(chosen), b_side
-            return None
-        for i in range(start, len(candidates)):
-            v = candidates[i]
-            new_common = common & masks[v]
-            if new_common.bit_count() < n:
-                continue
-            chosen.append(v)
-            found = rec(i + 1, chosen, new_common)
-            if found:
-                return found
-            chosen.pop()
-        return None
-
-    return rec(0, [], (1 << g.n) - 1)
-
-
 # ---------------------------------------------------------------------------
 # Homeomorphic reduction
 
@@ -288,45 +207,6 @@ def reduce_homeomorphic(g: SimpleGraph) -> tuple[SimpleGraph, ReductionLog]:
             if v < w:
                 out.add_edge(log.vertex_map[v], log.vertex_map[w])
     return out, log
-
-
-def replay_reduction(g: SimpleGraph, log: ReductionLog) -> SimpleGraph:
-    """Apply a recorded reduction step list to g; used to audit logs."""
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
-    for step in log.steps:
-        kind = step[0]
-        if kind == "removed_isolated":
-            (_, v) = step
-            if adj[v]:
-                raise ValueError(f"replay: vertex {v} is not isolated")
-            del adj[v]
-        elif kind == "removed_degree_one":
-            (_, v) = step
-            (u,) = adj[v]
-            adj[u].discard(v)
-            del adj[v]
-        elif kind == "suppressed_degree_two":
-            (_, v, u, w) = step
-            if adj[v] != {u, w}:
-                raise ValueError(f"replay: vertex {v} neighbors mismatch")
-            adj[u].discard(v)
-            adj[w].discard(v)
-            del adj[v]
-            if w not in adj[u]:
-                adj[u].add(w)
-                adj[w].add(u)
-        elif kind == "dropped_parallel":
-            pass  # suppression above already kept the single copy
-        else:
-            raise ValueError(f"replay: unknown step {kind}")
-    survivors = sorted(adj)
-    vmap = {v: i for i, v in enumerate(survivors)}
-    out = SimpleGraph(len(survivors), labels=[g.labels[v] for v in survivors])
-    for v in survivors:
-        for w in adj[v]:
-            if v < w:
-                out.add_edge(vmap[v], vmap[w])
-    return out
 
 
 # ---------------------------------------------------------------------------

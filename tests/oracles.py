@@ -1,12 +1,21 @@
 """Independent brute-force oracles for cross-checking the package.
 
 Everything here is written from first principles against the definitions,
-deliberately sharing no code with the package internals it checks.
+deliberately sharing no code with the package internals it checks; only
+the exception types come from the package. Besides the brute-force
+searches, this holds independent checks of the structural lemmas the
+pipeline rests on: the difference graph's vertex set, the lcm witness,
+the Sylow projection, the complete multipartite shape and the replay of
+a homeomorphic reduction.
 """
 
 from __future__ import annotations
 
+import math
+from functools import cache
 from itertools import combinations, permutations, product
+
+from diffgenus.groups import GroupError, NotNilpotentError
 
 
 def brute_force_genus(g) -> int:
@@ -124,16 +133,7 @@ def brute_force_difference(group) -> tuple[list[int], list[tuple[int, int]]]:
     definitions: power adjacency via cyclic spans, enhanced adjacency via
     membership in a common span, isolated vertices dropped."""
     n = group.order
-
-    def span(x):
-        out = {0}
-        y = x
-        while y != 0:
-            out.add(y)
-            y = group.mult(y, x)
-        return out
-
-    spans = [span(x) for x in range(n)]
+    spans = _spans(group)
     power = set()
     for x in range(n):
         for y in range(x + 1, n):
@@ -152,10 +152,8 @@ def brute_force_difference(group) -> tuple[list[int], list[tuple[int, int]]]:
 
 def brute_force_has_complete_bipartite(g, m: int, n: int) -> bool:
     """K_{m,n} subgraph containment by trying every m-subset as the A side."""
-    vs = set(range(g.n))
-    for a_side in combinations(sorted(vs), m):
-        rest = vs - set(a_side)
-        common = [w for w in rest if all(w in g.adj[a] for a in a_side)]
+    for a_side in combinations(range(g.n), m):
+        common = set.intersection(*(g.adj[a] for a in a_side)) - set(a_side)
         if len(common) >= n:
             return True
     return False
@@ -235,3 +233,186 @@ def partial_face_counts(g, rotations: dict, signs=None) -> tuple[int, int]:
     per_face = 1 if signs is None else 2
     assert cycles % per_face == 0
     return cycles // per_face, len(states) - len(on_cycle)
+
+
+# ---------------------------------------------------------------------------
+# Group structure from element powers
+
+
+@cache
+def _spans(group) -> tuple[frozenset[int], ...]:
+    """The cyclic subgroup each element generates, by repeated products."""
+    out = []
+    for x in range(group.order):
+        members, y = {0}, x
+        while y != 0:
+            members.add(y)
+            y = group.mult(y, x)
+        out.append(frozenset(members))
+    return tuple(out)
+
+
+def _primes(n: int) -> list[int]:
+    """The primes dividing n, ascending."""
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+def _is_prime_power(n: int) -> bool:
+    if n == 1:
+        return True
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            while n % d == 0:
+                n //= d
+            return n == 1
+        d += 1
+    return True
+
+
+def vertex_membership(group, x: int) -> bool:
+    """Membership in the difference graph's vertex set, computed from the
+    subgroup structure rather than from the graph.
+
+    A non-identity x is left out exactly when its span is a maximal cyclic
+    subgroup or every cyclic subgroup containing x has prime-power order.
+    The identity returns False by convention.
+    """
+    if x == 0:
+        return False
+    spans = set(_spans(group))
+    own = _spans(group)[x]
+    if not any(own < s for s in spans):
+        return False
+    return not all(_is_prime_power(len(s)) for s in spans if x in s)
+
+
+def _unclosed_prime_part(group):
+    """(p, (a, b)) for the first prime p whose p-elements a, b have a product
+    outside them, or None when every prime's p-elements are closed."""
+    orders = [len(s) for s in _spans(group)]
+    for p in _primes(group.order):
+        members = [x for x, m in enumerate(orders) if _is_prime_power(m) and (m == 1 or m % p == 0)]
+        closed = set(members)
+        for a in members:
+            for b in members:
+                if group.mult(a, b) not in closed:
+                    return p, (a, b)
+    return None
+
+
+def is_nilpotent(group) -> bool:
+    """A finite group is nilpotent exactly when, for every prime p, its
+    p-elements are closed under the product (and so form the unique, normal
+    Sylow p-subgroup)."""
+    return _unclosed_prime_part(group) is None
+
+
+def lcm_witness(group, s: int, t: int) -> int:
+    """An element of order lcm(s, t), which every nilpotent group has when s
+    and t are element orders in it."""
+    unclosed = _unclosed_prime_part(group)
+    if unclosed is not None:
+        raise NotNilpotentError(*unclosed)
+    orders = [len(span) for span in _spans(group)]
+    if s not in orders or t not in orders:
+        raise GroupError(f"orders {s}, {t} not both realized in the group")
+    target = math.lcm(s, t)
+    if target not in orders:
+        raise RuntimeError(f"no element of order {target} found in nilpotent group")
+    return orders.index(target)
+
+
+def sylow_projection(group) -> dict[int, tuple[int, ...]]:
+    """Each element's p-parts, one per prime of the group order in ascending
+    order. For x of order m = q*r, with q the power of p in m, the p-part is
+    x^(r * (r^-1 mod q)): it has order q, and the parts multiply back to x.
+    For p not dividing m, q = 1 and the part is the identity."""
+    primes = _primes(group.order)
+    out = {}
+    for x in range(group.order):
+        powers, y = [0], x
+        while y != 0:
+            powers.append(y)
+            y = group.mult(y, x)
+        m = len(powers)
+        parts = []
+        for p in primes:
+            q = 1
+            while m % (q * p) == 0:
+                q *= p
+            r = m // q
+            parts.append(powers[r * pow(r, -1, q)])
+        out[x] = tuple(parts)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Graph shapes
+
+
+def complete_multipartite_parts(g) -> list[int] | None:
+    """Sorted part sizes when g is complete multipartite, else None.
+
+    A graph is complete multipartite exactly when its complement is a
+    disjoint union of cliques; the parts are the complement's components.
+    """
+    if g.n == 0:
+        return []
+    comp_adj = [set(range(g.n)) - g.adj[v] - {v} for v in range(g.n)]
+    seen = [False] * g.n
+    parts = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        stack, comp = [s], []
+        seen[s] = True
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in comp_adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
+        comp_set = set(comp)
+        for x in comp:
+            if not comp_set - comp_adj[x] == {x}:
+                return None  # complement component is not a clique
+        parts.append(len(comp))
+    return sorted(parts)
+
+
+def replay_reduction(g, log) -> tuple[int, list[tuple[int, int]]]:
+    """Apply a recorded reduction step list to g, checking each step, and
+    return the vertex count and sorted edges of the result, renumbered in
+    ascending order of the surviving vertices."""
+    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    for step in log.steps:
+        kind = step[0]
+        if kind == "removed_isolated":
+            (_, v) = step
+            if adj[v]:
+                raise ValueError(f"replay: vertex {v} is not isolated")
+            del adj[v]
+        elif kind == "removed_degree_one":
+            (_, v) = step
+            (u,) = adj[v]
+            adj[u].discard(v)
+            del adj[v]
+        elif kind == "suppressed_degree_two":
+            (_, v, u, w) = step
+            if adj[v] != {u, w}:
+                raise ValueError(f"replay: vertex {v} neighbors mismatch")
+            adj[u].discard(v)
+            adj[w].discard(v)
+            del adj[v]
+            if w not in adj[u]:
+                adj[u].add(w)
+                adj[w].add(u)
+        elif kind == "dropped_parallel":
+            pass  # suppression above already kept the single copy
+        else:
+            raise ValueError(f"replay: unknown step {kind}")
+    vmap = {v: i for i, v in enumerate(sorted(adj))}
+    edges = sorted((vmap[v], vmap[w]) for v in adj for w in adj[v] if v < w)
+    return len(vmap), edges

@@ -11,6 +11,7 @@ import time
 from click.testing import CliRunner
 
 import oracles
+from oracles import complete_multipartite_parts, lcm_witness, vertex_membership
 from diffgenus.catalog import TWO_GROUP_ATOMS, builtin_catalog
 from diffgenus.classify import GE3, check_condition, classify_genus
 from diffgenus.cli import main as cli_main
@@ -27,19 +28,12 @@ from diffgenus.genus import (
     rotation_space_size,
 )
 from diffgenus.graphio import write_edgelist
-from diffgenus.groupgraphs import difference_graph, vertex_membership
-from diffgenus.groups import (
-    build_group,
-    cyclic_subgroups,
-    is_p_group,
-    lcm_witness,
-    sylow_decomposition,
-)
+from diffgenus.groupgraphs import difference_graph
+from diffgenus.groups import build_group, is_p_group, sylow_decomposition
 from diffgenus.harness import CONSISTENT, verify_sweep
 from diffgenus.simplegraph import (
     SimpleGraph,
     block_decomposition,
-    complete_multipartite_parts,
     induced_subgraph,
     reduce_homeomorphic,
 )

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from diffgenus.cli import main
@@ -108,6 +109,45 @@ def test_genus_verify_rejects_tampered_claim(tmp_path):
     result = run("genus", "verify", str(path), str(cert))
     assert result.exit_code == 1
     assert "INVALID" in result.output
+
+
+def _drop_last_rotation(doc):
+    doc["rotations"].pop()
+
+
+def _add_rotation(doc):
+    doc["rotations"].append([0])
+
+
+def _sign_as_list(doc):
+    e = doc["signs"][0]
+    doc["signs"][0] = [e["u"], e["v"], e["s"]]
+
+
+def _sign_without_s(doc):
+    del doc["signs"][0]["s"]
+
+
+def _unknown_surface(doc):
+    doc["surface"] = "torus"
+
+
+@pytest.mark.parametrize(
+    "damage", [_drop_last_rotation, _add_rotation, _sign_as_list, _sign_without_s, _unknown_surface]
+)
+def test_genus_verify_malformed_certificate_is_input_error(tmp_path, damage):
+    # the checksum still matches the graph, so only the shape is wrong
+    path = tmp_path / "d20.el"
+    path.write_text(run("graph", "build", "--kind", "difference", "Z20").output)
+    cert = tmp_path / "cert.json"
+    assert run("genus", "compute", str(path), "--cert", str(cert)).exit_code == 0
+    doc = json.loads(cert.read_text())
+    damage(doc)
+    cert.write_text(json.dumps(doc))
+    result = run("genus", "verify", str(path), str(cert))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.strip()
 
 
 def test_classify_text_and_json():

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -30,7 +31,7 @@ from diffgenus.genus import (
 )
 from diffgenus.groupgraphs import difference_graph
 from diffgenus.groups import is_p_group
-from diffgenus.simplegraph import SimpleGraph, block_decomposition, reduce_homeomorphic
+from diffgenus.simplegraph import SimpleGraph, block_decomposition, induced_subgraph, reduce_homeomorphic
 
 
 def connected_random_graph(rng: random.Random, n_max=8, space_cap=60_000) -> SimpleGraph:
@@ -115,6 +116,24 @@ def test_subgraph_bound_finds_planted_bipartite():
     assert bound == 2 and desc == "K_{3,10}"
     bound_n, _ = bipartite_subgraph_bound(g, NONORIENTABLE)
     assert bound_n == 4
+
+
+def test_subgraph_bound_witnesses_exist_in_catalog_graphs():
+    """The K_{m,n} each bound names is a subgraph of the graph it bounds."""
+    checked = 0
+    for e in builtin_catalog(60):
+        if is_p_group(e.group):
+            continue
+        graph = difference_graph(e.group).graph
+        for comp in graph.connected_components():
+            piece = induced_subgraph(graph, comp)
+            if is_planar(piece).planar:
+                continue
+            _, desc = bipartite_subgraph_bound(piece, ORIENTABLE)
+            m, n = map(int, re.fullmatch(r"K_\{(\d+),(\d+)\}", desc).groups())
+            assert oracles.brute_force_has_complete_bipartite(piece, m, n), (e.name, desc)
+            checked += 1
+    assert checked == 42
 
 
 # -- planarity --------------------------------------------------------------

