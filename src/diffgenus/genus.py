@@ -1,7 +1,15 @@
 """Genus and crosscap computation: planarity, Euler-formula and subgraph
-lower bounds, exhaustive branch-and-bound over rotation systems (with edge
-signs for nonorientable surfaces), and a greedy-insertion/local-search
-heuristic that produces verified embedding certificates.
+lower bounds, a face-set search that picks an embedding's faces as closed
+walks (Ringel's view of an embedding as its faces; faces built one at a
+time, after Brinkmann, arXiv:2005.08243), exhaustive branch-and-bound over
+rotation systems (with edge signs for nonorientable surfaces), and a
+greedy-insertion/local-search heuristic. Every scheme they find is
+re-verified by face tracing and becomes a certificate.
+
+The face-set search runs first at the lower bound. A search that completes
+without a hit proves the bound + 1; one that hits gives the value; one that
+reaches `_FACE_NODE_CAP` leaves the piece to the annealing run and the
+branch-and-bound.
 
 The Euler genus of an embedding scheme is 2 - V + E - F on each component;
 orientable genus is half the minimum over all-positive schemes, crosscap the
@@ -13,7 +21,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from collections import Counter
+from itertools import chain, combinations, permutations, product
 from typing import Optional
 
 import networkx as nx
@@ -32,6 +41,7 @@ NONORIENTABLE = "nonorientable"
 
 _EXHAUSTIVE_CAP = 10_000_000  # max rotation-configuration space for BnB
 _NODE_CAP = 3_000_000  # BnB safety abort: rotations assigned, per nonzero co-tree sign pattern
+_FACE_NODE_CAP = 100_000  # face-set search: faces started and corners placed, per piece and surface
 
 
 @dataclass
@@ -213,11 +223,13 @@ def kuratowski_witness(g: SimpleGraph) -> Optional[KuratowskiWitness]:
 
 class _DartIndex:
     """Edge i = (u, v) of g.edges() has darts 2i (u to v) and 2i + 1;
-    into[v][u] is the dart from u to v and out[v][w] the dart from v to w."""
+    into[v][u] is the dart from u to v, out[v][w] the dart from v to w, and
+    head[d] the vertex dart d points to (its tail is head[d ^ 1])."""
 
     def __init__(self, g: SimpleGraph):
         self.edges = g.edges()
         self.m = len(self.edges)
+        self.head = [x for u, v in self.edges for x in (v, u)]
         self.into: list[dict[int, int]] = [{} for _ in range(g.n)]
         self.out: list[dict[int, int]] = [{} for _ in range(g.n)]
         for i, (u, v) in enumerate(self.edges):
@@ -575,6 +587,317 @@ def _cotree_edges(g: SimpleGraph) -> list[int]:
     return [i for i in range(len(edges)) if i not in tree]
 
 
+# ---------------------------------------------------------------------------
+# Face-set search
+
+
+def _face_set_search(
+    g: SimpleGraph, euler: int, orientable: bool, node_cap: int
+) -> tuple[Optional[EmbeddingScheme], int]:
+    """An embedding of g at Euler genus `euler`, on the orientable surface
+    or else on a nonorientable one, found as its F = 2 - V + E - euler
+    faces. g must be connected with minimum degree >= 2, so that every
+    facial walk is closed and never backtracks, and must not be a cycle, so
+    that a vertex of degree >= 3 fixes the turns the signs are read from.
+
+    Faces are built one at a time as walks. The sides of each edge are
+    covered at most twice, and at each vertex the corners the walks turn
+    through form chains over its darts, which may close only into one cycle
+    through all of them: the vertex's rotation. A new face starts on the
+    uncovered edge with the fewest corner continuations at its two ends.
+    The uncovered sides must still fit the faces left: each is at least the
+    girth long, the open one must get back to its start, and with girth 3
+    every face but a triangle is at least 4 long, where the triangles are
+    at most the free sides of a greedy edge cover of the triangles usable
+    when the open face started. A union-find with parity over the face
+    orientations meets the two sides of every edge; an orientable target
+    prunes at the first inconsistency, a nonorientable one needs one.
+
+    Returns (scheme, nodes), where nodes counts the faces started and the
+    corners placed. A hit returns the re-verified scheme; None with
+    nodes <= node_cap proves that g has no such embedding, and
+    nodes > node_cap means the search stopped at the cap."""
+    deg = [g.degree(v) for v in range(g.n)]
+    if min(deg) < 2 or max(deg) < 3:
+        raise ValueError("face-set search needs minimum degree >= 2 and a vertex of degree >= 3")
+    idx = _DartIndex(g)
+    faces_needed = idx.base - euler
+    girth = girth_and_bipartite(g)[0]
+    if faces_needed < 1 or girth * faces_needed > 2 * idx.m:
+        return None, 0
+    girth = int(girth)
+    head = idx.head
+    out = [[idx.out[v][w] for w in g.neighbors(v)] for v in range(g.n)]
+    dist = dict(nx.all_pairs_shortest_path_length(_nx_graph(g)))
+    # per triangle: its edges and its corners (vertex, dart, dart)
+    triangles = [] if girth > 3 else [
+        (
+            (idx.out[x][y] >> 1, idx.out[y][z] >> 1, idx.out[x][z] >> 1),
+            ((x, idx.out[x][y], idx.out[x][z]), (y, idx.out[y][x], idx.out[y][z]),
+             (z, idx.out[z][x], idx.out[z][y])),
+        )
+        for x, y, z in combinations(range(g.n), 3)
+        if y in g.adj[x] and z in g.adj[x] and z in g.adj[y]
+    ]
+
+    side = [0] * idx.m  # sides covered per edge
+    first = [0] * idx.m  # 2 * face + direction of the first side covered
+    corners = [0] * (2 * idx.m)  # per dart: corners at its tail that use it
+    other = list(range(2 * idx.m))  # chain endpoints point at each other
+    length = [1] * (2 * idx.m)  # darts in the chain, read at its endpoints
+    parent = list(range(faces_needed))
+    parity = [0] * faces_needed  # orientation relative to the parent face
+    size = [1] * faces_needed
+    faces: list[list[int]] = []  # darts of the closed faces, then the open one
+    rooms: list[int] = []  # per face: the triangle room when it started
+    uncovered, closed, conflicts = 2 * idx.m, 0, 0
+    found: Optional[list[list[int]]] = None
+
+    def addable(a: int, b: int, v: int) -> bool:
+        return corners[a] < 2 and corners[b] < 2 and (other[a] != b or length[a] == deg[v])
+
+    def join(a: int, b: int) -> Optional[tuple[int, int, int, int]]:
+        corners[a] += 1
+        corners[b] += 1
+        s, t = other[a], other[b]
+        if s == b:
+            return None  # the chain closes into the vertex's rotation
+        la, lb = length[a], length[b]
+        other[s], other[t] = t, s
+        length[s] = length[t] = la + lb
+        return s, t, la, lb
+
+    def unjoin(a: int, b: int, log: Optional[tuple[int, int, int, int]]) -> None:
+        corners[a] -= 1
+        corners[b] -= 1
+        if log is not None:
+            s, t, la, lb = log
+            other[s], other[a] = a, s
+            other[b], other[t] = t, b
+            length[s] = length[a] = la
+            length[b] = length[t] = lb
+
+    def find(f: int) -> tuple[int, int]:
+        p = 0
+        while parent[f] != f:
+            p ^= parity[f]
+            f = parent[f]
+        return f, p
+
+    def cover(d: int):
+        """Cover a side of d's edge by the open face: a log for `uncover`,
+        or None when an orientable target can no longer be met."""
+        nonlocal uncovered, conflicts
+        e = d >> 1
+        if side[e] == 0:
+            first[e] = 2 * closed + (d & 1)
+            log: tuple = ()
+        else:
+            # the two sides read the edge in opposite directions once both
+            # faces are oriented: same directions mean opposite orientations
+            r1, p1 = find(first[e] >> 1)
+            r2, p2 = find(closed)
+            want = int((first[e] & 1) == (d & 1))
+            if r1 != r2:
+                if size[r1] < size[r2]:
+                    r1, r2 = r2, r1
+                parent[r2], parity[r2] = r1, p1 ^ p2 ^ want
+                size[r1] += size[r2]
+                log = (r1, r2)
+            elif p1 ^ p2 == want:
+                log = ()
+            elif orientable:
+                return None
+            else:
+                conflicts += 1
+                log = (-1,)
+        side[e] += 1
+        uncovered -= 1
+        return log
+
+    def uncover(d: int, log: tuple) -> None:
+        nonlocal uncovered, conflicts
+        side[d >> 1] -= 1
+        uncovered += 1
+        if len(log) == 1:
+            conflicts -= 1
+        elif log:
+            r1, r2 = log
+            parent[r2], parity[r2] = r2, 0
+            size[r1] -= size[r2]
+
+    def triangle_room(limit: int) -> int:
+        """How many more faces may be triangles, up to `limit`: at most the
+        free sides of a greedy edge cover of the usable triangles."""
+        usable = []
+        for edges, turns in triangles:
+            if side[edges[0]] == 2 or side[edges[1]] == 2 or side[edges[2]] == 2:
+                continue
+            for v, a, b in turns:
+                if corners[a] == 2 or corners[b] == 2 or (other[a] == b and length[a] != deg[v]):
+                    break
+            else:
+                # an edge with one free side counts twice: the greedy cover
+                # takes the edge with the most triangles per free side
+                usable.append(edges + tuple(e for e in edges if side[e]))
+        room = 0
+        while usable and room < limit:
+            count = Counter(chain.from_iterable(usable))
+            e = max(count, key=count.__getitem__)
+            room += 2 - side[e]
+            usable = [t for t in usable if e not in t]
+        return min(room, limit)
+
+    def least_sides(later: int, room: int) -> int:
+        """The fewest sides `later` more faces take: each at least the girth
+        long, and with girth 3 at least 4 long but for `room` triangles."""
+        return girth * later if girth > 3 else 4 * later - min(room, later)
+
+    def start_edge() -> Optional[int]:
+        """The uncovered edge with the fewest continuations at its two ends,
+        or None when some edge has none at one end."""
+        best, best_score = None, 0
+        for e in range(idx.m):
+            if side[e] == 2:
+                continue
+            score = 1
+            for a in (2 * e, 2 * e + 1):
+                v = head[a ^ 1]
+                score *= sum(1 for d in out[v] if d != a and side[d >> 1] < 2 and addable(a, d, v))
+            if not score:
+                return None
+            if best is None or score < best_score:
+                best, best_score = e, score
+        return best
+
+    def step():
+        """Yields one child per choice after applying it, and undoes it
+        when resumed."""
+        nonlocal closed, found
+        if len(faces) == closed:  # no face is open: start one
+            left = faces_needed - closed
+            if not left:
+                if not uncovered and (orientable or conflicts):
+                    found = [list(f) for f in faces]
+                return
+            room = triangle_room(left) if girth == 3 else 0
+            if uncovered < least_sides(left, room):
+                return
+            e = start_edge()
+            if e is None:
+                return
+            d = 2 * e
+            log = cover(d)
+            if log is None:
+                return
+            faces.append([d])
+            rooms.append(room)
+            yield
+            rooms.pop()
+            faces.pop()
+            uncover(d, log)
+            return
+        walk = faces[-1]
+        last = walk[-1]
+        v, a, start = head[last], last ^ 1, walk[0]
+        later = faces_needed - closed - 1
+        after, home = least_sides(later, rooms[-1]), head[start ^ 1]
+        if v == home and a != start and addable(a, start, v) and uncovered >= after and (later or not uncovered):
+            log = join(a, start)
+            closed += 1
+            yield
+            closed -= 1
+            unjoin(a, start, log)
+        for d in out[v]:
+            if d == a or side[d >> 1] == 2 or not addable(a, d, v):
+                continue
+            if uncovered - 1 - dist[head[d]][home] < after:
+                continue
+            log = cover(d)
+            if log is None:
+                continue
+            corner = join(a, d)
+            walk.append(d)
+            yield
+            walk.pop()
+            unjoin(a, d, corner)
+            uncover(d, log)
+
+    nodes = 0
+    stack = [step()]
+    while stack:
+        if next(stack[-1], 0) == 0:
+            stack.pop()
+            if found is not None:
+                break
+            continue
+        nodes += 1
+        if nodes > node_cap:
+            return None, nodes
+        stack.append(step())
+    if found is None:
+        return None, nodes
+    return _scheme_from_faces(g, idx, found, euler, orientable), nodes
+
+
+def _scheme_from_faces(
+    g: SimpleGraph, idx: _DartIndex, faces: list[list[int]], euler: int, orientable: bool
+) -> EmbeddingScheme:
+    """The scheme whose faces are `faces`, each a cyclic list of darts.
+    Each vertex's corners link its darts into its rotation. A face turning
+    from x through u to w turns +1 at u when w follows x in u's rotation,
+    else -1; the sign of an edge is the product of the turns at its two
+    ends. A degree-2 vertex fixes no turn, so a path through degree-2
+    vertices carries that product on its lowest edge and +1 on the rest."""
+    link: list[list[int]] = [[] for _ in range(2 * idx.m)]
+    for f in faces:
+        for d, nxt in zip(f, f[1:] + f[:1]):
+            link[d ^ 1].append(nxt)
+            link[nxt].append(d ^ 1)
+    head = idx.head
+    rotations, position = [], []
+    for v in range(g.n):
+        order = [idx.out[v][g.neighbors(v)[0]]]
+        while len(order) < g.degree(v):
+            x, y = link[order[-1]]
+            order.append(y if len(order) > 1 and x == order[-2] else x)
+        rotations.append([head[d] for d in order])
+        position.append({w: i for i, w in enumerate(rotations[-1])})
+
+    def turn(d_in: int, d_out: int) -> int:
+        u = head[d_in]
+        rot = rotations[u]
+        return 1 if rot[(position[u][head[d_in ^ 1]] + 1) % len(rot)] == head[d_out] else -1
+
+    signs = [1] * idx.m
+    for f in faces:
+        n = len(f)
+        for i in range(n):
+            if g.degree(head[f[i - 1]]) < 3:
+                continue  # not the start of a path
+            j = i
+            while g.degree(head[f[j % n]]) == 2:
+                j += 1
+            lowest = min(f[k % n] >> 1 for k in range(i, j + 1))
+            signs[lowest] = turn(f[i - 1], f[i]) * turn(f[j % n], f[(j + 1) % n])
+    # reversing the rotation at a vertex and negating the signs at it keeps
+    # every face: do it so that a spanning tree's edges are +1, as in every
+    # other certificate, which leaves an orientable scheme all-positive
+    flip = [False] * g.n
+    seen = [False] * g.n
+    seen[0] = True
+    queue = [0]
+    for v in queue:
+        for w in g.adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                flip[w] = flip[v] ^ (signs[idx.out[v][w] >> 1] < 0)
+                queue.append(w)
+    rotations = [rot[::-1] if flip[v] else rot for v, rot in enumerate(rotations)]
+    signs = [-s if flip[u] != flip[v] else s for s, (u, v) in zip(signs, idx.edges)]
+    return _verified_scheme(g, idx, rotations, signs, None, euler,
+                            ORIENTABLE if orientable else NONORIENTABLE)
+
 
 # ---------------------------------------------------------------------------
 # Heuristic search
@@ -760,7 +1083,7 @@ def _verified_scheme(g, idx, rotations, signs, seed, euler, surface):
     trace = trace_faces(g, scheme)
     if trace.euler_genus != euler or trace.orientable != (surface == ORIENTABLE):
         raise SchemeError(
-            f"heuristic scheme scored at euler genus {euler} on the {surface} surface"
+            f"scheme scored at euler genus {euler} on the {surface} surface"
             f" does not re-verify (traced {trace.euler_genus},"
             f" {'orientable' if trace.orientable else 'nonorientable'})"
         )
@@ -809,10 +1132,12 @@ def _lower_on(surface: str, euler_lower: int) -> int:
 
 
 def exact_genus(g: SimpleGraph, budget: Optional[SearchBudget] = None) -> GenusResult:
-    """Orientable genus of a connected graph: lower bounds, then one
-    annealing run aimed at the bound, then exhaustive branch-and-bound when
-    the configuration space fits `_EXHAUSTIVE_CAP`. A bracket's upper end is
-    the lowest scheme of the run."""
+    """Orientable genus of a connected graph: lower bounds, then, with
+    minimum degree >= 2, the face-set search at the bound, which raises the
+    bound by each value it excludes until it hits or `_FACE_NODE_CAP` nodes
+    are spent. Then one annealing run aimed at the bound, then exhaustive
+    branch-and-bound when the configuration space fits `_EXHAUSTIVE_CAP`.
+    A bracket's upper end is the lowest scheme of the run."""
     return _exact_surface(_piece(g), ORIENTABLE, budget or DEFAULT_BUDGET)
 
 
@@ -833,8 +1158,27 @@ def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusRe
 
     lower = _lower_on(surface, piece.euler_lower)
     prov = [*piece.provenance, f"lower bound {lower}"]
-    if budget.lower_stop is not None and lower >= budget.lower_stop:
-        prov.append(f"stopped at lower bound >= {budget.lower_stop}")
+    stop = budget.lower_stop
+    # with a leaf, facial walks backtrack, which the face-set search rules out
+    searching, nodes = min(g.degree(v) for v in range(g.n)) >= 2, 0
+    while searching and (stop is None or lower < stop):
+        euler = 2 * lower if surface == ORIENTABLE else lower
+        scheme, used = _face_set_search(g, euler, surface == ORIENTABLE, _FACE_NODE_CAP - nodes)
+        nodes += used
+        if scheme is not None:
+            prov.append(f"face-set certificate at {lower}")
+            return GenusResult(
+                surface, lower, lower, True,
+                certificate=scheme, certificate_graph=g, provenance=prov,
+            )
+        if nodes > _FACE_NODE_CAP:
+            prov.append(f"face-set search stopped by node cap at {lower}")
+            break
+        # as final as a completed branch-and-bound
+        prov.append(f"face-set search excludes {lower}")
+        lower += 1
+    if stop is not None and lower >= stop:
+        prov.append(f"stopped at lower bound >= {stop}")
         return GenusResult(surface, lower, None, False, provenance=prov)
 
     scheme = heuristic_embedding(g, lower, surface, seed=budget.seed, budget=budget)

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from diffgenus import genus
 from diffgenus.cli import main
 
 
@@ -71,9 +72,11 @@ def test_genus_compute_and_verify(tmp_path):
     assert "certificate valid" in result.output
 
 
-def test_genus_compute_certifies_a_bracket(tmp_path):
+def test_genus_compute_certifies_a_bracket(tmp_path, monkeypatch):
     # one nonplanar piece carries the upper end, so its annealing scheme
-    # comes with the bracket
+    # comes with the bracket; the face-set search, which settles this
+    # crosscap, is off
+    monkeypatch.setattr(genus, "_FACE_NODE_CAP", 0)
     path = tmp_path / "d24.el"
     path.write_text(run("graph", "build", "--kind", "difference", "Z24").output)
     cert = tmp_path / "cert.json"
@@ -83,6 +86,20 @@ def test_genus_compute_certifies_a_bracket(tmp_path):
     result = run("genus", "verify", str(path), str(cert))
     assert result.exit_code == 0
     assert "certificate valid: nonorientable 13" in result.output
+
+
+def test_genus_compute_settles_the_z24_crosscap(tmp_path):
+    # the face-set search excludes 6 and 7, then finds a scheme at 8
+    path = tmp_path / "d24.el"
+    path.write_text(run("graph", "build", "--kind", "difference", "Z24").output)
+    cert = tmp_path / "cert.json"
+    result = run("genus", "compute", str(path), "--surface", "n", "--cert", str(cert))
+    assert result.exit_code == 0, result.output
+    assert "crosscap: 8 (exact)" in result.output
+    assert "face-set search excludes 6; face-set search excludes 7; face-set certificate at 8" in result.output
+    result = run("genus", "verify", str(path), str(cert))
+    assert result.exit_code == 0
+    assert "certificate valid: nonorientable 8" in result.output
 
 
 def test_genus_verify_rejects_wrong_graph(tmp_path):

@@ -30,7 +30,7 @@ from diffgenus.genus import (
     rotation_space_size,
 )
 from diffgenus.groupgraphs import difference_graph
-from diffgenus.groups import is_p_group
+from diffgenus.groups import build_group, is_p_group
 from diffgenus.simplegraph import SimpleGraph, block_decomposition, induced_subgraph, reduce_homeomorphic
 
 
@@ -326,8 +326,9 @@ def _nonplanar_random_graph(rng: random.Random) -> SimpleGraph:
 
 def _starved_results(monkeypatch) -> list[tuple[int, GenusResult]]:
     """Both surfaces of 20 seeded nonplanar graphs under 4 restarts of 400
-    moves, with the branch-and-bound off, so most upper ends come from the
-    annealing run alone."""
+    moves, with the face-set search and the branch-and-bound off, so most
+    upper ends come from the annealing run alone."""
+    monkeypatch.setattr(genus_module, "_FACE_NODE_CAP", 0)
     monkeypatch.setattr(genus_module, "_EXHAUSTIVE_CAP", 0)
     budget = SearchBudget(restarts=4, moves_per_restart=400)
     rng = random.Random(7)
@@ -458,6 +459,16 @@ def test_crosscap_adds_one_when_every_piece_is_orientably_simple(monkeypatch, k5
     assert genus_of_graph(g).value == 2
 
 
+def test_crosscap_adds_one_for_two_k7_blocks():
+    # K7 has genus 1 and crosscap 3 = 2 * 1 + 1, so two K7 blocks sharing a
+    # vertex have crosscap 2 + 2 + 1; the face-set search proves each K7
+    # has no Klein bottle embedding
+    g = _glue(SimpleGraph.complete(7), SimpleGraph.complete(7), "shared")
+    res = genus_of_graph(g, surface=NONORIENTABLE)
+    assert res.exact and res.value == 5, (res.lower, res.upper, res.provenance)
+    assert sum("face-set search excludes 2" in line for line in res.provenance) == 2
+
+
 def test_genus_of_graph_empty():
     res = genus_of_graph(SimpleGraph(0))
     assert res.exact and res.value == 0
@@ -521,10 +532,11 @@ def test_derived_subgraphs_contains_reduction():
     assert reduced.checksum() in checksums
 
 
-# -- exhaustive search, forced (no heuristic restarts) ------------------------
+# -- exhaustive search, forced (no face-set search, no heuristic restarts) -----
 
 
-def _bnb_only() -> SearchBudget:
+def _bnb_only(monkeypatch) -> SearchBudget:
+    monkeypatch.setattr(genus_module, "_FACE_NODE_CAP", 0)
     return SearchBudget(restarts=0)
 
 
@@ -539,15 +551,17 @@ def _bnb_only() -> SearchBudget:
         (lambda: SimpleGraph.complete(5), NONORIENTABLE, 1),
     ],
 )
-def test_exhaustive_only_matches_known_values(builder, surface, value):
+def test_exhaustive_only_matches_known_values(monkeypatch, builder, surface, value):
     g = builder()
-    res = exact_genus(g, _bnb_only()) if surface == ORIENTABLE else exact_crosscap(g, _bnb_only())
+    budget = _bnb_only(monkeypatch)
+    res = exact_genus(g, budget) if surface == ORIENTABLE else exact_crosscap(g, budget)
     assert res.exact and res.value == value
     assert any("exhaustive" in line for line in res.provenance)
     assert verify_certificate(res.certificate_graph, res.certificate, surface, value)
 
 
-def test_exhaustive_only_matches_bruteforce_random():
+def test_exhaustive_only_matches_bruteforce_random(monkeypatch):
+    budget = _bnb_only(monkeypatch)
     rng = random.Random(77)
     done = 0
     while done < 12:
@@ -556,10 +570,10 @@ def test_exhaustive_only_matches_bruteforce_random():
         if g.edge_count < 9 or is_planar(g).planar:
             continue
         done += 1
-        res = exact_genus(g, _bnb_only())
+        res = exact_genus(g, budget)
         assert res.exact
         assert res.value == oracles.brute_force_genus(g)
-        res = exact_crosscap(g, _bnb_only())
+        res = exact_crosscap(g, budget)
         assert res.exact
         assert res.value == oracles.brute_force_crosscap(g)
         assert verify_certificate(res.certificate_graph, res.certificate, NONORIENTABLE, res.value)
@@ -567,7 +581,7 @@ def test_exhaustive_only_matches_bruteforce_random():
 
 def test_node_cap_abort_degrades_to_bounds(monkeypatch):
     monkeypatch.setattr(genus_module, "_NODE_CAP", 5)
-    res = exact_genus(SimpleGraph.complete_bipartite(3, 3), _bnb_only())
+    res = exact_genus(SimpleGraph.complete_bipartite(3, 3), _bnb_only(monkeypatch))
     assert not res.exact
     assert res.lower == 1
     assert any("aborted" in line for line in res.provenance)
@@ -577,7 +591,7 @@ def test_crosscap_node_cap_abort_degrades_to_bounds(monkeypatch):
     # the crosscap search may assign _NODE_CAP rotations per co-tree sign
     # pattern: 15 here, against 480 configurations
     monkeypatch.setattr(genus_module, "_NODE_CAP", 1)
-    res = exact_crosscap(SimpleGraph.complete_bipartite(3, 3), _bnb_only())
+    res = exact_crosscap(SimpleGraph.complete_bipartite(3, 3), _bnb_only(monkeypatch))
     assert not res.exact
     assert res.lower == 1
     assert any("aborted" in line for line in res.provenance)
@@ -593,6 +607,125 @@ def test_crosscap_search_skips_balanced_schemes():
     sign_map = dict(zip(g.edges(), signs))
     trace = trace_faces(g, make_scheme(g, rotations, sign_map))
     assert trace.euler_genus == 1 and not trace.orientable
+
+
+# -- face-set search -------------------------------------------------------------
+
+
+def _face_sets(g: SimpleGraph, euler: int, surface: str):
+    return genus_module._face_set_search(g, euler, surface == ORIENTABLE, genus_module._FACE_NODE_CAP)
+
+
+def _subdivided(g: SimpleGraph, paths: dict) -> SimpleGraph:
+    """g with each edge in `paths` replaced by a path through that many new
+    vertices."""
+    h = SimpleGraph(g.n + sum(paths.values()))
+    fresh = g.n
+    for u, v in g.edges():
+        inner = list(range(fresh, fresh + paths.get((u, v), 0)))
+        fresh += len(inner)
+        walk = [u, *inner, v]
+        for a, b in zip(walk, walk[1:]):
+            h.add_edge(a, b)
+    return h
+
+
+def test_face_set_search_matches_bruteforce_random():
+    """Seeded nonplanar graphs of minimum degree >= 2, some with degree-2
+    vertices: the search excludes every Euler genus below the oracles'
+    genus and crosscap, and its scheme at them re-verifies."""
+    rng = random.Random(131)
+    done = 0
+    while done < 8:
+        g = connected_random_graph(rng, n_max=8, space_cap=30_000)
+        if min(g.degree(v) for v in range(g.n)) < 2 or is_planar(g).planar:
+            continue
+        if rotation_space_size(g) << (g.edge_count - g.n + 1) > 30_000:
+            continue  # the crosscap oracle tries every co-tree sign pattern
+        done += 1
+        values = {ORIENTABLE: 2 * oracles.brute_force_genus(g), NONORIENTABLE: oracles.brute_force_crosscap(g)}
+        for surface, value in values.items():
+            for euler in range(0 if surface == ORIENTABLE else 1, value + 1, 1 + (surface == ORIENTABLE)):
+                scheme, nodes = _face_sets(g, euler, surface)
+                assert nodes <= genus_module._FACE_NODE_CAP
+                assert (scheme is not None) == (euler == value), (g.edges(), surface, euler)
+            genus = value // 2 if surface == ORIENTABLE else value
+            assert verify_certificate(g, scheme, surface, genus)
+
+
+def test_face_set_exclusions_match_the_combine_rule():
+    """Two blocks sharing a vertex, searched whole: the search excludes the
+    Euler genus below the value the oracles give on the blocks, combined by
+    additivity (genus) or by Stahl and Beineke (crosscap), and hits it."""
+    k5, k33 = SimpleGraph.complete(5), SimpleGraph.complete_bipartite(3, 3)
+    genus = {b: oracles.brute_force_genus(b) for b in (k5, k33)}
+    crosscap = {b: oracles.brute_force_crosscap(b) for b in (k5, k33)}
+    cases = [(k33, k33, ORIENTABLE), (k33, k33, NONORIENTABLE), (k5, k33, NONORIENTABLE), (k5, k5, NONORIENTABLE)]
+    for a, b, surface in cases:
+        if surface == ORIENTABLE:
+            euler = 2 * (genus[a] + genus[b])
+        else:
+            euler = sum(min(2 * genus[x], crosscap[x]) for x in (a, b))
+            euler += all(crosscap[x] == 2 * genus[x] + 1 for x in (a, b))
+        g = _glue(a, b, "shared")
+        lower = 2 * (euler // 2 - 1) if surface == ORIENTABLE else euler - 1
+        scheme, nodes = _face_sets(g, lower, surface)
+        assert scheme is None and nodes <= genus_module._FACE_NODE_CAP, (a.n, b.n, surface)
+        scheme, _ = _face_sets(g, euler, surface)
+        assert verify_certificate(g, scheme, surface, euler // 2 if surface == ORIENTABLE else euler)
+
+
+def test_face_set_certificates_on_subdivided_graphs():
+    # degree-2 vertices fix no turn, so their paths carry the signs
+    for base in (SimpleGraph.complete_bipartite(3, 3), SimpleGraph.complete(5)):
+        edges = base.edges()
+        g = _subdivided(base, {edges[0]: 1, edges[1]: 2, edges[-1]: 1})
+        for res in (exact_genus(g), exact_crosscap(g)):
+            assert res.exact and res.value == 1
+            assert "face-set certificate at 1" in res.provenance
+            assert res.certificate_graph is g
+            assert verify_certificate(g, res.certificate, res.surface, 1)
+
+
+def test_face_set_search_skips_a_graph_with_a_leaf():
+    # facial walks turn back at a leaf, which the face sets rule out
+    g = SimpleGraph(6, [*SimpleGraph.complete(5).edges(), (0, 5)])
+    for res in (exact_genus(g), exact_crosscap(g)):
+        assert res.exact and res.value == 1
+        assert not any("face-set" in line for line in res.provenance)
+        assert verify_certificate(g, res.certificate, res.surface, 1)
+    with pytest.raises(ValueError, match="minimum degree"):
+        _face_sets(g, 2, ORIENTABLE)
+
+
+def test_face_set_node_cap_falls_back_to_the_annealing_run():
+    """Excluding genus 1 for K5 and K5 sharing a vertex, searched whole,
+    takes more nodes than the cap, so the annealing run at 1 gives the upper
+    end and its scheme. Split into its two K5 blocks, the graph's genus is
+    exact 2."""
+    g = _glue(SimpleGraph.complete(5), SimpleGraph.complete(5), "shared")
+    res = exact_genus(g, SearchBudget(restarts=4, moves_per_restart=2_000))
+    assert "face-set search stopped by node cap at 1" in res.provenance
+    assert not res.exact and (res.lower, res.upper) == (1, 2)
+    assert verify_certificate(g, res.certificate, ORIENTABLE, 2)
+    res = genus_of_graph(g)
+    assert res.exact and res.value == 2
+
+
+def test_face_set_search_settles_the_z44_crosscap():
+    # the annealing run alone missed 4 and gave [4, 5] after 12 s
+    g = difference_graph(build_group("Z44")).graph
+    start = time.perf_counter()
+    res = genus_of_graph(g, surface=NONORIENTABLE)
+    assert time.perf_counter() - start < 1.0
+    assert res.exact and res.value == 4, (res.lower, res.upper)
+    assert verify_certificate(res.certificate_graph, res.certificate, NONORIENTABLE, 4)
+
+
+def test_face_set_scheme_must_reverify(monkeypatch):
+    monkeypatch.setattr(genus_module, "trace_faces", lambda g, scheme: FaceTrace([], 0, 99, True))
+    with pytest.raises(SchemeError, match="re-verify"):
+        _face_sets(SimpleGraph.complete(5), 2, ORIENTABLE)
 
 
 # -- face counting -------------------------------------------------------------
@@ -835,7 +968,7 @@ def test_heuristic_rejects_a_scheme_that_does_not_reverify(monkeypatch, surface)
 def test_orientable_search_rejects_odd_euler_genus(monkeypatch):
     monkeypatch.setattr(genus_module._FaceCounter, "euler", lambda self: 3)
     with pytest.raises(SchemeError, match="odd euler genus"):
-        exact_genus(SimpleGraph.complete_bipartite(3, 3), _bnb_only())
+        exact_genus(SimpleGraph.complete_bipartite(3, 3), _bnb_only(monkeypatch))
 
 
 def test_component_bound_above_exact_block_sum_raises(monkeypatch):
