@@ -1,15 +1,15 @@
 """Genus and crosscap computation: planarity, Euler-formula and subgraph
 lower bounds, a face-set search that picks an embedding's faces as closed
 walks (Ringel's view of an embedding as its faces; faces built one at a
-time, after Brinkmann, arXiv:2005.08243), exhaustive branch-and-bound over
-rotation systems (with edge signs for nonorientable surfaces), and a
-greedy-insertion/local-search heuristic. Every scheme they find is
-re-verified by face tracing and becomes a certificate.
+time, after Brinkmann, arXiv:2005.08243), and a greedy-insertion/local-search
+heuristic. Every scheme they find is re-verified by face tracing and becomes
+a certificate.
 
-The face-set search runs first at the lower bound. A search that completes
-without a hit proves the bound + 1; one that hits gives the value; one that
-reaches `_FACE_NODE_CAP` leaves the piece to the annealing run and the
-branch-and-bound.
+The face-set search, the one exact search, runs first at the lower bound on
+the graph's 2-core. A search that completes without a hit proves the bound
++ 1; one that hits gives the value; one that reaches `_FACE_NODE_CAP` leaves
+the piece to the annealing run. After a miss on a rotation space that fits
+`_EXHAUSTIVE_CAP`, the face-set search goes on for up to `_NODE_CAP` nodes.
 
 The Euler genus of an embedding scheme is 2 - V + E - F on each component;
 orientable genus is half the minimum over all-positive schemes, crosscap the
@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections import Counter
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations
 from typing import Optional
 
 import networkx as nx
@@ -39,8 +39,8 @@ from .simplegraph import (
 ORIENTABLE = "orientable"
 NONORIENTABLE = "nonorientable"
 
-_EXHAUSTIVE_CAP = 10_000_000  # max rotation-configuration space for BnB
-_NODE_CAP = 3_000_000  # BnB safety abort: rotations assigned, per nonzero co-tree sign pattern
+_EXHAUSTIVE_CAP = 10_000_000  # max rotation systems, times nonzero co-tree sign patterns, for _NODE_CAP
+_NODE_CAP = 3_000_000  # face-set search after an annealing miss: nodes, per piece and surface
 _FACE_NODE_CAP = 100_000  # face-set search: faces started and corners placed, per piece and surface
 
 
@@ -379,193 +379,6 @@ class _Evaluator:
         return self.idx.base - (closed + self.idx.isolated)
 
 
-class _FaceCounter(_Evaluator):
-    """The evaluator of the branch-and-bound, which assigns and unassigns
-    vertices last-in, first-out with fixed signs, and counts faces as it
-    goes. The open states form chains; at both endpoints of a chain `_other`
-    holds the far endpoint and `_length` the chain's length. Each successor
-    an assignment sets joins the end of one chain to the start of another,
-    or closes a chain into a cycle, in O(1); `unassign` undoes the latest
-    `assign` from its log, and `stats()` is O(1)."""
-
-    def __init__(self, idx: _DartIndex, signs: Optional[list[int]] = None):
-        super().__init__(idx, signs)
-        self._other = list(range(len(self.nxt)))
-        self._length = [1] * len(self.nxt)
-        self._cycles = 0
-        self._closed_states = 0
-        self._undo: list[tuple[int, list[tuple]]] = []
-
-    def assign(self, v: int, rotation: list[int]) -> None:
-        nxt, other, length = self.nxt, self._other, self._length
-        log = []
-        for a, b in self._links(v, rotation):
-            # a ends its chain (its successor was unset); b starts one (its
-            # only predecessor is a)
-            nxt[a] = b
-            start, end = other[a], other[b]
-            if start == b:
-                self._cycles += 1
-                self._closed_states += length[a]
-                log.append((a,))
-            else:
-                la, lb = length[a], length[b]
-                other[start], other[end] = end, start
-                length[start] = length[end] = la + lb
-                log.append((a, start, end, la, lb))
-        self._undo.append((v, log))
-
-    def unassign(self, v: int) -> None:
-        last, log = self._undo.pop()
-        if last != v:
-            raise SchemeError(f"unassign({v}) after assign({last}): not last-in, first-out")
-        nxt, other, length = self.nxt, self._other, self._length
-        for step in reversed(log):
-            a = step[0]
-            if len(step) == 1:
-                self._cycles -= 1
-                self._closed_states -= length[a]
-            else:
-                # only the two outer endpoints changed when the chains joined
-                _, start, end, la, lb = step
-                other[start], other[end] = a, nxt[a]
-                length[start], length[end] = la, lb
-            nxt[a] = -1
-
-    def stats(self) -> tuple[int, int]:
-        return self._faces(self._cycles), len(self.nxt) - self._closed_states
-
-    def _unlabelled(self, *args) -> None:
-        raise SchemeError("_FaceCounter keeps no cycle labels to retrace")
-
-    # the local re-trace reads labels that only `_Evaluator.stats()` fills
-    retrace = accept = reject = _unlabelled
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive search (branch and bound)
-
-
-def _assignment_order(g: SimpleGraph) -> list[int]:
-    """Highest degree first, then grow through assigned neighborhoods so
-    partial faces close early."""
-    remaining = set(range(g.n))
-    order = []
-    while remaining:
-        if not order:
-            pick = max(remaining, key=lambda v: (g.degree(v), -v))
-        else:
-            assigned = set(order)
-            pick = max(
-                remaining,
-                key=lambda v: (sum(1 for w in g.adj[v] if w in assigned), g.degree(v), -v),
-            )
-        order.append(pick)
-        remaining.discard(pick)
-    return order
-
-
-def _rotation_candidates(g: SimpleGraph, v: int, quotient_reflection: bool):
-    nbrs = g.neighbors(v)
-    if len(nbrs) <= 2:
-        yield list(nbrs)
-        return
-    anchor, rest = nbrs[0], nbrs[1:]
-    for perm in permutations(rest):
-        if quotient_reflection and perm[0] > perm[-1]:
-            continue
-        yield [anchor, *perm]
-
-
-class _BnBAbort(Exception):
-    pass
-
-
-def _bnb_min_euler(
-    g: SimpleGraph,
-    stop_at: int,
-    node_cap: int,
-    cotree: Optional[list[int]] = None,
-) -> tuple[Optional[int], Optional[list[list[int]]], Optional[list[int]], bool]:
-    """Minimum Euler genus by branch and bound: over rotation systems when
-    `cotree` is None, else over unbalanced schemes, with spanning-tree signs
-    fixed +1 and the co-tree signs decided in the search. When vertex
-    order[k] is assigned, the search first branches over the signs of the
-    co-tree edges that first reach the assigned vertices there, negative
-    before positive, then over its rotations, so a rotation prefix is
-    searched once for all the signs it has not read yet. Once every co-tree
-    sign is decided, a branch with none negative is pruned: its schemes are
-    balanced. Returns (best_euler, best_rotations, best_signs, completed);
-    completed is False when more than node_cap rotations were assigned
-    before the search could stop."""
-    idx = _DartIndex(g)
-    order = _assignment_order(g)
-    evaluator = _FaceCounter(idx, None if cotree is None else [1] * idx.m)
-    signs = evaluator.signs  # co-tree entries are set as the search decides them
-    min_face_len = 3 if min(g.degree(v) for v in range(g.n)) >= 2 else 2
-    # schedule[k]: the co-tree edges whose signs are decided at level k
-    schedule: list[list[int]] = [[] for _ in order]
-    last = len(order)  # the prune applies from the last level that decides a sign
-    if cotree is not None:
-        position = {v: k for k, v in enumerate(order)}
-        for ei in cotree:
-            u, w = idx.edges[ei]
-            schedule[min(position[u], position[w])].append(ei)
-        last = max((k for k, eis in enumerate(schedule) if eis), default=-1)
-    patterns = [list(product((-1, 1), repeat=len(eis))) for eis in schedule]
-    best_euler: Optional[int] = None
-    best_rot: Optional[list[list[int]]] = None
-    best_signs: Optional[list[int]] = None
-    current: dict[int, list[int]] = {}
-    nodes = 0
-
-    def bound_after_partial() -> int:
-        closed, open_count = evaluator.stats()
-        extra = open_count // (min_face_len * evaluator.unit)
-        return idx.base - (closed + extra + idx.isolated)
-
-    def rec(k: int, negatives: int) -> None:
-        nonlocal best_euler, best_rot, best_signs, nodes
-        if best_euler is not None and best_euler <= stop_at:
-            raise _BnBAbort  # cannot do better than the known lower bound
-        if k == len(order):
-            e = evaluator.euler()
-            if signs is None and e % 2:
-                raise SchemeError("orientable scheme with odd euler genus")
-            if best_euler is None or e < best_euler:
-                best_euler = e
-                best_rot = [list(current[v]) for v in range(g.n)]
-                best_signs = None if signs is None else list(signs)
-            return
-        v = order[k]
-        for pattern in patterns[k]:
-            for ei, sign in zip(schedule[k], pattern):
-                signs[ei] = sign
-            negs = negatives + pattern.count(-1)
-            if k >= last and not negs:
-                continue  # every co-tree sign is +1: balanced
-            for rot in _rotation_candidates(g, v, quotient_reflection=(k == 0)):
-                nodes += 1
-                if nodes > node_cap:
-                    raise _BnBAbort
-                evaluator.assign(v, rot)
-                current[v] = rot
-                lb = bound_after_partial()
-                if signs is None and lb % 2:
-                    lb += 1
-                if best_euler is None or lb < best_euler:
-                    rec(k + 1, negs)
-                evaluator.unassign(v)
-                del current[v]
-
-    completed = True
-    try:
-        rec(0, 0)
-    except _BnBAbort:
-        completed = nodes <= node_cap and best_euler is not None and best_euler <= stop_at
-    return best_euler, best_rot, best_signs, completed
-
-
 def _cotree_edges(g: SimpleGraph) -> list[int]:
     """Indices (into g.edges()) of edges outside a BFS spanning forest."""
     edges = g.edges()
@@ -895,8 +708,46 @@ def _scheme_from_faces(
                 queue.append(w)
     rotations = [rot[::-1] if flip[v] else rot for v, rot in enumerate(rotations)]
     signs = [-s if flip[u] != flip[v] else s for s, (u, v) in zip(signs, idx.edges)]
-    return _verified_scheme(g, idx, rotations, signs, None, euler,
+    return _verified_scheme(g, idx.edges, rotations, signs, None, euler,
                             ORIENTABLE if orientable else NONORIENTABLE)
+
+
+def _two_core(g: SimpleGraph) -> tuple[SimpleGraph, list[int], list[tuple[int, int]]]:
+    """g with its vertices of degree <= 1 stripped repeatedly, which keeps
+    the Euler genus of every embedding: the core (g itself when nothing is
+    stripped), its vertices in g in ascending order, and the stripped edges
+    as (leaf, neighbor) in the order of removal."""
+    deg = [g.degree(v) for v in range(g.n)]
+    stack = [v for v in range(g.n) if deg[v] <= 1]
+    gone = [False] * g.n
+    pendant: list[tuple[int, int]] = []
+    while stack:
+        v = stack.pop()
+        gone[v] = True
+        for u in g.adj[v]:
+            if not gone[u]:
+                pendant.append((v, u))
+                deg[u] -= 1
+                if deg[u] == 1:
+                    stack.append(u)
+    keep = [v for v in range(g.n) if not gone[v]]
+    return (g if len(keep) == g.n else induced_subgraph(g, keep)), keep, pendant
+
+
+def _lifted(g, keep, pendant, scheme, euler, surface) -> EmbeddingScheme:
+    """A scheme of g from a scheme of its 2-core: in reverse order of
+    removal, each stripped edge goes last in both its ends' rotations with
+    sign +1, which only lengthens the face through that corner by a walk
+    along the edge and back."""
+    rotations: list[list[int]] = [[] for _ in range(g.n)]
+    for v, rot in zip(keep, scheme.rotations):
+        rotations[v] = [keep[w] for w in rot]
+    for v, u in reversed(pendant):
+        rotations[u].append(v)
+        rotations[v].append(u)
+    sign = {(keep[u], keep[v]): s for u, v, s in scheme.signs}
+    edges = g.edges()
+    return _verified_scheme(g, edges, rotations, [sign.get(e, 1) for e in edges], None, euler, surface)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,7 +856,7 @@ def heuristic_embedding(
         ev = _Evaluator(idx)
         for v in range(g.n):
             ev.assign(v, rotations[v])
-        return _verified_scheme(g, idx, rotations, None, seed, ev.euler(), surface)
+        return _verified_scheme(g, idx.edges, rotations, None, seed, ev.euler(), surface)
     cooling = (_SA_T_END / _SA_T_START) ** (1.0 / max(1, budget.moves_per_restart))
     offset = idx.base - idx.isolated  # euler genus = offset - faces
     best = None  # (euler, rotations, signs) at the first visit of the lowest
@@ -1072,13 +923,11 @@ def heuristic_embedding(
     if best is None:
         return None
     euler, rotations, signs = best
-    return _verified_scheme(g, idx, rotations, signs, seed, euler, surface)
+    return _verified_scheme(g, idx.edges, rotations, signs, seed, euler, surface)
 
 
-def _verified_scheme(g, idx, rotations, signs, seed, euler, surface):
-    sign_map = None
-    if signs is not None:
-        sign_map = {idx.edges[i]: signs[i] for i in range(idx.m)}
+def _verified_scheme(g, edges, rotations, signs, seed, euler, surface):
+    sign_map = None if signs is None else dict(zip(edges, signs))
     scheme = make_scheme(g, rotations, sign_map, seed=seed)
     trace = trace_faces(g, scheme)
     if trace.euler_genus != euler or trace.orientable != (surface == ORIENTABLE):
@@ -1132,12 +981,12 @@ def _lower_on(surface: str, euler_lower: int) -> int:
 
 
 def exact_genus(g: SimpleGraph, budget: Optional[SearchBudget] = None) -> GenusResult:
-    """Orientable genus of a connected graph: lower bounds, then, with
-    minimum degree >= 2, the face-set search at the bound, which raises the
-    bound by each value it excludes until it hits or `_FACE_NODE_CAP` nodes
-    are spent. Then one annealing run aimed at the bound, then exhaustive
-    branch-and-bound when the configuration space fits `_EXHAUSTIVE_CAP`.
-    A bracket's upper end is the lowest scheme of the run."""
+    """Orientable genus of a connected graph: lower bounds, then the
+    face-set search from the bound, which raises it by each value it
+    excludes until it hits or `_FACE_NODE_CAP` nodes are spent, then one
+    annealing run aimed at the bound. After a miss on a space that fits
+    `_EXHAUSTIVE_CAP`, the face-set search goes on for up to `_NODE_CAP`
+    nodes. A bracket's upper end is the lowest scheme of the run."""
     return _exact_surface(_piece(g), ORIENTABLE, budget or DEFAULT_BUDGET)
 
 
@@ -1147,38 +996,49 @@ def exact_crosscap(g: SimpleGraph, budget: Optional[SearchBudget] = None) -> Gen
     return _exact_surface(_piece(g), NONORIENTABLE, budget or DEFAULT_BUDGET)
 
 
-def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusResult:
-    g = piece.graph
-    if piece.planar.planar:
-        return GenusResult(
-            surface, 0, 0, True,
-            certificate=piece.planar.scheme, certificate_graph=g,
-            provenance=list(piece.provenance),
-        )
-
-    lower = _lower_on(surface, piece.euler_lower)
-    prov = [*piece.provenance, f"lower bound {lower}"]
-    stop = budget.lower_stop
-    # with a leaf, facial walks backtrack, which the face-set search rules out
-    searching, nodes = min(g.degree(v) for v in range(g.n)) >= 2, 0
-    while searching and (stop is None or lower < stop):
+def _face_set_pass(
+    g: SimpleGraph, surface: str, lower: int, stop: Optional[int], node_cap: int, prov: list[str]
+) -> tuple[Optional[EmbeddingScheme], int]:
+    """Face-set searches on g's 2-core at lower, lower + 1, ... until one
+    hits, the bound reaches `stop` or `node_cap` nodes are spent. Each that
+    completes without a hit proves the next value. Returns the hit's scheme,
+    lifted to g, or None, and the bound reached."""
+    core, keep, pendant = _two_core(g)
+    nodes = 0
+    while stop is None or lower < stop:
         euler = 2 * lower if surface == ORIENTABLE else lower
-        scheme, used = _face_set_search(g, euler, surface == ORIENTABLE, _FACE_NODE_CAP - nodes)
+        scheme, used = _face_set_search(core, euler, surface == ORIENTABLE, node_cap - nodes)
         nodes += used
         if scheme is not None:
             prov.append(f"face-set certificate at {lower}")
-            return GenusResult(
-                surface, lower, lower, True,
-                certificate=scheme, certificate_graph=g, provenance=prov,
-            )
-        if nodes > _FACE_NODE_CAP:
+            return (_lifted(g, keep, pendant, scheme, euler, surface) if pendant else scheme), lower
+        if nodes > node_cap:
             prov.append(f"face-set search stopped by node cap at {lower}")
-            break
-        # as final as a completed branch-and-bound
+            return None, lower
         prov.append(f"face-set search excludes {lower}")
         lower += 1
+    prov.append(f"stopped at lower bound >= {stop}")
+    return None, lower
+
+
+def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusResult:
+    g = piece.graph
+    prov = list(piece.provenance)
+
+    def settled(value: int, scheme: EmbeddingScheme) -> GenusResult:
+        return GenusResult(surface, value, value, True,
+                           certificate=scheme, certificate_graph=g, provenance=prov)
+
+    if piece.planar.planar:
+        return settled(0, piece.planar.scheme)
+
+    lower = _lower_on(surface, piece.euler_lower)
+    prov.append(f"lower bound {lower}")
+    stop = budget.lower_stop
+    scheme, lower = _face_set_pass(g, surface, lower, stop, _FACE_NODE_CAP, prov)
+    if scheme is not None:
+        return settled(lower, scheme)
     if stop is not None and lower >= stop:
-        prov.append(f"stopped at lower bound >= {stop}")
         return GenusResult(surface, lower, None, False, provenance=prov)
 
     scheme = heuristic_embedding(g, lower, surface, seed=budget.seed, budget=budget)
@@ -1186,38 +1046,19 @@ def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusRe
     if scheme is not None:
         euler = trace_faces(g, scheme).euler_genus
         upper = euler // 2 if surface == ORIENTABLE else euler
-        if upper == lower:
-            prov.append(f"heuristic certificate at {lower} (seed {budget.seed})")
-            return GenusResult(
-                surface, lower, lower, True,
-                certificate=scheme, certificate_graph=g, provenance=prov,
-            )
+        if upper > lower:
+            prov.append(f"heuristic upper bound {upper}")
 
-    # the heuristic missed the bound: settle exhaustively if affordable
-    cotree, patterns = None, 1  # patterns: nonzero co-tree sign patterns
-    if surface == NONORIENTABLE:
-        cotree = _cotree_edges(g)
-        patterns = max(1, (1 << len(cotree)) - 1)
-    space = rotation_space_size(g) * patterns
-    if space <= _EXHAUSTIVE_CAP:
-        lower_euler = 2 * lower if surface == ORIENTABLE else lower
-        best, rot, signs, done = _bnb_min_euler(g, lower_euler, _NODE_CAP * patterns, cotree)
-        if done and best is not None:
-            value = best // 2 if surface == ORIENTABLE else best
-            sign_map = None
-            if signs is not None:
-                edges = g.edges()
-                sign_map = {edges[i]: signs[i] for i in range(len(edges))}
-            cert = make_scheme(g, rot, sign_map, seed=budget.seed)
-            prov.append(f"exhaustive search ({space} configurations)")
-            return GenusResult(
-                surface, value, value, True,
-                certificate=cert, certificate_graph=g, provenance=prov,
-            )
-        prov.append("exhaustive search aborted by node cap")
-
-    if upper is not None:
-        prov.append(f"heuristic upper bound {upper}")
+    # after a miss, the face-set search goes on from the bound with the
+    # larger cap, on spaces small enough to search through
+    patterns = 1 if surface == ORIENTABLE else (1 << (g.edge_count - g.n + 1)) - 1
+    if upper != lower and rotation_space_size(g) * patterns <= _EXHAUSTIVE_CAP:
+        found, lower = _face_set_pass(g, surface, lower, stop, _NODE_CAP, prov)
+        if found is not None:
+            return settled(lower, found)
+    if upper == lower:
+        prov.append(f"heuristic certificate at {lower} (seed {budget.seed})")
+        return settled(lower, scheme)
     return GenusResult(
         surface, lower, upper, False,
         certificate=scheme, certificate_graph=g if scheme else None, provenance=prov,
@@ -1285,7 +1126,14 @@ def genus_of_graph(
         blocks = [b for b in _split(sub)[2] if b.edge_count]
         # a component the split left whole keeps the facts found for it
         pieces = [whole if b.checksum() == sub.checksum() else _piece(b) for b in blocks]
-        searched.append((floor, [p for p in pieces if not p.planar.planar]))
+        nonplanar = [p for p in pieces if not p.planar.planar]
+        if len(nonplanar) == 1 and nonplanar[0].euler_lower < whole.euler_lower:
+            # Euler genus adds over blocks, so the one nonplanar piece has
+            # the component's, and the component's bound
+            p = nonplanar[0]
+            nonplanar = [replace(p, euler_lower=whole.euler_lower,
+                                 provenance=[*p.provenance, f"component bound {whole.euler_lower}"])]
+        searched.append((floor, nonplanar))
 
     both = surface == NONORIENTABLE and sum(len(pieces) for _, pieces in searched) > 1
     simple = True

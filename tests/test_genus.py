@@ -326,8 +326,8 @@ def _nonplanar_random_graph(rng: random.Random) -> SimpleGraph:
 
 def _starved_results(monkeypatch) -> list[tuple[int, GenusResult]]:
     """Both surfaces of 20 seeded nonplanar graphs under 4 restarts of 400
-    moves, with the face-set search and the branch-and-bound off, so most
-    upper ends come from the annealing run alone."""
+    moves, with both face-set passes off, so most upper ends come from the
+    annealing run alone."""
     monkeypatch.setattr(genus_module, "_FACE_NODE_CAP", 0)
     monkeypatch.setattr(genus_module, "_EXHAUSTIVE_CAP", 0)
     budget = SearchBudget(restarts=4, moves_per_restart=400)
@@ -532,12 +532,10 @@ def test_derived_subgraphs_contains_reduction():
     assert reduced.checksum() in checksums
 
 
-# -- exhaustive search, forced (no face-set search, no heuristic restarts) -----
+# -- face-set search alone (no heuristic restarts) ------------------------------
 
 
-def _bnb_only(monkeypatch) -> SearchBudget:
-    monkeypatch.setattr(genus_module, "_FACE_NODE_CAP", 0)
-    return SearchBudget(restarts=0)
+NO_RESTARTS = SearchBudget(restarts=0)
 
 
 @pytest.mark.parametrize(
@@ -551,17 +549,18 @@ def _bnb_only(monkeypatch) -> SearchBudget:
         (lambda: SimpleGraph.complete(5), NONORIENTABLE, 1),
     ],
 )
-def test_exhaustive_only_matches_known_values(monkeypatch, builder, surface, value):
+def test_exhaustive_only_matches_known_values(builder, surface, value):
     g = builder()
-    budget = _bnb_only(monkeypatch)
-    res = exact_genus(g, budget) if surface == ORIENTABLE else exact_crosscap(g, budget)
+    res = exact_genus(g, NO_RESTARTS) if surface == ORIENTABLE else exact_crosscap(g, NO_RESTARTS)
     assert res.exact and res.value == value
-    assert any("exhaustive" in line for line in res.provenance)
+    assert f"face-set certificate at {value}" in res.provenance
     assert verify_certificate(res.certificate_graph, res.certificate, surface, value)
 
 
-def test_exhaustive_only_matches_bruteforce_random(monkeypatch):
-    budget = _bnb_only(monkeypatch)
+def test_exhaustive_only_matches_bruteforce_random():
+    """Seeded nonplanar graphs, every other one with a pendant path of two
+    edges grafted on: the face-set search runs on the 2-core, and its
+    scheme, lifted to the graph, must match the oracles."""
     rng = random.Random(77)
     done = 0
     while done < 12:
@@ -570,42 +569,60 @@ def test_exhaustive_only_matches_bruteforce_random(monkeypatch):
         if g.edge_count < 9 or is_planar(g).planar:
             continue
         done += 1
-        res = exact_genus(g, budget)
-        assert res.exact
-        assert res.value == oracles.brute_force_genus(g)
-        res = exact_crosscap(g, budget)
-        assert res.exact
-        assert res.value == oracles.brute_force_crosscap(g)
-        assert verify_certificate(res.certificate_graph, res.certificate, NONORIENTABLE, res.value)
+        if done % 2:
+            # at a vertex of least degree, to keep the oracles' spaces small
+            v = min(range(g.n), key=g.degree)
+            g = SimpleGraph(g.n + 2, [*g.edges(), (v, g.n), (g.n, g.n + 1)])
+        for res, value in (
+            (exact_genus(g, NO_RESTARTS), oracles.brute_force_genus(g)),
+            (exact_crosscap(g, NO_RESTARTS), oracles.brute_force_crosscap(g)),
+        ):
+            assert res.exact and res.value == value
+            assert res.certificate_graph is g
+            assert verify_certificate(g, res.certificate, res.surface, value)
 
 
 def test_node_cap_abort_degrades_to_bounds(monkeypatch):
+    # both face-set passes stop at the cap, and no annealing run comes between
+    monkeypatch.setattr(genus_module, "_FACE_NODE_CAP", 5)
     monkeypatch.setattr(genus_module, "_NODE_CAP", 5)
-    res = exact_genus(SimpleGraph.complete_bipartite(3, 3), _bnb_only(monkeypatch))
-    assert not res.exact
-    assert res.lower == 1
-    assert any("aborted" in line for line in res.provenance)
+    res = exact_genus(SimpleGraph.complete_bipartite(3, 3), NO_RESTARTS)
+    assert not res.exact and (res.lower, res.upper) == (1, None)
+    assert res.provenance.count("face-set search stopped by node cap at 1") == 2
 
 
 def test_crosscap_node_cap_abort_degrades_to_bounds(monkeypatch):
-    # the crosscap search may assign _NODE_CAP rotations per co-tree sign
-    # pattern: 15 here, against 480 configurations
+    monkeypatch.setattr(genus_module, "_FACE_NODE_CAP", 1)
     monkeypatch.setattr(genus_module, "_NODE_CAP", 1)
-    res = exact_crosscap(SimpleGraph.complete_bipartite(3, 3), _bnb_only(monkeypatch))
-    assert not res.exact
-    assert res.lower == 1
-    assert any("aborted" in line for line in res.provenance)
+    res = exact_crosscap(SimpleGraph.complete_bipartite(3, 3), NO_RESTARTS)
+    assert not res.exact and (res.lower, res.upper) == (1, None)
+    assert res.provenance.count("face-set search stopped by node cap at 1") == 2
+
+
+def test_deep_face_set_pass_settles_what_the_first_one_leaves():
+    """A cubic graph on 16 vertices whose genus the first face-set pass,
+    capped at _FACE_NODE_CAP nodes, cannot settle at 1: excluding genus 1
+    takes about 109,000 nodes, so the deep pass after the (empty) annealing
+    run proves genus 2 and finds a scheme there."""
+    g = SimpleGraph(16, [
+        (0, 4), (0, 9), (0, 10), (0, 13), (1, 7), (1, 14), (1, 15), (2, 9), (2, 12), (2, 13),
+        (3, 6), (3, 11), (3, 15), (4, 6), (4, 12), (5, 6), (5, 9), (5, 14), (5, 15), (6, 10),
+        (7, 10), (7, 13), (8, 9), (8, 11), (8, 12), (11, 14),
+    ])
+    res = exact_genus(g, NO_RESTARTS)
+    assert res.exact and res.value == 2, (res.lower, res.upper, res.provenance)
+    assert res.provenance[-3:] == [
+        "face-set search stopped by node cap at 1", "face-set search excludes 1", "face-set certificate at 2",
+    ]
+    assert verify_certificate(g, res.certificate, ORIENTABLE, 2)
 
 
 def test_crosscap_search_skips_balanced_schemes():
-    # K4 is planar, so only a balanced scheme reaches Euler genus 0
+    # K4 is planar, so only a balanced scheme reaches Euler genus 0; the
+    # nonorientable target at 1 must come back unbalanced
     g = SimpleGraph.complete(4)
-    cotree = genus_module._cotree_edges(g)
-    best, rotations, signs, completed = genus_module._bnb_min_euler(g, 0, 10_000, cotree)
-    assert completed and best == 1
-    assert any(signs[ei] == -1 for ei in cotree)
-    sign_map = dict(zip(g.edges(), signs))
-    trace = trace_faces(g, make_scheme(g, rotations, sign_map))
+    scheme, _ = genus_module._face_set_search(g, 1, False, genus_module._FACE_NODE_CAP)
+    trace = trace_faces(g, scheme)
     assert trace.euler_genus == 1 and not trace.orientable
 
 
@@ -688,11 +705,13 @@ def test_face_set_certificates_on_subdivided_graphs():
 
 
 def test_face_set_search_skips_a_graph_with_a_leaf():
-    # facial walks turn back at a leaf, which the face sets rule out
+    # facial walks turn back at a leaf, which the face sets rule out: the
+    # search runs on the 2-core, and its scheme gets the leaf back
     g = SimpleGraph(6, [*SimpleGraph.complete(5).edges(), (0, 5)])
     for res in (exact_genus(g), exact_crosscap(g)):
         assert res.exact and res.value == 1
-        assert not any("face-set" in line for line in res.provenance)
+        assert "face-set certificate at 1" in res.provenance
+        assert res.certificate_graph is g
         assert verify_certificate(g, res.certificate, res.surface, 1)
     with pytest.raises(ValueError, match="minimum degree"):
         _face_sets(g, 2, ORIENTABLE)
@@ -736,9 +755,8 @@ def _random_signs(rng: random.Random, g: SimpleGraph) -> dict:
 
 
 def test_face_counter_matches_full_recount():
-    """The branch-and-bound's incremental counter, and an evaluator that
-    walks every state, against the reference recount after every assign and
-    unassign, in a random last-in, first-out order; at full assignments
+    """The evaluator's face count against the reference recount after
+    every assignment, in a random vertex order; at full assignments
     against face tracing too."""
     rng = random.Random(83)
     for _ in range(200):
@@ -746,46 +764,20 @@ def test_face_counter_matches_full_recount():
         idx = genus_module._DartIndex(g)
         for sign_map in (None, _random_signs(rng, g)):
             signs = None if sign_map is None else [sign_map[e] for e in idx.edges]
-            counter = genus_module._FaceCounter(idx, signs)
+            ev = genus_module._Evaluator(idx, signs)
             order = list(range(g.n))
             rng.shuffle(order)
             assigned: dict[int, list[int]] = {}
-
-            def recount():
-                ev = genus_module._Evaluator(idx, signs)
-                for v, rotation in assigned.items():
-                    ev.assign(v, rotation)
-                return ev
-
-            def check():
-                want = oracles.partial_face_counts(g, assigned, sign_map)
-                assert counter.stats() == want
-                assert recount().stats() == want
-
-            full_seen = 0
-            while full_seen < 2:
-                if len(assigned) == g.n:
-                    rotations = [assigned[v] for v in range(g.n)]
-                    trace = trace_faces(g, make_scheme(g, rotations, sign_map))
-                    assert counter.stats() == (trace.face_count, 0)
-                    assert counter.euler() == recount().euler() == trace.euler_genus
-                    full_seen += 1
-                if assigned and (len(assigned) == g.n or rng.random() < 0.4):
-                    v = order[len(assigned) - 1]
-                    counter.unassign(v)
-                    del assigned[v]
-                else:
-                    v = order[len(assigned)]
-                    rotation = g.neighbors(v)
-                    rng.shuffle(rotation)
-                    counter.assign(v, rotation)
-                    assigned[v] = rotation
-                check()
-            while assigned:
-                v = order[len(assigned) - 1]
-                counter.unassign(v)
-                del assigned[v]
-                check()
+            for v in order:
+                rotation = g.neighbors(v)
+                rng.shuffle(rotation)
+                ev.assign(v, rotation)
+                assigned[v] = rotation
+                assert ev.stats() == oracles.partial_face_counts(g, assigned, sign_map)
+            rotations = [assigned[v] for v in range(g.n)]
+            trace = trace_faces(g, make_scheme(g, rotations, sign_map))
+            assert ev.stats() == (trace.face_count, 0)
+            assert ev.euler() == trace.euler_genus
 
 
 def _reference_euler(g: SimpleGraph, rotations: dict, sign_map) -> int:
@@ -910,30 +902,10 @@ def test_greedy_insertion_scores_slots_like_a_recount(monkeypatch):
         assert face_counts == want_counts
 
 
-def test_face_counter_requires_last_in_first_out():
-    g = SimpleGraph.complete(4)
-    counter = genus_module._FaceCounter(genus_module._DartIndex(g))
-    counter.assign(0, g.neighbors(0))
-    counter.assign(1, g.neighbors(1))
-    with pytest.raises(SchemeError):
-        counter.unassign(0)
-
-
-@pytest.mark.parametrize("method", ["retrace", "accept", "reject"])
-def test_face_counter_refuses_the_local_retrace(method):
-    g = SimpleGraph.complete(4)
-    counter = genus_module._FaceCounter(genus_module._DartIndex(g))
-    for v in range(g.n):
-        counter.assign(v, g.neighbors(v))
-    args = ([(0, counter.nxt[0])],) if method == "retrace" else ()
-    with pytest.raises(SchemeError, match="no cycle labels"):
-        getattr(counter, method)(*args)
-
-
 # -- correctness guards --------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["_Evaluator", "_FaceCounter"])
+@pytest.mark.parametrize("kind", ["_Evaluator"])
 @pytest.mark.parametrize("signed", [False, True])
 def test_euler_on_partial_assignment_raises(kind, signed):
     g = SimpleGraph.complete(4)
@@ -965,12 +937,6 @@ def test_heuristic_rejects_a_scheme_that_does_not_reverify(monkeypatch, surface)
         heuristic_embedding(SimpleGraph.complete(5), 1, surface, seed=0)
 
 
-def test_orientable_search_rejects_odd_euler_genus(monkeypatch):
-    monkeypatch.setattr(genus_module._FaceCounter, "euler", lambda self: 3)
-    with pytest.raises(SchemeError, match="odd euler genus"):
-        exact_genus(SimpleGraph.complete_bipartite(3, 3), _bnb_only(monkeypatch))
-
-
 def test_component_bound_above_exact_block_sum_raises(monkeypatch):
     monkeypatch.setattr(
         genus_module, "_exact_surface", lambda g, surface, budget: GenusResult(surface, 0, 0, True)
@@ -987,7 +953,7 @@ def test_guards_survive_optimized_mode():
         "from diffgenus.simplegraph import SimpleGraph\n"
         "assert False, 'asserts are live'\n"
         "g = SimpleGraph.complete(4)\n"
-        "ev = genus._FaceCounter(genus._DartIndex(g))\n"
+        "ev = genus._Evaluator(genus._DartIndex(g))\n"
         "ev.assign(0, g.neighbors(0))\n"
         "try:\n"
         "    ev.euler()\n"
