@@ -5,11 +5,12 @@ time, after Brinkmann, arXiv:2005.08243), and a greedy-insertion/local-search
 heuristic. Every scheme they find is re-verified by face tracing and becomes
 a certificate.
 
-The face-set search, the one exact search, runs first at the lower bound on
-the graph's 2-core. A search that completes without a hit proves the bound
-+ 1; one that hits gives the value; one that reaches `_FACE_NODE_CAP` leaves
-the piece to the annealing run. After a miss on a rotation space that fits
-`_EXHAUSTIVE_CAP`, the face-set search goes on for up to `_NODE_CAP` nodes.
+The face-set search, the one exact search, runs once per piece and surface,
+from the lower bound on the graph's 2-core. A search that completes without
+a hit proves the bound + 1; one that hits gives the value. Its node cap is
+picked before it starts: `_NODE_CAP` on a rotation space that fits
+`_EXHAUSTIVE_CAP`, else `_FACE_NODE_CAP`. Only a pass that stops at its cap
+leaves the piece to the annealing run, aimed at the bound it reached.
 
 The Euler genus of an embedding scheme is 2 - V + E - F on each component;
 orientable genus is half the minimum over all-positive schemes, crosscap the
@@ -39,8 +40,8 @@ from .simplegraph import (
 ORIENTABLE = "orientable"
 NONORIENTABLE = "nonorientable"
 
-_EXHAUSTIVE_CAP = 10_000_000  # max rotation systems, times nonzero co-tree sign patterns, for _NODE_CAP
-_NODE_CAP = 3_000_000  # face-set search after an annealing miss: nodes, per piece and surface
+_EXHAUSTIVE_CAP = 10_000_000  # max rotation systems for _NODE_CAP
+_NODE_CAP = 3_000_000  # face-set search on a space that fits _EXHAUSTIVE_CAP: nodes, per piece and surface
 _FACE_NODE_CAP = 100_000  # face-set search: faces started and corners placed, per piece and surface
 
 
@@ -825,38 +826,26 @@ def heuristic_embedding(
     budget: Optional[SearchBudget] = None,
 ) -> Optional[EmbeddingScheme]:
     """Annealed local search for a scheme achieving the target genus or
-    crosscap. Starts alternate between greedy edge insertion and random
-    rotations; moves relocate one neighbor within one rotation, or flip one
-    co-tree edge sign on nonorientable surfaces (the scheme is kept
-    unbalanced throughout). Uphill moves are accepted with probability
-    exp(-delta/T) under a geometric cooling schedule per restart.
+    crosscap, target >= 1, on a nonplanar connected graph: it has a vertex
+    of degree >= 3 and a cycle. Starts alternate between greedy edge
+    insertion and random rotations; moves relocate one neighbor within one
+    rotation, or flip one co-tree edge sign on nonorientable surfaces (the
+    scheme is kept unbalanced throughout). Uphill moves are accepted with
+    probability exp(-delta/T) under a geometric cooling schedule per restart.
 
     A hit returns the scheme at the first visit of the target; a miss, the
     one at the first visit of the lowest Euler genus met, where a run aimed
     at that value would stop, as the target is read only by the stop test.
-    None comes only from no restart, a nonorientable forest, or orientable
-    target 0 on a nonplanar graph. Returned schemes are re-verified.
+    None comes only from no restart. Returned schemes are re-verified.
     """
     budget = budget or DEFAULT_BUDGET
-    if surface == ORIENTABLE and target == 0:
-        res = is_planar(g)
-        return res.scheme if res.planar else None
-    if surface == NONORIENTABLE and target < 1:
-        raise ValueError("nonorientable target must be at least 1")
+    if target < 1:
+        raise ValueError("target must be at least 1")
     target_euler = 2 * target if surface == ORIENTABLE else target
     rng = random.Random(seed)
     idx = _DartIndex(g)
     cotree = _cotree_edges(g)
-    if surface == NONORIENTABLE and not cotree:
-        return None  # forests have no unbalanced scheme
     movable = [v for v in range(g.n) if g.degree(v) >= 3]
-    if not movable and surface == ORIENTABLE:
-        # rotations are forced: the single scheme is the answer
-        rotations = [g.neighbors(v) for v in range(g.n)]
-        ev = _Evaluator(idx)
-        for v in range(g.n):
-            ev.assign(v, rotations[v])
-        return _verified_scheme(g, idx.edges, rotations, None, seed, ev.euler(), surface)
     cooling = (_SA_T_END / _SA_T_START) ** (1.0 / max(1, budget.moves_per_restart))
     offset = idx.base - idx.isolated  # euler genus = offset - faces
     best = None  # (euler, rotations, signs) at the first visit of the lowest
@@ -886,7 +875,7 @@ def heuristic_embedding(
             if current == target_euler:
                 break
             temp *= cooling
-            if surface == NONORIENTABLE and (not movable or rng.random() < _SA_SIGN_MOVE_P):
+            if surface == NONORIENTABLE and rng.random() < _SA_SIGN_MOVE_P:
                 ei = cotree[rng.randrange(len(cotree))]
                 if ev.signs[ei] == -1 and negatives == 1:
                     continue  # keep at least one negative co-tree sign
@@ -981,12 +970,12 @@ def _lower_on(surface: str, euler_lower: int) -> int:
 
 
 def exact_genus(g: SimpleGraph, budget: Optional[SearchBudget] = None) -> GenusResult:
-    """Orientable genus of a connected graph: lower bounds, then the
-    face-set search from the bound, which raises it by each value it
-    excludes until it hits or `_FACE_NODE_CAP` nodes are spent, then one
-    annealing run aimed at the bound. After a miss on a space that fits
-    `_EXHAUSTIVE_CAP`, the face-set search goes on for up to `_NODE_CAP`
-    nodes. A bracket's upper end is the lowest scheme of the run."""
+    """Orientable genus of a connected graph: lower bounds, then one
+    face-set pass from the bound, which raises it by each value it excludes
+    until it hits or its node cap is spent: `_NODE_CAP` on a rotation space
+    that fits `_EXHAUSTIVE_CAP`, else `_FACE_NODE_CAP`. A pass stopped by
+    the cap is followed by one annealing run aimed at the bound it reached;
+    a bracket's upper end is the lowest scheme of the run."""
     return _exact_surface(_piece(g), ORIENTABLE, budget or DEFAULT_BUDGET)
 
 
@@ -1035,7 +1024,8 @@ def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusRe
     lower = _lower_on(surface, piece.euler_lower)
     prov.append(f"lower bound {lower}")
     stop = budget.lower_stop
-    scheme, lower = _face_set_pass(g, surface, lower, stop, _FACE_NODE_CAP, prov)
+    node_cap = _NODE_CAP if rotation_space_size(g) <= _EXHAUSTIVE_CAP else _FACE_NODE_CAP
+    scheme, lower = _face_set_pass(g, surface, lower, stop, node_cap, prov)
     if scheme is not None:
         return settled(lower, scheme)
     if stop is not None and lower >= stop:
@@ -1046,19 +1036,10 @@ def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusRe
     if scheme is not None:
         euler = trace_faces(g, scheme).euler_genus
         upper = euler // 2 if surface == ORIENTABLE else euler
-        if upper > lower:
-            prov.append(f"heuristic upper bound {upper}")
-
-    # after a miss, the face-set search goes on from the bound with the
-    # larger cap, on spaces small enough to search through
-    patterns = 1 if surface == ORIENTABLE else (1 << (g.edge_count - g.n + 1)) - 1
-    if upper != lower and rotation_space_size(g) * patterns <= _EXHAUSTIVE_CAP:
-        found, lower = _face_set_pass(g, surface, lower, stop, _NODE_CAP, prov)
-        if found is not None:
-            return settled(lower, found)
-    if upper == lower:
-        prov.append(f"heuristic certificate at {lower} (seed {budget.seed})")
-        return settled(lower, scheme)
+        if upper == lower:
+            prov.append(f"heuristic certificate at {lower} (seed {budget.seed})")
+            return settled(lower, scheme)
+        prov.append(f"heuristic upper bound {upper}")
     return GenusResult(
         surface, lower, upper, False,
         certificate=scheme, certificate_graph=g if scheme else None, provenance=prov,

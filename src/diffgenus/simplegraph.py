@@ -53,9 +53,6 @@ class SimpleGraph:
     def neighbors(self, v: int) -> list[int]:
         return sorted(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def adjacency_masks(self) -> list[int]:
         masks = [0] * self.n
         for u in range(self.n):
@@ -99,24 +96,6 @@ class SimpleGraph:
     @staticmethod
     def complete(n: int) -> "SimpleGraph":
         return SimpleGraph(n, combinations(range(n), 2))
-
-    @staticmethod
-    def complete_bipartite(m: int, n: int) -> "SimpleGraph":
-        return SimpleGraph(m + n, ((i, m + j) for i in range(m) for j in range(n)))
-
-    @staticmethod
-    def complete_multipartite(parts: Sequence[int]) -> "SimpleGraph":
-        total = sum(parts)
-        bounds = []
-        start = 0
-        for p in parts:
-            bounds.append((start, start + p))
-            start += p
-        edges = []
-        for i, (a0, a1) in enumerate(bounds):
-            for b0, b1 in bounds[i + 1 :]:
-                edges.extend((a, b) for a in range(a0, a1) for b in range(b0, b1))
-        return SimpleGraph(total, edges)
 
     @staticmethod
     def cycle(n: int) -> "SimpleGraph":

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from graphs import complete_bipartite
 from diffgenus.embeddings import (
     CertificateMismatch,
     SchemeError,
@@ -62,7 +63,7 @@ def test_k33_all_positive_rotations_exhaustive():
     the minimum is exactly 2 (the graph is toroidal, not planar)."""
     from itertools import permutations, product
 
-    g = SimpleGraph.complete_bipartite(3, 3)
+    g = complete_bipartite(3, 3)
     best = None
     choices = []
     for v in range(6):
@@ -113,7 +114,7 @@ def test_scheme_validation_errors():
 
 def test_checksum_mismatch_raises():
     k4 = SimpleGraph.complete(4)
-    other = SimpleGraph.complete_bipartite(2, 2)
+    other = complete_bipartite(2, 2)
     scheme = planar_k4_scheme(k4)
     with pytest.raises(CertificateMismatch):
         trace_faces(other, scheme)

@@ -5,10 +5,12 @@ import re
 import subprocess
 import sys
 import time
+from itertools import combinations
 
 import pytest
 
 import oracles
+from graphs import complete_bipartite
 from diffgenus.catalog import builtin_catalog
 from diffgenus import genus as genus_module
 from diffgenus.embeddings import FaceTrace, SchemeError, make_scheme, trace_faces, verify_certificate
@@ -47,7 +49,7 @@ def connected_random_graph(rng: random.Random, n_max=8, space_cap=60_000) -> Sim
         extra = rng.randint(0, n)
         for _ in range(extra):
             u, v = rng.randrange(n), rng.randrange(n)
-            if u != v and not g.has_edge(u, v):
+            if u != v and v not in g.adj[u]:
                 g.add_edge(u, v)
         if rotation_space_size(g) <= space_cap:
             return g
@@ -89,8 +91,8 @@ def test_formula_range_errors():
 
 
 def test_euler_bound_values():
-    assert euler_lower_bound(SimpleGraph.complete_bipartite(3, 6), ORIENTABLE) == 1
-    assert euler_lower_bound(SimpleGraph.complete_bipartite(3, 6), NONORIENTABLE) == 2
+    assert euler_lower_bound(complete_bipartite(3, 6), ORIENTABLE) == 1
+    assert euler_lower_bound(complete_bipartite(3, 6), NONORIENTABLE) == 2
     assert euler_lower_bound(SimpleGraph.complete(5), ORIENTABLE) == 1
     assert euler_lower_bound(SimpleGraph.complete(4), ORIENTABLE) == 0
     assert euler_lower_bound(SimpleGraph.path(5), ORIENTABLE) == 0
@@ -111,7 +113,7 @@ def test_euler_bound_never_exceeds_truth():
 
 
 def test_subgraph_bound_finds_planted_bipartite():
-    g = SimpleGraph.complete_bipartite(3, 10)
+    g = complete_bipartite(3, 10)
     bound, desc = bipartite_subgraph_bound(g, ORIENTABLE)
     assert bound == 2 and desc == "K_{3,10}"
     bound_n, _ = bipartite_subgraph_bound(g, NONORIENTABLE)
@@ -148,7 +150,7 @@ def test_planar_yes_with_scheme():
 
 
 def test_planar_no_with_witness():
-    k33 = SimpleGraph.complete_bipartite(3, 3)
+    k33 = complete_bipartite(3, 3)
     assert not is_planar(k33).planar
     witness = kuratowski_witness(k33)
     assert witness.kind == "K3,3"
@@ -174,13 +176,13 @@ def test_planar_agrees_with_exact_genus_on_corpus():
 @pytest.mark.parametrize(
     "builder,surface,value",
     [
-        (lambda: SimpleGraph.complete_bipartite(3, 3), ORIENTABLE, 1),
-        (lambda: SimpleGraph.complete_bipartite(4, 4), ORIENTABLE, 1),
+        (lambda: complete_bipartite(3, 3), ORIENTABLE, 1),
+        (lambda: complete_bipartite(4, 4), ORIENTABLE, 1),
         (lambda: SimpleGraph.complete(5), ORIENTABLE, 1),
         (lambda: SimpleGraph.complete(6), ORIENTABLE, 1),
         (lambda: SimpleGraph.complete(5), NONORIENTABLE, 1),
-        (lambda: SimpleGraph.complete_bipartite(3, 3), NONORIENTABLE, 1),
-        (lambda: SimpleGraph.complete_bipartite(3, 5), NONORIENTABLE, 2),
+        (lambda: complete_bipartite(3, 3), NONORIENTABLE, 1),
+        (lambda: complete_bipartite(3, 5), NONORIENTABLE, 2),
     ],
 )
 def test_exact_known_values(builder, surface, value):
@@ -207,7 +209,7 @@ def test_exact_genus_matches_bruteforce_small():
 
 
 def test_lower_stop_short_circuits():
-    g = SimpleGraph.complete_bipartite(4, 8)  # genus 3 by formula
+    g = complete_bipartite(4, 8)  # genus 3 by formula
     budget = SearchBudget(lower_stop=3)
     res = exact_genus(g, budget)
     assert not res.exact
@@ -222,7 +224,7 @@ def test_crosscap_respects_euler_parity_freedom():
 
 
 def test_crosscap_bracket_bound():
-    for builder in (lambda: SimpleGraph.complete(6), lambda: SimpleGraph.complete_bipartite(4, 4)):
+    for builder in (lambda: SimpleGraph.complete(6), lambda: complete_bipartite(4, 4)):
         g = builder()
         genus = exact_genus(g)
         crosscap = exact_crosscap(g)
@@ -234,17 +236,13 @@ def test_crosscap_bracket_bound():
 
 
 def test_heuristic_planar_target():
-    scheme = heuristic_embedding(SimpleGraph.complete(4), 0, ORIENTABLE, seed=0)
-    assert scheme is not None
-    assert verify_certificate(SimpleGraph.complete(4), scheme, ORIENTABLE, 0)
-
-
-def test_heuristic_infeasible_target_returns_none():
-    assert heuristic_embedding(SimpleGraph.complete_bipartite(3, 6), 0, ORIENTABLE, seed=0) is None
+    # planarity is settled before any annealing, so genus 0 is no target
+    with pytest.raises(ValueError):
+        heuristic_embedding(SimpleGraph.complete(4), 0, ORIENTABLE, seed=0)
 
 
 def test_heuristic_hits_formula_targets():
-    g = SimpleGraph.complete_bipartite(3, 10)
+    g = complete_bipartite(3, 10)
     scheme = heuristic_embedding(g, 2, ORIENTABLE, seed=0)
     assert scheme is not None
     assert verify_certificate(g, scheme, ORIENTABLE, 2)
@@ -256,7 +254,7 @@ def test_heuristic_nonorientable_target_validation():
 
 
 def test_heuristic_deterministic_given_seed():
-    g = SimpleGraph.complete_bipartite(3, 6)
+    g = complete_bipartite(3, 6)
     a = heuristic_embedding(g, 1, ORIENTABLE, seed=5)
     b = heuristic_embedding(g, 1, ORIENTABLE, seed=5)
     assert a is not None and b is not None
@@ -294,7 +292,7 @@ def test_heuristic_certificates_are_pinned():
         (SimpleGraph.complete(6), 1, ORIENTABLE, 100),
         (SimpleGraph.complete(7), 3, ORIENTABLE, 30),
         (_petersen(), 2, ORIENTABLE, 100),
-        (SimpleGraph.complete_bipartite(3, 3), 1, NONORIENTABLE, 30),
+        (complete_bipartite(3, 3), 1, NONORIENTABLE, 30),
         (SimpleGraph.complete(5), 1, NONORIENTABLE, 100),
         (_petersen(), 1, NONORIENTABLE, 100),
     ]
@@ -318,7 +316,7 @@ def _nonplanar_random_graph(rng: random.Random) -> SimpleGraph:
             g.add_edge(order[i], order[rng.randrange(i)])
         for _ in range(rng.randint(n, 2 * n)):
             u, v = rng.randrange(n), rng.randrange(n)
-            if u != v and not g.has_edge(u, v):
+            if u != v and v not in g.adj[u]:
                 g.add_edge(u, v)
         if not is_planar(g).planar:
             return g
@@ -417,7 +415,7 @@ def test_genus_of_graph_block_additivity():
     res = genus_of_graph(g)
     assert res.exact and res.value == 2
     # crosscap over blocks: each block has crosscap 1 = Euler genus 1
-    k33 = SimpleGraph.complete_bipartite(3, 3)
+    k33 = complete_bipartite(3, 3)
     for g in (g, _glue(k33, k33, "shared"), _glue(k33, k33, "bridge")):
         assert g.is_connected() and len(block_decomposition(g)[0]) >= 2
         _assert_crosscap_two(g)
@@ -433,7 +431,7 @@ def test_genus_of_graph_component_additivity():
             g.add_edge(u, v)  # K6
     res = genus_of_graph(g)
     assert res.exact and res.value == 2
-    g = _glue(SimpleGraph.complete(5), SimpleGraph.complete_bipartite(3, 3), "apart")
+    g = _glue(SimpleGraph.complete(5), complete_bipartite(3, 3), "apart")
     assert len(g.connected_components()) == 2
     _assert_crosscap_two(g)
 
@@ -451,7 +449,7 @@ def test_crosscap_adds_one_when_every_piece_is_orientably_simple(monkeypatch, k5
         return GenusResult(surface, value, value, True)
 
     monkeypatch.setattr(genus_module, "_exact_surface", stub)
-    g = _glue(SimpleGraph.complete(5), SimpleGraph.complete_bipartite(3, 3), "apart")
+    g = _glue(SimpleGraph.complete(5), complete_bipartite(3, 3), "apart")
     res = genus_of_graph(g, surface=NONORIENTABLE)
     assert res.exact and res.value == want
     assert res.certificate is None  # the value rests on two pieces
@@ -498,7 +496,7 @@ def test_certificates_bind_to_derived_subgraphs():
     ]
     rng = random.Random(67)
     path = SimpleGraph(3, [(0, 1), (1, 2)])
-    nonplanar = [SimpleGraph.complete(5), SimpleGraph.complete_bipartite(3, 3)]
+    nonplanar = [SimpleGraph.complete(5), complete_bipartite(3, 3)]
     for i in range(8):
         a = connected_random_graph(rng, n_max=7, space_cap=20_000)
         b = _glue(nonplanar[i % 2], path, "shared")
@@ -541,11 +539,11 @@ NO_RESTARTS = SearchBudget(restarts=0)
 @pytest.mark.parametrize(
     "builder,surface,value",
     [
-        (lambda: SimpleGraph.complete_bipartite(3, 3), ORIENTABLE, 1),
+        (lambda: complete_bipartite(3, 3), ORIENTABLE, 1),
         (lambda: SimpleGraph.complete(5), ORIENTABLE, 1),
-        (lambda: SimpleGraph.complete_bipartite(4, 4), ORIENTABLE, 1),
-        (lambda: SimpleGraph.complete_bipartite(3, 3), NONORIENTABLE, 1),
-        (lambda: SimpleGraph.complete_bipartite(3, 4), NONORIENTABLE, 1),
+        (lambda: complete_bipartite(4, 4), ORIENTABLE, 1),
+        (lambda: complete_bipartite(3, 3), NONORIENTABLE, 1),
+        (lambda: complete_bipartite(3, 4), NONORIENTABLE, 1),
         (lambda: SimpleGraph.complete(5), NONORIENTABLE, 1),
     ],
 )
@@ -558,18 +556,25 @@ def test_exhaustive_only_matches_known_values(builder, surface, value):
 
 
 def test_exhaustive_only_matches_bruteforce_random():
-    """Seeded nonplanar graphs, every other one with a pendant path of two
-    edges grafted on: the face-set search runs on the 2-core, and its
+    """Seeded distinct nonplanar graphs, every other one with a pendant path
+    of two edges grafted on: the face-set search runs on the 2-core, and its
     scheme, lifted to the graph, must match the oracles."""
     rng = random.Random(77)
-    done = 0
-    while done < 12:
-        g = connected_random_graph(rng, n_max=6, space_cap=4_000)
-        # fewer than 9 edges is planar: K3,3 has 9 edges and K5 has 10
-        if g.edge_count < 9 or is_planar(g).planar:
+    seen = set()
+    while len(seen) < 12:
+        # a random spanning tree and other edges up to 9 or 10: fewer is
+        # planar, as K3,3 has 9 edges and K5 has 10, and more makes the
+        # oracles' spaces large
+        n = rng.choice((5, 6))
+        order = list(range(n))
+        rng.shuffle(order)
+        tree = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)}
+        rest = [e for e in combinations(range(n), 2) if e not in tree]
+        g = SimpleGraph(n, [*tree, *rng.sample(rest, rng.randint(9, 10) - len(tree))])
+        if g.checksum() in seen or rotation_space_size(g) > 4_000 or is_planar(g).planar:
             continue
-        done += 1
-        if done % 2:
+        seen.add(g.checksum())
+        if len(seen) % 2:
             # at a vertex of least degree, to keep the oracles' spaces small
             v = min(range(g.n), key=g.degree)
             g = SimpleGraph(g.n + 2, [*g.edges(), (v, g.n), (g.n, g.n + 1)])
@@ -583,27 +588,27 @@ def test_exhaustive_only_matches_bruteforce_random():
 
 
 def test_node_cap_abort_degrades_to_bounds(monkeypatch):
-    # both face-set passes stop at the cap, and no annealing run comes between
-    monkeypatch.setattr(genus_module, "_FACE_NODE_CAP", 5)
+    # K3,3's rotation space fits _EXHAUSTIVE_CAP, so its one pass gets _NODE_CAP
     monkeypatch.setattr(genus_module, "_NODE_CAP", 5)
-    res = exact_genus(SimpleGraph.complete_bipartite(3, 3), NO_RESTARTS)
+    res = exact_genus(complete_bipartite(3, 3), NO_RESTARTS)
     assert not res.exact and (res.lower, res.upper) == (1, None)
-    assert res.provenance.count("face-set search stopped by node cap at 1") == 2
+    assert res.provenance.count("face-set search stopped by node cap at 1") == 1
 
 
 def test_crosscap_node_cap_abort_degrades_to_bounds(monkeypatch):
+    # a space above _EXHAUSTIVE_CAP gets _FACE_NODE_CAP
+    monkeypatch.setattr(genus_module, "_EXHAUSTIVE_CAP", 0)
     monkeypatch.setattr(genus_module, "_FACE_NODE_CAP", 1)
-    monkeypatch.setattr(genus_module, "_NODE_CAP", 1)
-    res = exact_crosscap(SimpleGraph.complete_bipartite(3, 3), NO_RESTARTS)
+    res = exact_crosscap(complete_bipartite(3, 3), NO_RESTARTS)
     assert not res.exact and (res.lower, res.upper) == (1, None)
-    assert res.provenance.count("face-set search stopped by node cap at 1") == 2
+    assert res.provenance.count("face-set search stopped by node cap at 1") == 1
 
 
-def test_deep_face_set_pass_settles_what_the_first_one_leaves():
-    """A cubic graph on 16 vertices whose genus the first face-set pass,
-    capped at _FACE_NODE_CAP nodes, cannot settle at 1: excluding genus 1
-    takes about 109,000 nodes, so the deep pass after the (empty) annealing
-    run proves genus 2 and finds a scheme there."""
+def test_one_face_set_pass_settles_a_small_space_past_the_small_cap(monkeypatch):
+    """A cubic graph on 16 vertices whose rotation space fits
+    _EXHAUSTIVE_CAP: excluding genus 1 takes about 109,000 nodes, more than
+    _FACE_NODE_CAP, so its one pass runs under _NODE_CAP, proves genus 2 and
+    finds a scheme there before any annealing run."""
     g = SimpleGraph(16, [
         (0, 4), (0, 9), (0, 10), (0, 13), (1, 7), (1, 14), (1, 15), (2, 9), (2, 12), (2, 13),
         (3, 6), (3, 11), (3, 15), (4, 6), (4, 12), (5, 6), (5, 9), (5, 14), (5, 15), (6, 10),
@@ -611,10 +616,27 @@ def test_deep_face_set_pass_settles_what_the_first_one_leaves():
     ])
     res = exact_genus(g, NO_RESTARTS)
     assert res.exact and res.value == 2, (res.lower, res.upper, res.provenance)
-    assert res.provenance[-3:] == [
-        "face-set search stopped by node cap at 1", "face-set search excludes 1", "face-set certificate at 2",
-    ]
+    assert res.provenance[-3:] == ["lower bound 1", "face-set search excludes 1", "face-set certificate at 2"]
     assert verify_certificate(g, res.certificate, ORIENTABLE, 2)
+
+    def spy(*args, **kwargs):
+        raise AssertionError("the annealing run must not start")
+
+    monkeypatch.setattr(genus_module, "heuristic_embedding", spy)
+    res = exact_genus(g)
+    assert res.exact and res.value == 2
+
+
+def test_one_face_set_pass_settles_a_sparse_cubic_crosscap():
+    # a pass that starts over at the bound after 100,000 nodes left [1, ?]
+    g = SimpleGraph(18, [
+        (0, 4), (0, 8), (0, 10), (1, 2), (1, 3), (1, 15), (2, 4), (2, 12), (3, 9), (3, 17),
+        (4, 17), (5, 9), (5, 14), (5, 16), (6, 7), (6, 8), (6, 13), (7, 9), (7, 10), (8, 11),
+        (10, 13), (11, 14), (11, 16), (12, 14), (12, 15), (13, 16), (15, 17),
+    ])
+    res = exact_crosscap(g, NO_RESTARTS)
+    assert res.exact and res.value == 2, (res.lower, res.upper, res.provenance)
+    assert verify_certificate(g, res.certificate, NONORIENTABLE, 2)
 
 
 def test_crosscap_search_skips_balanced_schemes():
@@ -674,7 +696,7 @@ def test_face_set_exclusions_match_the_combine_rule():
     """Two blocks sharing a vertex, searched whole: the search excludes the
     Euler genus below the value the oracles give on the blocks, combined by
     additivity (genus) or by Stahl and Beineke (crosscap), and hits it."""
-    k5, k33 = SimpleGraph.complete(5), SimpleGraph.complete_bipartite(3, 3)
+    k5, k33 = SimpleGraph.complete(5), complete_bipartite(3, 3)
     genus = {b: oracles.brute_force_genus(b) for b in (k5, k33)}
     crosscap = {b: oracles.brute_force_crosscap(b) for b in (k5, k33)}
     cases = [(k33, k33, ORIENTABLE), (k33, k33, NONORIENTABLE), (k5, k33, NONORIENTABLE), (k5, k5, NONORIENTABLE)]
@@ -694,7 +716,7 @@ def test_face_set_exclusions_match_the_combine_rule():
 
 def test_face_set_certificates_on_subdivided_graphs():
     # degree-2 vertices fix no turn, so their paths carry the signs
-    for base in (SimpleGraph.complete_bipartite(3, 3), SimpleGraph.complete(5)):
+    for base in (complete_bipartite(3, 3), SimpleGraph.complete(5)):
         edges = base.edges()
         g = _subdivided(base, {edges[0]: 1, edges[1]: 2, edges[-1]: 1})
         for res in (exact_genus(g), exact_crosscap(g)):

@@ -1,5 +1,6 @@
 import pytest
 
+from graphs import complete_bipartite
 from diffgenus import groups as gr
 from diffgenus.graphio import parse_edgelist, write_dot, write_edgelist
 from diffgenus.groupgraphs import difference_graph
@@ -7,7 +8,7 @@ from diffgenus.simplegraph import SimpleGraph
 
 
 def test_edgelist_round_trip_plain():
-    g = SimpleGraph.complete_bipartite(2, 3)
+    g = complete_bipartite(2, 3)
     again = parse_edgelist(write_edgelist(g))
     assert again.n == g.n
     assert again.edges() == g.edges()

@@ -1,10 +1,11 @@
-"""Every public top-level name in the package has a caller.
+"""Every public top-level name and class method in the package has a caller.
 
-A function, class or constant whose name has no leading underscore must be
-named outside its own definition: somewhere in the package, in a benchmark
-script or in the README. Tests do not count as callers; a check only tests
-need lives in `tests/oracles.py`. The CLI module is left out, since its
-click commands are reached through `main`.
+A function, class, constant or method whose name has no leading underscore
+must be named outside its own definition: somewhere in the package, in a
+benchmark script or in the README. Tests do not count as callers; a check
+only tests need lives in `tests/oracles.py`, a graph constructor in
+`tests/graphs.py`. The CLI module is left out, since its click commands are
+reached through `main`.
 """
 
 import ast
@@ -20,6 +21,9 @@ def _definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             out.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                out.extend((m.name, m) for m in methods)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             out.extend((t.id, node) for t in targets if isinstance(t, ast.Name))

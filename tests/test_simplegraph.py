@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from graphs import complete_bipartite, complete_multipartite
 from oracles import complete_multipartite_parts
 from diffgenus.simplegraph import (
     SimpleGraph,
@@ -62,12 +63,12 @@ def test_multipartite_parts_direct_builds():
     for a in range(1, 6):
         for b in range(1, 6):
             for c in range(1, 6):
-                g = SimpleGraph.complete_multipartite([a, b, c])
+                g = complete_multipartite([a, b, c])
                 assert complete_multipartite_parts(g) == sorted([a, b, c])
 
 
 def test_multipartite_star_and_negative():
-    star = SimpleGraph.complete_bipartite(1, 3)
+    star = complete_bipartite(1, 3)
     assert complete_multipartite_parts(star) == [1, 3]
     path = SimpleGraph.path(4)
     assert complete_multipartite_parts(path) is None
@@ -145,7 +146,7 @@ def test_blocks_cover_each_edge_once():
 
 
 def test_girth_bipartite_known_values():
-    assert girth_and_bipartite(SimpleGraph.complete_bipartite(3, 6)) == (4, True)
+    assert girth_and_bipartite(complete_bipartite(3, 6)) == (4, True)
     assert girth_and_bipartite(SimpleGraph.complete(5)) == (3, False)
     girth, bip = girth_and_bipartite(SimpleGraph.path(4))
     assert math.isinf(girth) and bip
