@@ -1,14 +1,19 @@
-"""Built-in catalog of nilpotent groups up to order 200: every cyclic group
-plus all products of a fixed list of small 2-groups with a fixed list of odd
-prime-power groups, deduplicated up to isomorphism (first listing wins, so
-cyclic names survive)."""
+"""Built-in catalog of nilpotent groups up to order 200: every cyclic group,
+then every product of a small 2-group atom with an odd prime-power atom that
+is not cyclic.
+
+No two entries are isomorphic. A product is cyclic exactly when both atoms
+are, and then it is the cyclic group listed first. A nilpotent group is the
+direct product of its unique Sylow subgroups, so two products are isomorphic
+only when their atoms are, and no two atoms in either list are."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import GroupTable, build_group, group_isomorphic
+from .groups import GroupTable, build_group, parse_group_descriptor
 
 MAX_CATALOG_ORDER = 200
 
@@ -35,38 +40,16 @@ class CatalogEntry:
 
 @lru_cache(maxsize=1)
 def _full_catalog() -> tuple[CatalogEntry, ...]:
-    entries: list[CatalogEntry] = []
-    for n in range(1, MAX_CATALOG_ORDER + 1):
-        entries.append(CatalogEntry(f"Z{n}", build_group(f"Z{n}")))
+    entries = [CatalogEntry(f"Z{n}", build_group(f"Z{n}")) for n in range(1, MAX_CATALOG_ORDER + 1)]
     for two in TWO_GROUP_ATOMS:
         for odd in ODD_ATOMS:
             name = f"{two} x {odd}"
-            if _descriptor_order(name) > MAX_CATALOG_ORDER:
+            factors = parse_group_descriptor(name)
+            both_cyclic = [family for family, _ in factors] == ["Z", "Z"]
+            if both_cyclic or math.prod(n for _, n in factors) > MAX_CATALOG_ORDER:
                 continue
             entries.append(CatalogEntry(name, build_group(name)))
-
-    deduped: list[CatalogEntry] = []
-    by_order: dict[int, list[CatalogEntry]] = {}
-    for e in entries:
-        duplicate = False
-        for prev in by_order.get(e.order, []):
-            found, _ = group_isomorphic(e.group, prev.group, cap=MAX_CATALOG_ORDER + 1)
-            if found:
-                duplicate = True
-                break
-        if not duplicate:
-            deduped.append(e)
-            by_order.setdefault(e.order, []).append(e)
-    return tuple(deduped)
-
-
-def _descriptor_order(descriptor: str) -> int:
-    from .groups import parse_group_descriptor
-
-    total = 1
-    for _, n in parse_group_descriptor(descriptor):
-        total *= n
-    return total
+    return tuple(entries)
 
 
 def builtin_catalog(max_order: int = MAX_CATALOG_ORDER) -> list[CatalogEntry]:

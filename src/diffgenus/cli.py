@@ -13,7 +13,7 @@ from pathlib import Path
 import click
 
 from . import groups as gr
-from .catalog import builtin_catalog
+from .catalog import MAX_CATALOG_ORDER, builtin_catalog
 from .classify import classify_crosscap, classify_genus, condition_reports
 from .embeddings import (
     CertificateMismatch,
@@ -39,7 +39,7 @@ def _load_group(spec: str) -> gr.GroupTable:
     if path.exists():
         try:
             return gr.ingest_table(path.read_text(), source=str(path))
-        except GroupError as exc:
+        except (GroupError, OSError, UnicodeDecodeError) as exc:
             raise InputError(str(exc))
     try:
         return gr.build_group(spec)
@@ -199,7 +199,7 @@ def genus_verify(graph_path, cert_path):
     g = _load_graph(graph_path)
     try:
         scheme, surface, value = certificate_from_json(Path(cert_path).read_text())
-    except (SchemeError, ValueError) as exc:
+    except (SchemeError, ValueError, OSError) as exc:
         click.echo(f"bad certificate file: {exc}")
         sys.exit(2)
     target = None
@@ -294,13 +294,11 @@ def verify_group_cmd(spec, budget, seed):
 
 
 @verify.command("sweep")
-@click.option("--max-order", type=int, default=100)
+@click.option("--max-order", type=click.IntRange(max=MAX_CATALOG_ORDER), default=100)
 @click.option("--budget", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--report", "report_path", type=click.Path(), default=None)
 def verify_sweep_cmd(max_order, budget, seed, report_path):
-    if max_order > 200:
-        raise InputError("catalog covers orders up to 200")
     records, summary = verify_sweep(max_order, _budget(budget, seed))
     doc, table = export_report(records)
     click.echo(table)
@@ -321,7 +319,7 @@ def catalog():
 
 
 @catalog.command("list")
-@click.option("--max-order", type=int, default=200)
+@click.option("--max-order", type=click.IntRange(max=MAX_CATALOG_ORDER), default=MAX_CATALOG_ORDER)
 def catalog_list(max_order):
     """List catalog groups up to the given order."""
     for entry in builtin_catalog(max_order):

@@ -6,11 +6,13 @@ heuristic. Every scheme they find is re-verified by face tracing and becomes
 a certificate.
 
 The face-set search, the one exact search, runs once per piece and surface,
-from the lower bound on the graph's 2-core. A search that completes without
-a hit proves the bound + 1; one that hits gives the value. Its node cap is
-picked before it starts: `_NODE_CAP` on a rotation space that fits
-`_EXHAUSTIVE_CAP`, else `_FACE_NODE_CAP`. Only a pass that stops at its cap
-leaves the piece to the annealing run, aimed at the bound it reached.
+from the lower bound, on the graph's homeomorphic reduction, which has the
+same genus and crosscap and minimum degree >= 3. A search that completes
+without a hit proves the bound + 1; one that hits gives the value, with a
+certificate on the reduction. Its node cap is picked before it starts:
+`_NODE_CAP` on a rotation space that fits `_EXHAUSTIVE_CAP`, else
+`_FACE_NODE_CAP`. Only a pass that stops at its cap leaves the piece to the
+annealing run, aimed at the bound it reached.
 
 The Euler genus of an embedding scheme is 2 - V + E - F on each component;
 orientable genus is half the minimum over all-positive schemes, crosscap the
@@ -410,9 +412,9 @@ def _face_set_search(
 ) -> tuple[Optional[EmbeddingScheme], int]:
     """An embedding of g at Euler genus `euler`, on the orientable surface
     or else on a nonorientable one, found as its F = 2 - V + E - euler
-    faces. g must be connected with minimum degree >= 2, so that every
-    facial walk is closed and never backtracks, and must not be a cycle, so
-    that a vertex of degree >= 3 fixes the turns the signs are read from.
+    faces. g must be connected with minimum degree >= 3, so that every
+    facial walk is closed and never backtracks, and every vertex fixes the
+    turns the signs are read from.
 
     Faces are built one at a time as walks. The sides of each edge are
     covered at most twice, and at each vertex the corners the walks turn
@@ -432,8 +434,8 @@ def _face_set_search(
     nodes <= node_cap proves that g has no such embedding, and
     nodes > node_cap means the search stopped at the cap."""
     deg = [g.degree(v) for v in range(g.n)]
-    if min(deg) < 2 or max(deg) < 3:
-        raise ValueError("face-set search needs minimum degree >= 2 and a vertex of degree >= 3")
+    if min(deg) < 3:
+        raise ValueError("face-set search needs minimum degree >= 3")
     idx = _DartIndex(g)
     faces_needed = idx.base - euler
     girth = girth_and_bipartite(g)[0]
@@ -661,8 +663,7 @@ def _scheme_from_faces(
     Each vertex's corners link its darts into its rotation. A face turning
     from x through u to w turns +1 at u when w follows x in u's rotation,
     else -1; the sign of an edge is the product of the turns at its two
-    ends. A degree-2 vertex fixes no turn, so a path through degree-2
-    vertices carries that product on its lowest edge and +1 on the rest."""
+    ends."""
     link: list[list[int]] = [[] for _ in range(2 * idx.m)]
     for f in faces:
         for d, nxt in zip(f, f[1:] + f[:1]):
@@ -685,15 +686,8 @@ def _scheme_from_faces(
 
     signs = [1] * idx.m
     for f in faces:
-        n = len(f)
-        for i in range(n):
-            if g.degree(head[f[i - 1]]) < 3:
-                continue  # not the start of a path
-            j = i
-            while g.degree(head[f[j % n]]) == 2:
-                j += 1
-            lowest = min(f[k % n] >> 1 for k in range(i, j + 1))
-            signs[lowest] = turn(f[i - 1], f[i]) * turn(f[j % n], f[(j + 1) % n])
+        for before, d, after in zip(f[-1:] + f[:-1], f, f[1:] + f[:1]):
+            signs[d >> 1] = turn(before, d) * turn(d, after)
     # reversing the rotation at a vertex and negating the signs at it keeps
     # every face: do it so that a spanning tree's edges are +1, as in every
     # other certificate, which leaves an orientable scheme all-positive
@@ -711,44 +705,6 @@ def _scheme_from_faces(
     signs = [-s if flip[u] != flip[v] else s for s, (u, v) in zip(signs, idx.edges)]
     return _verified_scheme(g, idx.edges, rotations, signs, None, euler,
                             ORIENTABLE if orientable else NONORIENTABLE)
-
-
-def _two_core(g: SimpleGraph) -> tuple[SimpleGraph, list[int], list[tuple[int, int]]]:
-    """g with its vertices of degree <= 1 stripped repeatedly, which keeps
-    the Euler genus of every embedding: the core (g itself when nothing is
-    stripped), its vertices in g in ascending order, and the stripped edges
-    as (leaf, neighbor) in the order of removal."""
-    deg = [g.degree(v) for v in range(g.n)]
-    stack = [v for v in range(g.n) if deg[v] <= 1]
-    gone = [False] * g.n
-    pendant: list[tuple[int, int]] = []
-    while stack:
-        v = stack.pop()
-        gone[v] = True
-        for u in g.adj[v]:
-            if not gone[u]:
-                pendant.append((v, u))
-                deg[u] -= 1
-                if deg[u] == 1:
-                    stack.append(u)
-    keep = [v for v in range(g.n) if not gone[v]]
-    return (g if len(keep) == g.n else induced_subgraph(g, keep)), keep, pendant
-
-
-def _lifted(g, keep, pendant, scheme, euler, surface) -> EmbeddingScheme:
-    """A scheme of g from a scheme of its 2-core: in reverse order of
-    removal, each stripped edge goes last in both its ends' rotations with
-    sign +1, which only lengthens the face through that corner by a walk
-    along the edge and back."""
-    rotations: list[list[int]] = [[] for _ in range(g.n)]
-    for v, rot in zip(keep, scheme.rotations):
-        rotations[v] = [keep[w] for w in rot]
-    for v, u in reversed(pendant):
-        rotations[u].append(v)
-        rotations[v].append(u)
-    sign = {(keep[u], keep[v]): s for u, v, s in scheme.signs}
-    edges = g.edges()
-    return _verified_scheme(g, edges, rotations, [sign.get(e, 1) for e in edges], None, euler, surface)
 
 
 # ---------------------------------------------------------------------------
@@ -971,11 +927,13 @@ def _lower_on(surface: str, euler_lower: int) -> int:
 
 def exact_genus(g: SimpleGraph, budget: Optional[SearchBudget] = None) -> GenusResult:
     """Orientable genus of a connected graph: lower bounds, then one
-    face-set pass from the bound, which raises it by each value it excludes
-    until it hits or its node cap is spent: `_NODE_CAP` on a rotation space
-    that fits `_EXHAUSTIVE_CAP`, else `_FACE_NODE_CAP`. A pass stopped by
-    the cap is followed by one annealing run aimed at the bound it reached;
-    a bracket's upper end is the lowest scheme of the run."""
+    face-set pass from the bound on the graph's homeomorphic reduction,
+    which raises it by each value it excludes until it hits or its node cap
+    is spent: `_NODE_CAP` on a rotation space that fits `_EXHAUSTIVE_CAP`,
+    else `_FACE_NODE_CAP`. A hit's certificate binds to the reduction. A
+    pass stopped by the cap is followed by one annealing run on the graph,
+    aimed at the bound it reached; a bracket's upper end is the lowest
+    scheme of the run."""
     return _exact_surface(_piece(g), ORIENTABLE, budget or DEFAULT_BUDGET)
 
 
@@ -988,19 +946,18 @@ def exact_crosscap(g: SimpleGraph, budget: Optional[SearchBudget] = None) -> Gen
 def _face_set_pass(
     g: SimpleGraph, surface: str, lower: int, stop: Optional[int], node_cap: int, prov: list[str]
 ) -> tuple[Optional[EmbeddingScheme], int]:
-    """Face-set searches on g's 2-core at lower, lower + 1, ... until one
-    hits, the bound reaches `stop` or `node_cap` nodes are spent. Each that
-    completes without a hit proves the next value. Returns the hit's scheme,
-    lifted to g, or None, and the bound reached."""
-    core, keep, pendant = _two_core(g)
+    """Face-set searches on g, a homeomorphic reduction, at lower,
+    lower + 1, ... until one hits, the bound reaches `stop` or `node_cap`
+    nodes are spent. Each that completes without a hit proves the next
+    value. Returns the hit's scheme or None, and the bound reached."""
     nodes = 0
     while stop is None or lower < stop:
         euler = 2 * lower if surface == ORIENTABLE else lower
-        scheme, used = _face_set_search(core, euler, surface == ORIENTABLE, node_cap - nodes)
+        scheme, used = _face_set_search(g, euler, surface == ORIENTABLE, node_cap - nodes)
         nodes += used
         if scheme is not None:
             prov.append(f"face-set certificate at {lower}")
-            return (_lifted(g, keep, pendant, scheme, euler, surface) if pendant else scheme), lower
+            return scheme, lower
         if nodes > node_cap:
             prov.append(f"face-set search stopped by node cap at {lower}")
             return None, lower
@@ -1014,9 +971,9 @@ def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusRe
     g = piece.graph
     prov = list(piece.provenance)
 
-    def settled(value: int, scheme: EmbeddingScheme) -> GenusResult:
+    def settled(value: int, scheme: EmbeddingScheme, graph: SimpleGraph = g) -> GenusResult:
         return GenusResult(surface, value, value, True,
-                           certificate=scheme, certificate_graph=g, provenance=prov)
+                           certificate=scheme, certificate_graph=graph, provenance=prov)
 
     if piece.planar.planar:
         return settled(0, piece.planar.scheme)
@@ -1025,9 +982,10 @@ def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusRe
     prov.append(f"lower bound {lower}")
     stop = budget.lower_stop
     node_cap = _NODE_CAP if rotation_space_size(g) <= _EXHAUSTIVE_CAP else _FACE_NODE_CAP
-    scheme, lower = _face_set_pass(g, surface, lower, stop, node_cap, prov)
+    reduced = reduce_homeomorphic(g)[0]
+    scheme, lower = _face_set_pass(reduced, surface, lower, stop, node_cap, prov)
     if scheme is not None:
-        return settled(lower, scheme)
+        return settled(lower, scheme, reduced)
     if stop is not None and lower >= stop:
         return GenusResult(surface, lower, None, False, provenance=prov)
 

@@ -3,8 +3,12 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from graphs import complete_bipartite
 from diffgenus import genus
 from diffgenus.cli import main
+from diffgenus.embeddings import certificate_to_json
+from diffgenus.graphio import write_edgelist
+from diffgenus.simplegraph import SimpleGraph
 
 
 def run(*args, **kwargs):
@@ -32,6 +36,20 @@ def test_group_info():
 def test_group_info_rejects_garbage():
     result = run("group", "info", "FOO99")
     assert result.exit_code != 0
+
+
+def test_group_info_on_a_directory_is_input_error(tmp_path):
+    result = run("group", "info", str(tmp_path))
+    assert result.exit_code == 2, result.output
+    assert "Error:" in result.output
+
+
+def test_genus_verify_on_a_certificate_directory_is_input_error(tmp_path):
+    path = tmp_path / "d20.el"
+    path.write_text(run("graph", "build", "--kind", "difference", "Z20").output)
+    result = run("genus", "verify", str(path), str(tmp_path))
+    assert result.exit_code == 2, result.output
+    assert "bad certificate file" in result.output
 
 
 def test_graph_build_difference_edgelist():
@@ -101,6 +119,24 @@ def test_genus_compute_settles_the_z24_crosscap(tmp_path):
     result = run("genus", "verify", str(path), str(cert))
     assert result.exit_code == 0
     assert "certificate valid: nonorientable 8" in result.output
+
+
+@pytest.mark.parametrize("surface", ["o", "n"])
+def test_genus_verify_binds_a_direct_certificate_to_the_reduction(tmp_path, surface):
+    # K3,3 with a pendant edge and a subdivided edge: the face-set search
+    # runs on its homeomorphic reduction, K3,3, and so does the certificate
+    k33 = complete_bipartite(3, 3)
+    u, v = k33.edges()[0]
+    g = SimpleGraph(8, [*k33.edges()[1:], (u, 6), (6, v), (0, 7)])
+    res = genus.exact_genus(g) if surface == "o" else genus.exact_crosscap(g)
+    assert res.exact and res.value == 1
+    assert res.certificate_graph.checksum() == k33.checksum() != g.checksum()
+    path, cert = tmp_path / "g.el", tmp_path / "cert.json"
+    path.write_text(write_edgelist(g))
+    cert.write_text(certificate_to_json(res.certificate, res.surface, res.value))
+    result = run("genus", "verify", str(path), str(cert))
+    assert result.exit_code == 0, result.output
+    assert f"certificate valid: {res.surface} 1 (on the reduced graph)" in result.output
 
 
 def test_genus_verify_rejects_wrong_graph(tmp_path):
@@ -219,3 +255,10 @@ def test_catalog_list_cmd():
     lines = result.output.strip().splitlines()
     assert any("Z2 x Z2 x Z3" in line for line in lines)
     assert all(int(line.split()[0]) <= 16 for line in lines)
+
+
+@pytest.mark.parametrize("command", [("catalog", "list"), ("verify", "sweep")])
+def test_max_order_past_the_catalog_is_input_error(command):
+    result = run(*command, "--max-order", "201")
+    assert result.exit_code == 2, result.output
+    assert "201" in result.output

@@ -557,8 +557,9 @@ def test_exhaustive_only_matches_known_values(builder, surface, value):
 
 def test_exhaustive_only_matches_bruteforce_random():
     """Seeded distinct nonplanar graphs, every other one with a pendant path
-    of two edges grafted on: the face-set search runs on the 2-core, and its
-    scheme, lifted to the graph, must match the oracles."""
+    of two edges grafted on: the values must match the oracles on the graph,
+    and the face-set certificate must verify on the graph's homeomorphic
+    reduction, which the search runs on."""
     rng = random.Random(77)
     seen = set()
     while len(seen) < 12:
@@ -583,8 +584,8 @@ def test_exhaustive_only_matches_bruteforce_random():
             (exact_crosscap(g, NO_RESTARTS), oracles.brute_force_crosscap(g)),
         ):
             assert res.exact and res.value == value
-            assert res.certificate_graph is g
-            assert verify_certificate(g, res.certificate, res.surface, value)
+            assert res.certificate_graph.checksum() == reduce_homeomorphic(g)[0].checksum()
+            assert verify_certificate(res.certificate_graph, res.certificate, res.surface, value)
 
 
 def test_node_cap_abort_degrades_to_bounds(monkeypatch):
@@ -670,18 +671,27 @@ def _subdivided(g: SimpleGraph, paths: dict) -> SimpleGraph:
 
 
 def test_face_set_search_matches_bruteforce_random():
-    """Seeded nonplanar graphs of minimum degree >= 2, some with degree-2
-    vertices: the search excludes every Euler genus below the oracles'
-    genus and crosscap, and its scheme at them re-verifies."""
+    """Seeded distinct nonplanar graphs of minimum degree >= 3: the search
+    excludes every Euler genus below the oracles' genus and crosscap, and
+    its scheme at them re-verifies."""
     rng = random.Random(131)
-    done = 0
-    while done < 8:
-        g = connected_random_graph(rng, n_max=8, space_cap=30_000)
-        if min(g.degree(v) for v in range(g.n)) < 2 or is_planar(g).planar:
+    seen = set()
+    while len(seen) < 8:
+        # a random spanning tree, then each vertex in turn joined to random
+        # non-neighbours until it has degree 3
+        n = rng.randint(6, 8)
+        order = list(range(n))
+        rng.shuffle(order)
+        g = SimpleGraph(n, [(order[i], order[rng.randrange(i)]) for i in range(1, n)])
+        for v in range(n):
+            others = [w for w in range(n) if w != v and w not in g.adj[v]]
+            for w in rng.sample(others, max(0, 3 - g.degree(v))):
+                g.add_edge(v, w)
+        if g.checksum() in seen or is_planar(g).planar:
             continue
         if rotation_space_size(g) << (g.edge_count - g.n + 1) > 30_000:
             continue  # the crosscap oracle tries every co-tree sign pattern
-        done += 1
+        seen.add(g.checksum())
         values = {ORIENTABLE: 2 * oracles.brute_force_genus(g), NONORIENTABLE: oracles.brute_force_crosscap(g)}
         for surface, value in values.items():
             for euler in range(0 if surface == ORIENTABLE else 1, value + 1, 1 + (surface == ORIENTABLE)):
@@ -714,27 +724,33 @@ def test_face_set_exclusions_match_the_combine_rule():
         assert verify_certificate(g, scheme, surface, euler // 2 if surface == ORIENTABLE else euler)
 
 
+def _assert_certified_on_the_reduction(g: SimpleGraph, value: int) -> None:
+    reduced = reduce_homeomorphic(g)[0]
+    derived = {h.checksum() for h in derived_subgraphs(g)}
+    for res in (exact_genus(g), exact_crosscap(g)):
+        assert res.exact and res.value == value
+        assert f"face-set certificate at {value}" in res.provenance
+        assert res.certificate_graph.checksum() == reduced.checksum()
+        assert res.certificate_graph.checksum() in derived
+        assert verify_certificate(res.certificate_graph, res.certificate, res.surface, value)
+
+
 def test_face_set_certificates_on_subdivided_graphs():
-    # degree-2 vertices fix no turn, so their paths carry the signs
+    # a degree-2 vertex fixes no turn to read a sign from: the search runs
+    # on the reduction, which suppresses it
     for base in (complete_bipartite(3, 3), SimpleGraph.complete(5)):
         edges = base.edges()
         g = _subdivided(base, {edges[0]: 1, edges[1]: 2, edges[-1]: 1})
-        for res in (exact_genus(g), exact_crosscap(g)):
-            assert res.exact and res.value == 1
-            assert "face-set certificate at 1" in res.provenance
-            assert res.certificate_graph is g
-            assert verify_certificate(g, res.certificate, res.surface, 1)
+        _assert_certified_on_the_reduction(g, 1)
+        with pytest.raises(ValueError, match="minimum degree"):
+            _face_sets(g, 2, ORIENTABLE)
 
 
 def test_face_set_search_skips_a_graph_with_a_leaf():
     # facial walks turn back at a leaf, which the face sets rule out: the
-    # search runs on the 2-core, and its scheme gets the leaf back
+    # search runs on the reduction, which deletes it
     g = SimpleGraph(6, [*SimpleGraph.complete(5).edges(), (0, 5)])
-    for res in (exact_genus(g), exact_crosscap(g)):
-        assert res.exact and res.value == 1
-        assert "face-set certificate at 1" in res.provenance
-        assert res.certificate_graph is g
-        assert verify_certificate(g, res.certificate, res.surface, 1)
+    _assert_certified_on_the_reduction(g, 1)
     with pytest.raises(ValueError, match="minimum degree"):
         _face_sets(g, 2, ORIENTABLE)
 
