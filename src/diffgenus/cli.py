@@ -54,6 +54,13 @@ def _load_graph(path: str):
         raise InputError(str(exc))
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(str(exc))
+
+
 def _budget(effort: int | None, seed: int | None) -> SearchBudget:
     b = SearchBudget()
     if effort is not None:
@@ -147,7 +154,7 @@ def graph_reduce(path, log_path):
             "steps": [list(step) for step in log.steps],
             "vertex_map": {str(k): v for k, v in log.vertex_map.items()},
         }
-        Path(log_path).write_text(json.dumps(doc, indent=2))
+        _write(log_path, json.dumps(doc, indent=2))
     click.echo(write_edgelist(reduced), nl=False)
 
 
@@ -182,7 +189,7 @@ def genus_compute(path, surface, exact, budget, seed, cert_path):
         if res.certificate is None:
             raise InputError("no certificate available for this result")
         value = res.value if res.exact else res.upper
-        Path(cert_path).write_text(certificate_to_json(res.certificate, surf, value))
+        _write(cert_path, certificate_to_json(res.certificate, surf, value))
         click.echo(f"certificate written to {cert_path}")
     if exact and not res.exact:
         sys.exit(1)
@@ -307,7 +314,7 @@ def verify_sweep_cmd(max_order, budget, seed, report_path):
         f" {summary.contradictions} contradictions, {summary.inconclusive} inconclusive"
     )
     if report_path:
-        Path(report_path).write_text(doc)
+        _write(report_path, doc)
         click.echo(f"report written to {report_path}")
     if not summary.ok:
         sys.exit(1)

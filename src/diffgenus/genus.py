@@ -12,7 +12,14 @@ without a hit proves the bound + 1; one that hits gives the value, with a
 certificate on the reduction. Its node cap is picked before it starts:
 `_NODE_CAP` on a rotation space that fits `_EXHAUSTIVE_CAP`, else
 `_FACE_NODE_CAP`. Only a pass that stops at its cap leaves the piece to the
-annealing run, aimed at the bound it reached.
+annealing run, aimed at the bound it reached. The search skips every walk
+into a twin (same open or same closed neighbourhood) while a lower twin is
+also untouched: swapping two untouched twins is an automorphism that fixes
+the partial embedding, so that branch mirrors one already tried
+(lex-leader symmetry breaking for interchangeable values, after Crawford,
+Ginsberg, Luks and Roy, KR 1996). It prunes nodes only: where the
+unpruned search ends within its cap, this one excludes the same values and
+hits the same scheme first.
 
 The Euler genus of an embedding scheme is 2 - V + E - F on each component;
 orientable genus is half the minimum over all-positive schemes, crosscap the
@@ -152,18 +159,18 @@ def bipartite_subgraph_bound(g: SimpleGraph, surface: str) -> tuple[int, Optiona
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     cands = order[:_SUBGRAPH_CANDIDATE_CAP]
     best, desc = 0, None
+    # per subset, in the order of combinations(cands, m): its last member's
+    # position and the AND of its masks, its members' common neighbours
+    # (never a member, as no vertex is its own neighbour)
+    level = [(i, masks[v]) for i, v in enumerate(cands)]
     for m in (2, 3, 4):
-        if len(cands) < m:
-            break
-        for subset in combinations(cands, m):
-            common = (1 << g.n) - 1
-            for v in subset:
-                common &= masks[v]
-            for v in subset:
-                common &= ~(1 << v)
+        level = [(j, common & masks[cands[j]]) for i, common in level for j in range(i + 1, len(cands))]
+        most = 1  # the bound grows with the other side: try only a larger one
+        for _, common in level:
             n_side = common.bit_count()
-            if n_side < 2:
+            if n_side <= most:
                 continue
+            most = n_side
             val = formula_oracle("complete_bipartite", (m, n_side), surface)
             if val > best:
                 best, desc = val, f"K_{{{m},{n_side}}}"
@@ -429,6 +436,17 @@ def _face_set_search(
     orientations meets the two sides of every edge; an orientable target
     prunes at the first inconsistency, a nonorientable one needs one.
 
+    Twins are vertices with the same open neighbourhood (false twins) or
+    the same closed one (true twins), grouped into classes once per search.
+    A vertex is untouched while no side of its edges is covered. The open
+    walk never enters an untouched vertex while a lower member of its class
+    is untouched too. This is sound: swapping the two is a graph
+    automorphism that fixes every covered side, corner and face, and keeps
+    Euler genus and orientability, so the skipped subtree holds a hit
+    exactly when the lower twin's does, and that one is tried first, as
+    each vertex's darts are in neighbour order. Exclusions and the first
+    hit are therefore those of the unpruned search; only nodes fall.
+
     Returns (scheme, nodes), where nodes counts the faces started and the
     corners placed. A hit returns the re-verified scheme; None with
     nodes <= node_cap proves that g has no such embedding, and
@@ -444,6 +462,18 @@ def _face_set_search(
     girth = int(girth)
     head = idx.head
     out = [[idx.out[v][w] for w in g.neighbors(v)] for v in range(g.n)]
+    # twin classes, keyed by open and by closed neighbourhood (an open one
+    # never equals a closed one); a vertex has at most one nontrivial class,
+    # and keeps its lower classmates in it
+    classes: dict[int, list[int]] = {}
+    for v, mask in enumerate(g.adjacency_masks()):
+        classes.setdefault(mask, []).append(v)
+        classes.setdefault(mask | 1 << v, []).append(v)
+    lower: list[tuple[int, ...]] = [()] * g.n
+    for members in classes.values():
+        for i in range(1, len(members)):
+            lower[members[i]] = tuple(members[:i])
+    touched = [0] * g.n  # edge sides covered at each vertex
     dist = dict(nx.all_pairs_shortest_path_length(_nx_graph(g)))
     # per triangle: its edges and its corners (vertex, dart, dart)
     triangles = [] if girth > 3 else [
@@ -528,12 +558,16 @@ def _face_set_search(
                 conflicts += 1
                 log = (-1,)
         side[e] += 1
+        touched[head[d]] += 1
+        touched[head[d ^ 1]] += 1
         uncovered -= 1
         return log
 
     def uncover(d: int, log: tuple) -> None:
         nonlocal uncovered, conflicts
         side[d >> 1] -= 1
+        touched[head[d]] -= 1
+        touched[head[d ^ 1]] -= 1
         uncovered += 1
         if len(log) == 1:
             conflicts -= 1
@@ -627,7 +661,10 @@ def _face_set_search(
         for d in out[v]:
             if d == a or side[d >> 1] == 2 or not addable(a, d, v):
                 continue
-            if uncovered - 1 - dist[head[d]][home] < after:
+            w = head[d]
+            if lower[w] and not touched[w] and not all(touched[u] for u in lower[w]):
+                continue  # mirrors the branch into a lower untouched twin
+            if uncovered - 1 - dist[w][home] < after:
                 continue
             log = cover(d)
             if log is None:

@@ -52,6 +52,20 @@ def test_genus_verify_on_a_certificate_directory_is_input_error(tmp_path):
     assert "bad certificate file" in result.output
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("verify", "sweep", "--max-order", "4", "--report"), ("genus", "compute", "{graph}", "--cert"),
+     ("graph", "reduce", "{graph}", "--log")],
+    ids=["sweep-report", "compute-cert", "reduce-log"],
+)
+def test_an_output_path_that_is_a_directory_is_input_error(tmp_path, command):
+    graph = tmp_path / "k5.el"
+    graph.write_text(write_edgelist(SimpleGraph.complete(5)))
+    result = run(*(arg.format(graph=graph) for arg in command), str(tmp_path))
+    assert result.exit_code == 2, result.output
+    assert "Is a directory" in result.output
+
+
 def test_graph_build_difference_edgelist():
     result = run("graph", "build", "--kind", "difference", "Z12")
     assert result.exit_code == 0

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from itertools import combinations
+from typing import Optional
 
 import pytest
 
@@ -670,27 +671,38 @@ def _subdivided(g: SimpleGraph, paths: dict) -> SimpleGraph:
     return h
 
 
-def test_face_set_search_matches_bruteforce_random():
-    """Seeded distinct nonplanar graphs of minimum degree >= 3: the search
-    excludes every Euler genus below the oracles' genus and crosscap, and
-    its scheme at them re-verifies."""
-    rng = random.Random(131)
+def _min_degree_three(rng: random.Random, n: int, low: Optional[int] = None) -> SimpleGraph:
+    """A random spanning tree on n vertices, then each vertex in turn joined
+    to random non-neighbours until it has degree 3, or 2 for vertex `low`."""
+    order = list(range(n))
+    rng.shuffle(order)
+    g = SimpleGraph(n, [(order[i], order[rng.randrange(i)]) for i in range(1, n)])
+    for v in range(n):
+        others = [w for w in range(n) if w != v and w not in g.adj[v]]
+        for w in rng.sample(others, max(0, (2 if v == low else 3) - g.degree(v))):
+            g.add_edge(v, w)
+    return g
+
+
+def _with_twin(g: SimpleGraph, v: int, closed: bool) -> SimpleGraph:
+    """g and a new vertex with v's open neighbourhood (a false twin of v)
+    or its closed one (a true twin)."""
+    return SimpleGraph(g.n + 1, [*g.edges(), *((w, g.n) for w in g.adj[v] | ({v} if closed else set()))])
+
+
+def _assert_face_sets_match_the_oracles(graphs, count: int, space_cap: int) -> None:
+    """On `count` distinct nonplanar graphs whose rotations times co-tree
+    sign patterns, which the crosscap oracle tries, are at most
+    `space_cap`: the search excludes every Euler genus below the oracles'
+    genus and crosscap, and its scheme at them re-verifies."""
     seen = set()
-    while len(seen) < 8:
-        # a random spanning tree, then each vertex in turn joined to random
-        # non-neighbours until it has degree 3
-        n = rng.randint(6, 8)
-        order = list(range(n))
-        rng.shuffle(order)
-        g = SimpleGraph(n, [(order[i], order[rng.randrange(i)]) for i in range(1, n)])
-        for v in range(n):
-            others = [w for w in range(n) if w != v and w not in g.adj[v]]
-            for w in rng.sample(others, max(0, 3 - g.degree(v))):
-                g.add_edge(v, w)
+    for g in graphs:
+        if len(seen) == count:
+            return
         if g.checksum() in seen or is_planar(g).planar:
             continue
-        if rotation_space_size(g) << (g.edge_count - g.n + 1) > 30_000:
-            continue  # the crosscap oracle tries every co-tree sign pattern
+        if rotation_space_size(g) << (g.edge_count - g.n + 1) > space_cap:
+            continue
         seen.add(g.checksum())
         values = {ORIENTABLE: 2 * oracles.brute_force_genus(g), NONORIENTABLE: oracles.brute_force_crosscap(g)}
         for surface, value in values.items():
@@ -700,6 +712,28 @@ def test_face_set_search_matches_bruteforce_random():
                 assert (scheme is not None) == (euler == value), (g.edges(), surface, euler)
             genus = value // 2 if surface == ORIENTABLE else value
             assert verify_certificate(g, scheme, surface, genus)
+
+
+def test_face_set_search_matches_bruteforce_random():
+    """Seeded random graphs of minimum degree >= 3 on 6 to 8 vertices."""
+    rng = random.Random(131)
+    graphs = iter(lambda: _min_degree_three(rng, rng.randint(6, 8)), None)
+    _assert_face_sets_match_the_oracles(graphs, 8, 30_000)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["false-twins", "true-twins"])
+def test_face_set_search_matches_bruteforce_with_planted_twins(closed):
+    """Seeded random graphs on 6 to 8 vertices, the last a planted twin of
+    a vertex of least degree, so that walks into the higher of two
+    untouched twins are skipped. For a true twin, vertex 0 may be drawn
+    with degree 2, so that the two twins can end with degree 3."""
+    rng = random.Random(137 + closed)
+
+    def draw() -> SimpleGraph:
+        g = _min_degree_three(rng, rng.randint(5, 7), 0 if closed else None)
+        return _with_twin(g, min(range(g.n), key=g.degree), closed)
+
+    _assert_face_sets_match_the_oracles(iter(draw, None), 2, 150_000)
 
 
 def test_face_set_exclusions_match_the_combine_rule():
@@ -755,11 +789,12 @@ def test_face_set_search_skips_a_graph_with_a_leaf():
         _face_sets(g, 2, ORIENTABLE)
 
 
-def test_face_set_node_cap_falls_back_to_the_annealing_run():
+def test_face_set_node_cap_falls_back_to_the_annealing_run(monkeypatch):
     """Excluding genus 1 for K5 and K5 sharing a vertex, searched whole,
-    takes more nodes than the cap, so the annealing run at 1 gives the upper
-    end and its scheme. Split into its two K5 blocks, the graph's genus is
-    exact 2."""
+    takes 18,349 nodes, more than a cap of 10,000, so the annealing run at
+    1 gives the upper end and its scheme. Split into its two K5 blocks, the
+    graph's genus is exact 2."""
+    monkeypatch.setattr(genus_module, "_FACE_NODE_CAP", 10_000)
     g = _glue(SimpleGraph.complete(5), SimpleGraph.complete(5), "shared")
     res = exact_genus(g, SearchBudget(restarts=4, moves_per_restart=2_000))
     assert "face-set search stopped by node cap at 1" in res.provenance
@@ -767,6 +802,27 @@ def test_face_set_node_cap_falls_back_to_the_annealing_run():
     assert verify_certificate(g, res.certificate, ORIENTABLE, 2)
     res = genus_of_graph(g)
     assert res.exact and res.value == 2
+
+
+def test_face_set_search_settles_two_k5_sharing_a_vertex():
+    # its rotation space is past _EXHAUSTIVE_CAP, so the one pass runs
+    # under _FACE_NODE_CAP
+    g = _glue(SimpleGraph.complete(5), SimpleGraph.complete(5), "shared")
+    res = exact_genus(g, NO_RESTARTS)
+    assert res.exact and res.value == 2, (res.lower, res.upper, res.provenance)
+    assert res.provenance[-2:] == ["face-set search excludes 1", "face-set certificate at 2"]
+    assert verify_certificate(res.certificate_graph, res.certificate, ORIENTABLE, 2)
+
+
+def test_twin_classes_prune_the_face_set_search():
+    """Excluding genus 1, searched whole, on two K3,3 sharing a vertex
+    (false twins) and two K5 sharing a vertex (true twins): the node counts
+    are pinned, far below the 14,798 and 342,982 nodes the search took
+    without skipping walks into the higher of two untouched twins."""
+    k33, k5 = complete_bipartite(3, 3), SimpleGraph.complete(5)
+    for block, nodes, unpruned in ((k33, 934, 14_798), (k5, 18_349, 342_982)):
+        scheme, count = _face_sets(_glue(block, block, "shared"), 2, ORIENTABLE)
+        assert scheme is None and count == nodes and 10 * count < unpruned
 
 
 def test_face_set_search_settles_the_z44_crosscap():
