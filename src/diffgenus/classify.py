@@ -3,22 +3,24 @@ graph of a finite nilpotent group from its Sylow structure, without building
 the graph. The >=3 classes carry a description of the bipartite subgraph
 that forces the bound.
 
-The interesting boundary is products P x Z3 with P a 2-group of exponent 4:
-the intersection pattern of P's order-4 maximal cyclic subgroups (conditions
-C1, C2, C3) decides between genus 1, genus 2, and genus >= 3.
+Both classes come from one reading of the Sylow orders and exponents. The
+named groups of genus 1 and 2 are looked up by that key, with no
+isomorphism search. The interesting boundary is products P x Z3 with P a
+2-group of exponent 4: the intersection pattern of P's order-4 maximal
+cyclic subgroups (conditions C1, C2, C3) decides between genus 1, genus 2,
+and genus >= 3. That pattern is read from how many order-4 elements square
+to each involution.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .groups import (
     GroupError,
     GroupTable,
-    build_group,
-    group_isomorphic,
     intersection_pattern,
     maximal_cyclic_subgroups,
     sylow_decomposition,
@@ -60,100 +62,87 @@ class ConditionReport:
     exponent: int
     order4_subgroups: list[tuple[int, ...]]
     intersections: list[list[int]]
-    intersecting_pairs: list[tuple[int, int]]
     note: str = OTHER_PAIR_READING
 
 
-def check_condition(p_group: GroupTable, which: str) -> ConditionReport:
-    """Intersection-pattern conditions on a 2-group of exponent 4.
+# (order-4 chain pairs meeting in order 2, chains in those pairs) -> condition
+_CONDITIONS = {(1, 2): "C1", (2, 4): "C2", (3, 3): "C3"}
 
-    C1: one pair of order-4 maximal cyclic subgroups meets in order 2.
-    C2: two disjoint such pairs. C3: a triple with a common order-2
-    intersection equal to each pairwise intersection. In every case all
-    remaining pairs of maximal cyclic subgroups must meet trivially.
+
+def _chain_pattern(g: GroupTable) -> tuple[int, int, int]:
+    """(pairs meeting in order 2, chains in those pairs, most chains through
+    one involution) over the cyclic subgroups of order 4.
+
+    In a 2-group P of exponent 4 these are its order-4 maximal cyclic
+    subgroups, and P x Z3 has no others. Each holds one involution,
+    the square of its two generators, so two meet in order 2 exactly when
+    they share it. No other pair of maximal cyclic subgroups can meet
+    nontrivially, as a maximal one of order 2 lies in no other.
     """
-    if which not in ("C1", "C2", "C3"):
-        raise ValueError(f"unknown condition {which!r}")
-    order = p_group.order
-    if order < 2 or order & (order - 1):
-        raise GroupError(f"condition {which} applies to 2-groups; order is {order}")
-
-    exp = p_group.exponent()
-    maximal = maximal_cyclic_subgroups(p_group)
-    inter = intersection_pattern(maximal)
-    m4_idx = [i for i, s in enumerate(maximal) if s.order == 4]
-    m4_view = [tuple(sorted(maximal[i].members)) for i in m4_idx]
-    m4_matrix = [[inter[i][j] for j in m4_idx] for i in m4_idx]
-
-    nontrivial = [
-        (i, j)
-        for i in range(len(maximal))
-        for j in range(i + 1, len(maximal))
-        if inter[i][j] > 1
-    ]
-    report = ConditionReport(
-        condition=which,
-        holds=False,
-        exponent=exp,
-        order4_subgroups=m4_view,
-        intersections=m4_matrix,
-        intersecting_pairs=nontrivial,
-    )
-    if exp != 4:
-        return report
-
-    m4_set = set(m4_idx)
-    pairs4 = [(i, j) for i, j in nontrivial if i in m4_set and j in m4_set and inter[i][j] == 2]
-    if any((i, j) not in pairs4 for i, j in nontrivial):
-        return report  # some excess nontrivial intersection disqualifies all three
-
-    if which == "C1":
-        report.holds = len(nontrivial) == 1 and len(pairs4) == 1
-    elif which == "C2":
-        if len(nontrivial) == 2 and len(pairs4) == 2:
-            involved = {x for p in pairs4 for x in p}
-            report.holds = len(involved) == 4
-    else:  # C3
-        if len(nontrivial) == 3 and len(pairs4) == 3:
-            involved = sorted({x for p in pairs4 for x in p})
-            if len(involved) == 3:
-                a, b, c = involved
-                common = (
-                    maximal[a].members & maximal[b].members & maximal[c].members
-                )
-                pairwise_equal = all(
-                    maximal[i].members & maximal[j].members == common
-                    for i, j in pairs4
-                )
-                report.holds = len(common) == 2 and pairwise_equal
-    return report
+    squares = Counter(g.mult(x, x) for x in range(g.order) if g.element_order(x) == 4)
+    chains = [n // 2 for n in squares.values()]
+    pairs = sum(n * (n - 1) // 2 for n in chains)
+    return pairs, sum(n for n in chains if n > 1), max(chains, default=0)
 
 
 def condition_reports(p_group: GroupTable) -> list[ConditionReport]:
-    return [check_condition(p_group, w) for w in ("C1", "C2", "C3")]
+    """Intersection-pattern conditions on a 2-group of exponent 4.
+
+    C1: one pair of order-4 maximal cyclic subgroups meets in order 2.
+    C2: two disjoint such pairs. C3: a triple meeting pairwise in order 2,
+    which then share one involution. In every case all remaining pairs of
+    maximal cyclic subgroups must meet trivially. At most one holds.
+    """
+    order = p_group.order
+    if order < 2 or order & (order - 1):
+        raise GroupError(f"conditions C1-C3 apply to 2-groups; order is {order}")
+    exp = p_group.exponent()
+    holding = _CONDITIONS.get(_chain_pattern(p_group)[:2]) if exp == 4 else None
+    m4 = [s for s in maximal_cyclic_subgroups(p_group) if s.order == 4]
+    view = [tuple(sorted(s.members)) for s in m4]
+    inter = intersection_pattern(m4)
+    return [ConditionReport(c, c == holding, exp, view, inter) for c in ("C1", "C2", "C3")]
 
 
 # ---------------------------------------------------------------------------
 # Classifier
 
+# Named groups by (Sylow orders, Sylow exponents). Every Sylow subgroup here
+# has order p or p^2, so its exponent fixes it, and a nilpotent group is the
+# product of its Sylow subgroups: each key names one group up to isomorphism.
+# Row: name, genus, crosscap, and the subgraph forcing a crosscap >= 3.
+_NAMED = {
+    ((2, 9), (2, 9)): ("Z18", 1, 2, None),
+    ((4, 5), (4, 5)): ("Z20", 1, 1, None),
+    ((4, 5), (2, 5)): ("Z2 x Z2 x Z5", 1, 1, None),
+    ((4, 7), (4, 7)): ("Z28", 1, 2, None),
+    ((4, 7), (2, 7)): ("Z2 x Z2 x Z7", 1, 2, None),
+    ((5, 7), (5, 7)): ("Z35", 2, GE3, "K_{4,6} (crosscap 4)"),
+    ((4, 9), (4, 3)): ("Z4 x Z3 x Z3", 2, GE3, "K_{3,8} (crosscap 3)"),
+    ((4, 9), (2, 3)): ("Z2 x Z2 x Z3 x Z3", 2, GE3, "K_{3,8} (crosscap 3)"),
+    ((4, 11), (2, 11)): ("Z2 x Z2 x Z11", 2, GE3, "K_{3,10} (crosscap 4)"),
+    ((4, 11), (4, 11)): ("Z44", 2, GE3, "K_{3,10} (crosscap 4)"),
+}
+_GENUS_BASIS = {1: "toroidal group: {}", 2: "double-torus group: {}"}
+_CROSSCAP_BASIS = {
+    1: "projective-planar group: {}",
+    2: "crosscap-2 group: {}",
+    GE3: "double-torus group {} exceeds crosscap 2",
+}
 
-@lru_cache(maxsize=None)
-def _fixed_target(descriptor: str) -> GroupTable:
-    return build_group(descriptor)
-
-
-_TORUS_FIXED = ("Z18", "Z20", "Z2 x Z2 x Z5", "Z28", "Z2 x Z2 x Z7")
-_DOUBLE_TORUS_FIXED = ("Z35", "Z4 x Z3 x Z3", "Z2 x Z2 x Z3 x Z3", "Z2 x Z2 x Z11", "Z44")
-_CROSSCAP1_FIXED = ("Z20", "Z2 x Z2 x Z5")
-_CROSSCAP2_FIXED = ("Z18", "Z28", "Z2 x Z2 x Z7")
-
-
-def _iso_to(g: GroupTable, descriptor: str) -> bool:
-    target = _fixed_target(descriptor)
-    if g.order != target.order:
-        return False
-    found, _ = group_isomorphic(g, target, cap=max(g.order, 256))
-    return found
+# (2-group of exponent 4) x Z3, by the condition its 2-part satisfies
+_C1 = "condition C1 product: (2-group with one order-4 chain pair) x Z3"
+_CHAIN_ROWS = {
+    "C1": (GenusClass(1, _C1), GenusClass(2, _C1)),
+    "C2": (
+        GenusClass(2, "condition C2 product: (2-group with two disjoint chain pairs) x Z3"),
+        GenusClass(GE3, "condition C2 product exceeds crosscap 2", "K_{4,4} plus chained order-4 vertices"),
+    ),
+    "C3": (
+        GenusClass(2, "condition C3 product: (2-group with an order-4 chain triple) x Z3"),
+        GenusClass(GE3, "condition C3 product exceeds crosscap 2", "K_{4,6} (crosscap 4)"),
+    ),
+}
 
 
 @dataclass
@@ -172,13 +161,6 @@ def _structure(g: GroupTable) -> _Structure:
     return _Structure(dec.primes, sizes, exponents)
 
 
-def _sylow_as_group(g: GroupTable, prime: int) -> GroupTable:
-    dec = sylow_decomposition(g)
-    comp = dec.components[dec.primes.index(prime)]
-    sub, _ = comp.as_group()
-    return sub
-
-
 def _planar_family(g: GroupTable, st: _Structure) -> Optional[str]:
     """Families whose difference graph is planar (nilpotent, two primes)."""
     if len(st.primes) != 2:
@@ -186,11 +168,12 @@ def _planar_family(g: GroupTable, st: _Structure) -> Optional[str]:
     p1, p2 = st.primes
     a1, a2 = st.sizes
     e1, e2 = st.exponents
-    if g.order == 12 and g.exponent() == 12:
+    if (a1, a2) == (4, 3) and e1 == 4:
         return "Z12"
     if (p1, p2) == (2, 3) and a2 == 3 and e1 == 2:
         return "elementary abelian 2-group x Z3"
-    if (p1, p2) == (2, 3) and a1 == 8 and a2 == 3 and _iso_to(_sylow_as_group(g, 2), "D8"):
+    # of the groups of order 8 only D8 has 5 involutions
+    if (a1, a2) == (8, 3) and g.orders().count(2) == 5:
         return "D8 x Z3"
     if p1 == 2 and a1 == 2 and e2 == p2:
         return f"Z2 x (exponent-{p2} group)"
@@ -199,12 +182,30 @@ def _planar_family(g: GroupTable, st: _Structure) -> Optional[str]:
     return None
 
 
-def _condition_product(g: GroupTable, st: _Structure, which: str) -> Optional[ConditionReport]:
-    """When g is (2-group) x Z3, report the condition check on the 2-part."""
-    if st.primes != [2, 3] or st.sizes[1] != 3:
-        return None
-    report = check_condition(_sylow_as_group(g, 2), which)
-    return report if report.holds else None
+def _classes(g: GroupTable) -> tuple[GenusClass, GenusClass]:
+    """Genus and crosscap class of the difference graph, read off the
+    Sylow structure."""
+    st = _structure(g)
+    if len(st.primes) <= 1:
+        both = GenusClass(0, "p-group: empty difference graph")
+        return both, both
+    family = _planar_family(g, st)
+    if family:
+        both = GenusClass(0, f"planar family: {family}")
+        return both, both
+    named = _NAMED.get((tuple(st.sizes), tuple(st.exponents)))
+    if named:
+        name, genus, crosscap, witness = named
+        return (
+            GenusClass(genus, _GENUS_BASIS[genus].format(name)),
+            GenusClass(crosscap, _CROSSCAP_BASIS[crosscap].format(name), witness),
+        )
+    if st.primes == [2, 3] and st.sizes[1] == 3 and st.exponents[0] == 4:
+        condition = _CONDITIONS.get(_chain_pattern(g)[:2])
+        if condition:
+            return _CHAIN_ROWS[condition]
+    both = GenusClass(GE3, *_ge3_reason(g, st))
+    return both, both
 
 
 def classify_genus(g: GroupTable) -> GenusClass:
@@ -213,60 +214,12 @@ def classify_genus(g: GroupTable) -> GenusClass:
     Input must be nilpotent (NotNilpotentError otherwise); p-groups come
     back as class 0 with an empty difference graph.
     """
-    st = _structure(g)
-    if len(st.primes) <= 1:
-        return GenusClass(0, "p-group: empty difference graph")
-    family = _planar_family(g, st)
-    if family:
-        return GenusClass(0, f"planar family: {family}")
-    for name in _TORUS_FIXED:
-        if _iso_to(g, name):
-            return GenusClass(1, f"toroidal group: {name}")
-    if _condition_product(g, st, "C1"):
-        return GenusClass(1, "condition C1 product: (2-group with one order-4 chain pair) x Z3")
-    for name in _DOUBLE_TORUS_FIXED:
-        if _iso_to(g, name):
-            return GenusClass(2, f"double-torus group: {name}")
-    if _condition_product(g, st, "C2"):
-        return GenusClass(2, "condition C2 product: (2-group with two disjoint chain pairs) x Z3")
-    if _condition_product(g, st, "C3"):
-        return GenusClass(2, "condition C3 product: (2-group with an order-4 chain triple) x Z3")
-    basis, witness = _ge3_reason(g, st)
-    return GenusClass(GE3, basis, witness)
+    return _classes(g)[0]
 
 
 def classify_crosscap(g: GroupTable) -> GenusClass:
     """Crosscap class of the difference graph: 0 (planar), 1, 2, or >= 3."""
-    st = _structure(g)
-    if len(st.primes) <= 1:
-        return GenusClass(0, "p-group: empty difference graph")
-    family = _planar_family(g, st)
-    if family:
-        return GenusClass(0, f"planar family: {family}")
-    for name in _CROSSCAP1_FIXED:
-        if _iso_to(g, name):
-            return GenusClass(1, f"projective-planar group: {name}")
-    for name in _CROSSCAP2_FIXED:
-        if _iso_to(g, name):
-            return GenusClass(2, f"crosscap-2 group: {name}")
-    if _condition_product(g, st, "C1"):
-        return GenusClass(2, "condition C1 product: (2-group with one order-4 chain pair) x Z3")
-    # everything else exceeds crosscap 2
-    for name, wit in (
-        ("Z35", "K_{4,6} (crosscap 4)"),
-        ("Z44", "K_{3,10} (crosscap 4)"),
-        ("Z2 x Z2 x Z11", "K_{3,10} (crosscap 4)"),
-        ("Z4 x Z3 x Z3", "K_{3,8} (crosscap 3)"),
-        ("Z2 x Z2 x Z3 x Z3", "K_{3,8} (crosscap 3)"),
-    ):
-        if _iso_to(g, name):
-            return GenusClass(GE3, f"double-torus group {name} exceeds crosscap 2", wit)
-    if _condition_product(g, st, "C2"):
-        return GenusClass(GE3, "condition C2 product exceeds crosscap 2", "K_{4,4} plus chained order-4 vertices")
-    if _condition_product(g, st, "C3"):
-        return GenusClass(GE3, "condition C3 product exceeds crosscap 2", "K_{4,6} (crosscap 4)")
-    basis, witness = _ge3_reason(g, st)
-    return GenusClass(GE3, basis, witness)
+    return _classes(g)[1]
 
 
 def _ge3_reason(g: GroupTable, st: _Structure) -> tuple[str, str]:
@@ -326,7 +279,13 @@ def _ge3_reason(g: GroupTable, st: _Structure) -> tuple[str, str]:
         if e1 >= 8:
             return ("2-part of exponent >= 8 times Z3", "K_{4,8} inside a Z24 chain")
         # exponent-4 2-group whose chain pattern is none of C1/C2/C3
-        pattern = _order4_pattern(_sylow_as_group(g, 2))
+        pairs, involved, most = _chain_pattern(g)
+        if most >= 4:
+            pattern = "four order-4 chains sharing one involution"
+        elif pairs >= 3 and involved == 2 * pairs:
+            pattern = f"{pairs} disjoint intersecting chain pairs"
+        else:
+            pattern = f"{pairs} intersecting order-4 chain pairs"
         return (f"exponent-4 2-group x Z3 with {pattern}", "K_{4,4} plus further chained order-4 vertices")
     if a2 == p2:
         return (f"2-part of order >= 8 times Z{p2} (p >= 5)", "K_{4,7} across the prime parts")
@@ -334,33 +293,3 @@ def _ge3_reason(g: GroupTable, st: _Structure) -> tuple[str, str]:
         return ("2-part of order >= 8 with partner of prime exponent, order >= p^2", "K_{4,24}-scale join")
     return ("2-part of order >= 8 with partner of exponent >= p^2", "K_{4,20}-scale subgraph inside a cyclic chain")
 
-
-def _order4_pattern(p_group: GroupTable) -> str:
-    """Short description of how the order-4 maximal cyclic subgroups
-    intersect; used to annotate >=3 classifications of exponent-4 products."""
-    maximal = maximal_cyclic_subgroups(p_group)
-    m4 = [s for s in maximal if s.order == 4]
-    inter = intersection_pattern(m4)
-    pairs = [
-        (i, j)
-        for i in range(len(m4))
-        for j in range(i + 1, len(m4))
-        if inter[i][j] == 2
-    ]
-    quad_common = None
-    if len(m4) >= 4:
-        from itertools import combinations
-
-        for quad in combinations(range(len(m4)), 4):
-            common = m4[quad[0]].members
-            for k in quad[1:]:
-                common = common & m4[k].members
-            if len(common) == 2:
-                quad_common = quad
-                break
-    if quad_common:
-        return "four order-4 chains sharing one involution"
-    involved = {x for p in pairs for x in p}
-    if len(pairs) >= 3 and len(involved) == 2 * len(pairs):
-        return f"{len(pairs)} disjoint intersecting chain pairs"
-    return f"{len(pairs)} intersecting order-4 chain pairs"

@@ -245,13 +245,10 @@ def classify_cmd(spec, as_json):
     except NotNilpotentError as exc:
         raise InputError(f"not nilpotent: {exc}")
     reports = []
-    try:
-        dec = gr.sylow_decomposition(g)
-        if 2 in dec.primes:
-            two_part, _ = dec.components[dec.primes.index(2)].as_group()
-            reports = condition_reports(two_part)
-    except NotNilpotentError:
-        pass
+    dec = gr.sylow_decomposition(g)  # cached by the classification above
+    if 2 in dec.primes:
+        two_part, _ = dec.components[dec.primes.index(2)].as_group()
+        reports = condition_reports(two_part)
     if as_json:
         doc = {
             "group": g.source or f"order-{g.order}",

@@ -1,9 +1,10 @@
-"""Graph constructors only the tests use."""
+"""Graph and group constructors only the tests use."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from diffgenus.groups import GroupTable
 from diffgenus.simplegraph import SimpleGraph
 
 
@@ -20,3 +21,25 @@ def complete_multipartite(parts: Sequence[int]) -> SimpleGraph:
 
 def complete_bipartite(m: int, n: int) -> SimpleGraph:
     return complete_multipartite([m, n])
+
+
+def swap_semidirect_times_z3() -> GroupTable:
+    """(Z2 x Z2) : Z4 x Z3, where the Z4 generator swaps the two Z2 factors.
+
+    Element (a, b, k, c) times (a', b', k', c') is
+    (a + a'', b + b'', k + k' mod 4, c + c' mod 3), with (a'', b'') = (b', a')
+    when k is odd and (a', b') otherwise. Its Sylow 2-subgroup has 7
+    involutions and 8 elements of order 4, and satisfies condition C2.
+    """
+    elems = [(a, b, k, c) for a in range(2) for b in range(2) for k in range(4) for c in range(3)]
+    index = {e: i for i, e in enumerate(elems)}
+
+    def product(x, y):
+        a1, b1, k1, c1 = x
+        a2, b2, k2, c2 = y
+        if k1 % 2:
+            a2, b2 = b2, a2
+        return ((a1 + a2) % 2, (b1 + b2) % 2, (k1 + k2) % 4, (c1 + c2) % 3)
+
+    mult = [[index[product(x, y)] for y in elems] for x in elems]
+    return GroupTable(mult, source="(Z2 x Z2) : Z4 x Z3")

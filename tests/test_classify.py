@@ -1,56 +1,56 @@
+import hashlib
+
 import pytest
 
+from graphs import swap_semidirect_times_z3
 from diffgenus import groups as gr
-from diffgenus.classify import (
-    GE3,
-    check_condition,
-    classify_crosscap,
-    classify_genus,
-    condition_reports,
-)
+from diffgenus.catalog import builtin_catalog
+from diffgenus.classify import GE3, classify_crosscap, classify_genus, condition_reports
+from diffgenus.embeddings import verify_certificate
 from diffgenus.genus import ORIENTABLE, genus_of_graph, is_planar
 from diffgenus.groupgraphs import difference_graph
+from diffgenus.harness import CONSISTENT, verify_group
 
 
 # -- conditions ---------------------------------------------------------------
 
 
+def _holding(g):
+    return [r.condition for r in condition_reports(g) if r.holds]
+
+
 def test_condition_c1_z4z2():
-    report = check_condition(gr.build_group("Z4 x Z2"), "C1")
-    assert report.holds
+    report = condition_reports(gr.build_group("Z4 x Z2"))[0]
+    assert report.condition == "C1" and report.holds
     assert report.exponent == 4
     assert len(report.order4_subgroups) == 2
     assert report.intersections[0][1] == 2
 
 
 def test_condition_c1_d8z2():
-    assert check_condition(gr.build_group("D8 x Z2"), "C1").holds
+    assert _holding(gr.build_group("D8 x Z2")) == ["C1"]
 
 
 def test_condition_c3_q8(q8):
-    report = check_condition(q8, "C3")
-    assert report.holds
-    assert len(report.order4_subgroups) == 3
-    assert not check_condition(q8, "C1").holds
-    assert not check_condition(q8, "C2").holds
+    c1, c2, c3 = condition_reports(q8)
+    assert c3.holds
+    assert len(c3.order4_subgroups) == 3
+    assert not c1.holds
+    assert not c2.holds
 
 
 def test_condition_all_false_z4z2z2():
-    g = gr.build_group("Z4 x Z2 x Z2")
-    assert [check_condition(g, w).holds for w in ("C1", "C2", "C3")] == [False] * 3
+    assert _holding(gr.build_group("Z4 x Z2 x Z2")) == []
 
 
 def test_condition_wrong_exponent():
     for desc in ("Z2 x Z2", "Z8", "D16"):
-        g = gr.build_group(desc)
-        assert not check_condition(g, "C1").holds
+        assert _holding(gr.build_group(desc)) == [], desc
 
 
 def test_condition_rejects_non_2_group():
     with pytest.raises(gr.GroupError):
-        check_condition(gr.build_group("Z9"), "C1")
-    with pytest.raises(ValueError):
-        check_condition(gr.build_group("Z4"), "C9")
+        condition_reports(gr.build_group("Z9"))
 
 
 def test_conditions_mutually_exclusive_over_2_groups():
@@ -63,7 +63,7 @@ def test_conditions_mutually_exclusive_over_2_groups():
 
 
 def test_condition_report_records_reading():
-    report = check_condition(gr.build_group("Q8"), "C3")
+    report = condition_reports(gr.build_group("Q8"))[2]
     assert "exempt" in report.note
 
 
@@ -159,3 +159,59 @@ def test_ge3_predictions_carry_computable_bound():
 
         res = genus_of_graph(graph, SearchBudget(lower_stop=3), surface=ORIENTABLE)
         assert res.lower >= 3, desc
+
+
+# -- rows no catalog group reaches -------------------------------------------
+
+# Off-catalog groups, each reaching a >=3 row of its own, with that row's basis.
+PROBES = {
+    "Z2 x Z9 x Z3": "Z2 x (3-group with two order-9 chains meeting in order 3)",
+    "Z4 x Z5 x Z5": "4-part x (5-group of order >= 5^2, exponent 5)",
+    "D8 x Z5 x Z5": "2-part of order >= 8 with partner of prime exponent, order >= p^2",
+    "Z2 x Z3 x Z5 x Z7": "four or more prime factors",
+}
+
+
+@pytest.mark.parametrize("desc", PROBES)
+def test_probe_reaches_its_ge3_row(desc):
+    record = verify_group(gr.build_group(desc), name=desc)
+    assert record.status == CONSISTENT
+    for predicted in (record.predicted_genus, record.predicted_crosscap):
+        assert predicted.value == GE3 and predicted.basis == PROBES[desc]
+    assert record.computed_genus.lower >= 3
+    assert record.computed_crosscap.lower >= 3
+
+
+def test_c2_row():
+    """(Z2 x Z2) : Z4 x Z3 reaches the C2 row, which no catalog group
+    reaches."""
+    g = swap_semidirect_times_z3()
+    two_part, _ = gr.sylow_decomposition(g).components[0].as_group()
+    assert two_part.order_spectrum() == {1: 1, 2: 7, 4: 8}
+    assert _holding(two_part) == ["C2"]
+    genus, crosscap = classify_genus(g), classify_crosscap(g)
+    assert genus.value == 2
+    assert genus.basis == "condition C2 product: (2-group with two disjoint chain pairs) x Z3"
+    assert crosscap.value == GE3
+    assert crosscap.basis == "condition C2 product exceeds crosscap 2"
+    record = verify_group(g)
+    assert record.status == CONSISTENT
+    res = record.computed_genus
+    assert res.exact and res.value == 2
+    assert verify_certificate(res.certificate_graph, res.certificate, ORIENTABLE, 2)
+    assert record.computed_crosscap.lower >= 3
+
+
+def test_classifier_output_is_pinned():
+    """Class, basis and witness on both surfaces for every catalog group,
+    the probes and the C2 witness; the digest was taken before the
+    classifier was rewritten as one table."""
+    groups = [(e.name, e.group) for e in builtin_catalog(200)]
+    groups += [(desc, gr.build_group(desc)) for desc in PROBES]
+    groups.append(("(Z2 x Z2) : Z4 x Z3", swap_semidirect_times_z3()))
+    rows = []
+    for name, g in groups:
+        for c in (classify_genus(g), classify_crosscap(g)):
+            rows.append((name, c.label, c.basis, c.witness))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "dad9672b96fb10c50bb1c6cf942577821f967e4eda2fc77778511a4c8c3fcaeb"
