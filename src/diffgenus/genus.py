@@ -32,6 +32,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from collections import Counter
+from functools import cached_property
 from itertools import chain, combinations
 from typing import Optional
 
@@ -927,15 +928,27 @@ def _verified_scheme(g, edges, rotations, signs, seed, euler, surface):
 
 @dataclass
 class _Piece:
-    """A connected graph with what both surfaces' searches need to know: a
-    planar embedding, or else a lower bound on its Euler genus
-    min(2 genus, crosscap). That bounds the crosscap as it stands and the
-    genus once halved, rounding up."""
+    """A connected graph with the facts about it that hold on both
+    surfaces, found once per piece: a planar embedding, or else a lower
+    bound on its Euler genus min(2 genus, crosscap), which bounds the
+    crosscap as it stands and the genus once halved, rounding up. A
+    nonplanar piece also keeps, found on first use, the homeomorphic
+    reduction its face-set search runs on and that search's node cap.
+    Nothing here depends on a surface or a budget. Search results are
+    never kept, so each search of a piece starts from these facts alone."""
 
     graph: SimpleGraph
     planar: PlanarityResult
     euler_lower: int = 0
     provenance: list[str] = field(default_factory=list)
+
+    @cached_property
+    def reduced(self) -> SimpleGraph:
+        return reduce_homeomorphic(self.graph)[0]
+
+    @cached_property
+    def node_cap(self) -> int:
+        return _NODE_CAP if rotation_space_size(self.graph) <= _EXHAUSTIVE_CAP else _FACE_NODE_CAP
 
 
 def _piece(g: SimpleGraph) -> _Piece:
@@ -1018,11 +1031,9 @@ def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusRe
     lower = _lower_on(surface, piece.euler_lower)
     prov.append(f"lower bound {lower}")
     stop = budget.lower_stop
-    node_cap = _NODE_CAP if rotation_space_size(g) <= _EXHAUSTIVE_CAP else _FACE_NODE_CAP
-    reduced = reduce_homeomorphic(g)[0]
-    scheme, lower = _face_set_pass(reduced, surface, lower, stop, node_cap, prov)
+    scheme, lower = _face_set_pass(piece.reduced, surface, lower, stop, piece.node_cap, prov)
     if scheme is not None:
-        return settled(lower, scheme, reduced)
+        return settled(lower, scheme, piece.reduced)
     if stop is not None and lower >= stop:
         return GenusResult(surface, lower, None, False, provenance=prov)
 
@@ -1045,27 +1056,68 @@ def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusRe
 # Orchestrator
 
 
-def _components(g: SimpleGraph) -> list[SimpleGraph]:
-    return [induced_subgraph(g, comp) for comp in g.connected_components() if len(comp) > 1]
+class _Component:
+    """A component of a planned graph, and what is found of it on first
+    use: its `_Piece`, its split, and the nonplanar pieces of the split."""
+
+    def __init__(self, graph: SimpleGraph):
+        self.graph = graph
+
+    @cached_property
+    def whole(self) -> _Piece:
+        return _piece(self.graph)
+
+    @cached_property
+    def split(self) -> tuple[SimpleGraph, list[SimpleGraph], list[SimpleGraph]]:
+        """The component's homeomorphic reduction, the blocks of that, and
+        each block reduced again. Reduction keeps the genus and the
+        crosscap."""
+        reduced, _ = reduce_homeomorphic(self.graph)
+        blocks, _ = block_decomposition(reduced)
+        return reduced, blocks, [reduce_homeomorphic(block)[0] for block in blocks]
+
+    @cached_property
+    def nonplanar(self) -> list[_Piece]:
+        """The nonplanar pieces of the split, searched in the component's
+        place. One alone carries the component's bound, when that is
+        higher: Euler genus adds over blocks, so it has the component's."""
+        whole, checksum = self.whole, self.graph.checksum()
+        # a component the split left whole keeps the facts found for it
+        pieces = [whole if b.checksum() == checksum else _piece(b) for b in self.split[2] if b.edge_count]
+        nonplanar = [p for p in pieces if not p.planar.planar]
+        if len(nonplanar) == 1 and nonplanar[0].euler_lower < whole.euler_lower:
+            p = nonplanar[0]
+            nonplanar = [replace(p, euler_lower=whole.euler_lower,
+                                 provenance=[*p.provenance, f"component bound {whole.euler_lower}"])]
+        return nonplanar
 
 
-def _split(component: SimpleGraph) -> tuple[SimpleGraph, list[SimpleGraph], list[SimpleGraph]]:
-    """The component's homeomorphic reduction, the blocks of that, and each
-    block reduced again: the pieces `genus_of_graph` combines over.
-    Reduction keeps the genus and the crosscap."""
-    reduced, _ = reduce_homeomorphic(component)
-    blocks, _ = block_decomposition(reduced)
-    return reduced, blocks, [reduce_homeomorphic(block)[0] for block in blocks]
+class GraphPlan:
+    """A graph's components with an edge, and what `genus_of_graph` finds
+    of each before it searches, kept for every later call on the plan and
+    for `derived_subgraphs`. It describes the graph as it was when planned."""
+
+    def __init__(self, g: SimpleGraph):
+        self.graph = g
+        self.components = [
+            _Component(induced_subgraph(g, comp)) for comp in g.connected_components() if len(comp) > 1
+        ]
 
 
 def genus_of_graph(
-    g: SimpleGraph,
+    g: SimpleGraph | GraphPlan,
     budget: Optional[SearchBudget] = None,
     surface: str = ORIENTABLE,
 ) -> GenusResult:
-    """Genus or crosscap of any graph, combined over the pieces `_split`
-    makes of its nonplanar components. Planar pieces count 0, and each
-    component's own bounds bound the sum over its pieces.
+    """Genus or crosscap of any graph, combined over the pieces its plan
+    splits its nonplanar components into. Planar pieces count 0, and each
+    component's own bounds bound the sum over its pieces. Given a graph, it
+    plans it first; given a `GraphPlan`, it reads what earlier calls on the
+    plan found: components, planarity tests with their embeddings, lower
+    bounds, the split and the piece reductions and node caps, which hold on
+    either surface. It never shares a search: those depend on the surface
+    and the budget, so every call runs its own, and its result is the one a
+    call on the graph alone gives.
 
     The genus adds over the pieces. The crosscap (Stahl and Beineke, J.
     Graph Theory 1 (1977) 75-78) is the sum over the nonplanar pieces of
@@ -1077,16 +1129,17 @@ def genus_of_graph(
     upper bounds]. The certificate of a single piece, or of a single planar
     component, comes with the result, exact or not, at its upper end.
     """
+    plan = g if isinstance(g, GraphPlan) else GraphPlan(g)
     budget = budget or DEFAULT_BUDGET
-    if g.edge_count == 0:
+    if plan.graph.edge_count == 0:
         return GenusResult(surface, 0, 0, True, provenance=["empty graph"])
 
     prov: list[str] = []
     results: list[GenusResult] = []  # the planar components', then the pieces'
     searched: list[tuple[int, list[_Piece]]] = []  # per component: bound, nonplanar pieces
     lower, upper, exact = 0, 0, True
-    for ci, sub in enumerate(_components(g)):
-        whole = _piece(sub)
+    for ci, comp in enumerate(plan.components):
+        whole = comp.whole
         if whole.planar.planar:
             prov.append(f"component {ci}: planar")
             results.append(_exact_surface(whole, surface, budget))
@@ -1099,17 +1152,7 @@ def genus_of_graph(
             prov.append(f"component {ci}: stopped at lower bound >= {budget.lower_stop}")
             lower, upper, exact = lower + floor, None, False
             continue
-        blocks = [b for b in _split(sub)[2] if b.edge_count]
-        # a component the split left whole keeps the facts found for it
-        pieces = [whole if b.checksum() == sub.checksum() else _piece(b) for b in blocks]
-        nonplanar = [p for p in pieces if not p.planar.planar]
-        if len(nonplanar) == 1 and nonplanar[0].euler_lower < whole.euler_lower:
-            # Euler genus adds over blocks, so the one nonplanar piece has
-            # the component's, and the component's bound
-            p = nonplanar[0]
-            nonplanar = [replace(p, euler_lower=whole.euler_lower,
-                                 provenance=[*p.provenance, f"component bound {whole.euler_lower}"])]
-        searched.append((floor, nonplanar))
+        searched.append((floor, comp.nonplanar))
 
     both = surface == NONORIENTABLE and sum(len(pieces) for _, pieces in searched) > 1
     simple = True
@@ -1150,14 +1193,18 @@ def _describe(res: GenusResult) -> str:
     return f"bounds [{res.lower}, {up}] [{'; '.join(res.provenance)}]"
 
 
-def derived_subgraphs(g: SimpleGraph) -> list[SimpleGraph]:
+def derived_subgraphs(g: SimpleGraph | GraphPlan) -> list[SimpleGraph]:
     """The graphs the pipeline may bind a certificate to, each once by
-    checksum: the graph itself, its components, and what `_split` makes of
-    each. Used to match a certificate back to its graph."""
-    graphs = [g]
-    for sub in _components(g):
-        reduced, blocks, pieces = _split(sub)
-        graphs += [sub, reduced, *blocks, *pieces]
+    checksum: the graph itself, its components, and what the split makes of
+    each. Used to match a certificate back to its graph. Given the plan
+    `genus_of_graph` searched, it lists that plan's split, the one the
+    certificates were issued on, rather than splitting again; it reads no
+    search result, which the plan never keeps."""
+    plan = g if isinstance(g, GraphPlan) else GraphPlan(g)
+    graphs = [plan.graph]
+    for comp in plan.components:
+        reduced, blocks, pieces = comp.split
+        graphs += [comp.graph, reduced, *blocks, *pieces]
     unique: dict[str, SimpleGraph] = {}
     for h in graphs:
         unique.setdefault(h.checksum(), h)

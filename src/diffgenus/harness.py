@@ -14,6 +14,7 @@ from .classify import GE3, GenusClass, classify_crosscap, classify_genus
 from .genus import (
     DEFAULT_BUDGET,
     GenusResult,
+    GraphPlan,
     NONORIENTABLE,
     ORIENTABLE,
     SearchBudget,
@@ -106,7 +107,12 @@ def verify_group(
 ) -> ClassificationRecord:
     """Classify the group, compute genus and crosscap of its difference
     graph, and compare. p-groups come back as trivial consistent rows with
-    an empty graph; non-nilpotent input raises NotNilpotentError."""
+    an empty graph; non-nilpotent input raises NotNilpotentError.
+
+    Both surfaces are computed from one `GraphPlan` of the graph, so its
+    components, planarity tests, lower bounds, split and piece reductions
+    are found once per record. The searches are not shared: each surface
+    runs its own under its own budget. The plan is not kept in the record."""
     budget = budget or DEFAULT_BUDGET
     label = name or g.source or f"order-{g.order} group"
     t_start = time.perf_counter()
@@ -130,12 +136,13 @@ def verify_group(
     graph = difference_graph(g).graph
     t_build = time.perf_counter()
 
+    plan = GraphPlan(graph)
     genus_budget = _budget_for(predicted_genus, budget)
-    computed_genus = genus_of_graph(graph, genus_budget, surface=ORIENTABLE)
+    computed_genus = genus_of_graph(plan, genus_budget, surface=ORIENTABLE)
     t_genus = time.perf_counter()
 
     crosscap_budget = _budget_for(predicted_crosscap, budget)
-    computed_crosscap = genus_of_graph(graph, crosscap_budget, surface=NONORIENTABLE)
+    computed_crosscap = genus_of_graph(plan, crosscap_budget, surface=NONORIENTABLE)
     t_crosscap = time.perf_counter()
 
     status = _combine(

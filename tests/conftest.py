@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from diffgenus import groups as gr
@@ -31,3 +33,22 @@ def s3():
     index = {p: i for i, p in enumerate(perms)}
     mult = [[index[compose(p, q)] for q in perms] for p in perms]
     return gr.GroupTable(mult, source="S3")
+
+
+@pytest.fixture
+def planning_calls(monkeypatch):
+    """Counter of the calls `diffgenus.genus` makes to each planning step,
+    keyed by (step, checksum of the graph it was given)."""
+    from diffgenus import genus
+
+    calls = Counter()
+
+    def spying(name, original):
+        def spy(g, *args, **kwargs):
+            calls[name, g.checksum()] += 1
+            return original(g, *args, **kwargs)
+        return spy
+
+    for name in ("is_planar", "euler_lower_bound", "bipartite_subgraph_bound", "block_decomposition"):
+        monkeypatch.setattr(genus, name, spying(name, getattr(genus, name)))
+    return calls

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import combinations
 from typing import Optional
 
@@ -19,6 +20,7 @@ from diffgenus.genus import (
     NONORIENTABLE,
     ORIENTABLE,
     GenusResult,
+    GraphPlan,
     SearchBudget,
     bipartite_subgraph_bound,
     derived_subgraphs,
@@ -489,38 +491,70 @@ def test_genus_equals_blocks_and_reduction_on_corpus():
         assert total == base.value
 
 
+def _result_fields(res: GenusResult) -> tuple:
+    """Every field of a result, the certificate graph by its checksum."""
+    graph = res.certificate_graph
+    return (res.surface, res.lower, res.upper, res.exact, res.provenance, res.certificate,
+            None if graph is None else graph.checksum())
+
+
 def test_certificates_bind_to_derived_subgraphs():
-    """genus_of_graph and derived_subgraphs read one split: every certificate
-    the first returns is bound to a graph the second lists."""
-    graphs = [
+    """genus_of_graph and derived_subgraphs read one plan: both surfaces
+    searched from it in turn, as verify_group does, give field by field what
+    a fresh call on the graph gives, and every certificate is bound to a
+    graph the plan's split lists."""
+    catalog = [
         difference_graph(e.group).graph for e in builtin_catalog(40) if not is_p_group(e.group)
     ]
+    glued = []
     rng = random.Random(67)
     path = SimpleGraph(3, [(0, 1), (1, 2)])
     nonplanar = [SimpleGraph.complete(5), complete_bipartite(3, 3)]
     for i in range(8):
         a = connected_random_graph(rng, n_max=7, space_cap=20_000)
         b = _glue(nonplanar[i % 2], path, "shared")
-        graphs += [a, _glue(a, path, "shared"), _glue(a, b, "apart")]
-        graphs.append(_glue(b, a, ("shared", "bridge")[i % 2]))
+        glued += [a, _glue(a, path, "shared"), _glue(a, b, "apart")]
+        glued.append(_glue(b, a, ("shared", "bridge")[i % 2]))
     # K3,3 with an edge subdivided at vertex 0, where a K4 hangs: the
     # nonplanar piece is a block reduced again, unlike the whole reduction
     k33_edges = [(u, v) for u in (1, 2, 3) for v in (4, 5, 6) if (u, v) != (1, 4)]
     subdivided = SimpleGraph(7, [(0, 1), (0, 4)] + k33_edges)
-    graphs.append(_glue(subdivided, SimpleGraph.complete(4), "shared"))
-    certified = 0
-    for g in graphs:
-        checksums = {h.checksum() for h in derived_subgraphs(g)}
-        for surface in (ORIENTABLE, NONORIENTABLE):
-            # the sweep's budget: a lower bound of 3 settles a predicted ">=3"
-            res = genus_of_graph(g, SearchBudget(lower_stop=3), surface=surface)
+    glued.append(_glue(subdivided, SimpleGraph.complete(4), "shared"))
+    # two nonplanar pieces, which the crosscap searches on both surfaces
+    glued += [_glue(*nonplanar, how) for how in ("apart", "shared", "bridge")]
+    # (genus budget, crosscap budget): the sweep's lower_stop=3, which
+    # settles a predicted ">=3", on the catalog graphs; on the glued ones
+    # the full budget with it, both ways round
+    stop, full = SearchBudget(lower_stop=3), SearchBudget()
+    runs = [(g, (stop, stop)) for g in catalog]
+    runs += [(g, budgets) for g in glued for budgets in [(full, stop), (stop, full)]]
+    certified = both = 0
+    for g, budgets in runs:
+        plan = GraphPlan(g)
+        results = [genus_of_graph(plan, b, surface=s) for b, s in zip(budgets, (ORIENTABLE, NONORIENTABLE))]
+        checksums = {h.checksum() for h in derived_subgraphs(plan)}
+        for res, budget in zip(results, budgets):
+            assert _result_fields(res) == _result_fields(genus_of_graph(g, budget, surface=res.surface))
+            both += any(" orientable: " in line for line in res.provenance)
             if res.certificate is not None:
                 certified += 1
                 assert res.certificate_graph.checksum() == res.certificate.graph_checksum
                 assert res.certificate.graph_checksum in checksums
                 # at the upper end, which is the value when the result is exact
-                assert verify_certificate(res.certificate_graph, res.certificate, surface, res.upper)
-    assert certified >= len(graphs)
+                assert verify_certificate(res.certificate_graph, res.certificate, res.surface, res.upper)
+    assert certified >= len(runs)
+    assert both  # the crosscap's search of several pieces on both surfaces
+
+
+@pytest.mark.parametrize("exact", [exact_genus, exact_crosscap])
+def test_exact_search_tests_planarity_once_and_never_splits(planning_calls, exact):
+    graphs = [SimpleGraph.complete(5), _glue(complete_bipartite(3, 3), SimpleGraph.path(3), "shared"),
+              SimpleGraph.cycle(5)]
+    for g in graphs:
+        planning_calls.clear()
+        exact(g)
+        steps = Counter(step for step, _ in planning_calls.elements())
+        assert steps["is_planar"] == 1 and steps["block_decomposition"] == 0, steps
 
 
 def test_derived_subgraphs_contains_reduction():

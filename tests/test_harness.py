@@ -1,8 +1,10 @@
 import json
+import weakref
 
 import pytest
 
 from diffgenus import groups as gr
+from diffgenus import harness
 from diffgenus.catalog import builtin_catalog
 from diffgenus.embeddings import certificate_from_json, verify_certificate
 from diffgenus.harness import (
@@ -21,6 +23,31 @@ def test_verify_group_z18():
     assert record.computed_genus.exact and record.computed_genus.value == 1
     assert record.predicted_crosscap.value == 2
     assert record.computed_crosscap.exact and record.computed_crosscap.value == 2
+
+
+def test_verify_group_plans_each_graph_once(planning_calls, monkeypatch):
+    """Both surfaces of a record read one plan: each distinct graph gets at
+    most one planarity test, one of each lower bound and one block split,
+    and the plan is freed once the record is returned."""
+    plans = []
+
+    class TrackedPlan(harness.GraphPlan):
+        def __init__(self, g):
+            super().__init__(g)
+            plans.append(weakref.ref(self))
+
+    monkeypatch.setattr(harness, "GraphPlan", TrackedPlan)
+    entries = [e for e in builtin_catalog(40) if not gr.is_p_group(e.group)]
+    assert len(entries) == 35
+    for e in entries:
+        planning_calls.clear()
+        record = verify_group(e.group, name=e.name)
+        assert record.status == CONSISTENT
+        assert planning_calls, e.name
+        repeated = {key: n for key, n in planning_calls.items() if n > 1}
+        assert not repeated, (e.name, repeated)
+        assert plans[-1]() is None, e.name
+    assert len(plans) == len(entries)
 
 
 def test_verify_group_p_group_trivial_row(q8):
