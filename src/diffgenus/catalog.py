@@ -38,21 +38,30 @@ class CatalogEntry:
         return self.group.order
 
 
-@lru_cache(maxsize=1)
-def _full_catalog() -> tuple[CatalogEntry, ...]:
-    entries = [CatalogEntry(f"Z{n}", build_group(f"Z{n}")) for n in range(1, MAX_CATALOG_ORDER + 1)]
+def _names() -> list[tuple[str, int]]:
+    """Every catalog entry's name and order, in catalog order."""
+    names = [(f"Z{n}", n) for n in range(1, MAX_CATALOG_ORDER + 1)]
     for two in TWO_GROUP_ATOMS:
         for odd in ODD_ATOMS:
             name = f"{two} x {odd}"
             factors = parse_group_descriptor(name)
-            both_cyclic = [family for family, _ in factors] == ["Z", "Z"]
-            if both_cyclic or math.prod(n for _, n in factors) > MAX_CATALOG_ORDER:
-                continue
-            entries.append(CatalogEntry(name, build_group(name)))
-    return tuple(entries)
+            order = math.prod(n for _, n in factors)
+            if [family for family, _ in factors] != ["Z", "Z"] and order <= MAX_CATALOG_ORDER:
+                names.append((name, order))
+    return names
+
+
+_NAMES = _names()
+
+
+@lru_cache(maxsize=None)
+def _entry(name: str) -> CatalogEntry:
+    return CatalogEntry(name, build_group(name))
 
 
 def builtin_catalog(max_order: int = MAX_CATALOG_ORDER) -> list[CatalogEntry]:
+    """The entries of order at most `max_order`, each built and validated
+    on first use."""
     if max_order > MAX_CATALOG_ORDER:
         raise ValueError(f"catalog is built up to order {MAX_CATALOG_ORDER}")
-    return [e for e in _full_catalog() if e.order <= max_order]
+    return [_entry(name) for name, order in _NAMES if order <= max_order]

@@ -61,10 +61,13 @@ def _write(path: str, text: str) -> None:
         raise InputError(str(exc))
 
 
-def _budget(effort: int | None, seed: int | None) -> SearchBudget:
+_BUDGET_HELP = "face-set nodes per seeded restart, on a piece whose face-set pass stops at its node cap"
+
+
+def _budget(nodes: int | None, seed: int | None) -> SearchBudget:
     b = SearchBudget()
-    if effort is not None:
-        b.moves_per_restart = effort
+    if nodes is not None:
+        b.nodes_per_restart = nodes
     if seed is not None:
         b.seed = seed
     return b
@@ -170,7 +173,7 @@ def genus():
 @click.argument("path", type=click.Path(exists=True))
 @click.option("--surface", type=click.Choice(["o", "n"]), default="o")
 @click.option("--exact", is_flag=True, help="fail (exit 1) unless the result is exact")
-@click.option("--budget", type=int, default=None, help="moves per heuristic restart")
+@click.option("--budget", type=int, default=None, help=_BUDGET_HELP)
 @click.option("--seed", type=int, default=None)
 @click.option("--cert", "cert_path", type=click.Path(), default=None)
 def genus_compute(path, surface, exact, budget, seed, cert_path):
@@ -283,7 +286,7 @@ def verify():
 
 @verify.command("group")
 @click.argument("spec")
-@click.option("--budget", type=int, default=None)
+@click.option("--budget", type=int, default=None, help=_BUDGET_HELP)
 @click.option("--seed", type=int, default=None)
 def verify_group_cmd(spec, budget, seed):
     g = _load_group(spec)
@@ -299,7 +302,7 @@ def verify_group_cmd(spec, budget, seed):
 
 @verify.command("sweep")
 @click.option("--max-order", type=click.IntRange(max=MAX_CATALOG_ORDER), default=100)
-@click.option("--budget", type=int, default=None)
+@click.option("--budget", type=int, default=None, help=_BUDGET_HELP)
 @click.option("--seed", type=int, default=None)
 @click.option("--report", "report_path", type=click.Path(), default=None)
 def verify_sweep_cmd(max_order, budget, seed, report_path):

@@ -1,18 +1,20 @@
 """Genus and crosscap computation: planarity, Euler-formula and subgraph
-lower bounds, a face-set search that picks an embedding's faces as closed
-walks (Ringel's view of an embedding as its faces; faces built one at a
-time, after Brinkmann, arXiv:2005.08243), and a greedy-insertion/local-search
-heuristic. Every scheme they find is re-verified by face tracing and becomes
-a certificate.
+lower bounds, and a face-set search that picks an embedding's faces as
+closed walks (Ringel's view of an embedding as its faces; faces built one
+at a time, after Brinkmann, arXiv:2005.08243). Every scheme it finds is
+re-verified by face tracing and becomes a certificate.
 
-The face-set search, the one exact search, runs once per piece and surface,
-from the lower bound, on the graph's homeomorphic reduction, which has the
-same genus and crosscap and minimum degree >= 3. A search that completes
+The face-set search, the one search, runs once per piece and surface, from
+the lower bound, on the graph's homeomorphic reduction, which has the same
+genus and crosscap and minimum degree >= 3. A search that completes
 without a hit proves the bound + 1; one that hits gives the value, with a
 certificate on the reduction. Its node cap is picked before it starts:
 `_NODE_CAP` on a rotation space that fits `_EXHAUSTIVE_CAP`, else
-`_FACE_NODE_CAP`. Only a pass that stops at its cap leaves the piece to the
-annealing run, aimed at the bound it reached. The search skips every walk
+`_FACE_NODE_CAP`. Only a pass that stops at its cap leaves the piece to
+the restart phase, `heuristic_embedding`: seeded relabellings of the
+reduction, each searched under a small node cap at one value from the
+bound up to the lowest found so far, whose lowest hit is the upper end.
+The face-set search skips every walk
 into a twin (same open or same closed neighbourhood) while a lower twin is
 also untouched: swapping two untouched twins is an automorphism that fixes
 the partial embedding, so that branch mirrors one already tried
@@ -57,10 +59,12 @@ _FACE_NODE_CAP = 100_000  # face-set search: faces started and corners placed, p
 
 @dataclass
 class SearchBudget:
-    """Effort knobs for the heuristic search, and where to stop."""
+    """Effort knobs for the restart phase, which runs on a piece whose
+    face-set pass stops at its node cap: how many seeded restarts, the node
+    cap of each, and their seed. And where to stop."""
 
     restarts: int = 64
-    moves_per_restart: int = 20_000
+    nodes_per_restart: int = 5_000
     seed: int = 0
     lower_stop: Optional[int] = None  # stop once the lower bound reaches this
 
@@ -81,13 +85,6 @@ class GenusResult:
     @property
     def value(self) -> Optional[int]:
         return self.lower if self.exact else None
-
-
-@dataclass
-class KuratowskiWitness:
-    kind: str  # "K5" or "K3,3"
-    branch_vertices: list[int]
-    edges: list[tuple[int, int]]
 
 
 @dataclass
@@ -200,7 +197,8 @@ def _nx_graph(g: SimpleGraph) -> nx.Graph:
 
 def is_planar(g: SimpleGraph) -> PlanarityResult:
     """Planarity with a genus-0 scheme as a yes-witness. A no-answer comes
-    without a witness; `kuratowski_witness` extracts one."""
+    without a witness: networkx extracts a Kuratowski subdivision with one
+    planarity test per edge, and nothing here reads one."""
     if g.edge_count == 0:
         scheme = make_scheme(g, [[] for _ in range(g.n)])
         return PlanarityResult(True, scheme=scheme)
@@ -215,179 +213,24 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
     return PlanarityResult(True, scheme=scheme)
 
 
-def kuratowski_witness(g: SimpleGraph) -> Optional[KuratowskiWitness]:
-    """A K5 or K3,3 subdivision in g, or None when g is planar. networkx
-    runs one planarity test per edge to extract it, which is why `is_planar`
-    does not."""
-    ok, counter = nx.check_planarity(_nx_graph(g), counterexample=True)
-    if ok:
-        return None
-    branch = sorted(v for v in counter.nodes if counter.degree(v) >= 3)
-    kind = "K5" if any(counter.degree(v) >= 4 for v in branch) else "K3,3"
-    edges = sorted(tuple(sorted(e)) for e in counter.edges)
-    return KuratowskiWitness(kind, branch, edges)
-
-
 # ---------------------------------------------------------------------------
-# Face counting for the searches
+# Darts and co-tree edges
 
 
 class _DartIndex:
     """Edge i = (u, v) of g.edges() has darts 2i (u to v) and 2i + 1;
-    into[v][u] is the dart from u to v, out[v][w] the dart from v to w, and
-    head[d] the vertex dart d points to (its tail is head[d ^ 1])."""
+    out[v][w] is the dart from v to w, and head[d] the vertex dart d points
+    to (its tail is head[d ^ 1])."""
 
     def __init__(self, g: SimpleGraph):
         self.edges = g.edges()
         self.m = len(self.edges)
         self.head = [x for u, v in self.edges for x in (v, u)]
-        self.into: list[dict[int, int]] = [{} for _ in range(g.n)]
         self.out: list[dict[int, int]] = [{} for _ in range(g.n)]
         for i, (u, v) in enumerate(self.edges):
-            self.into[v][u] = self.out[u][v] = 2 * i
-            self.into[u][v] = self.out[v][u] = 2 * i + 1
-        comps = g.connected_components()
-        self.base = 2 * len(comps) - g.n + self.m
-        self.isolated = sum(1 for c in comps if len(c) == 1 and not g.adj[c[0]])
-
-
-class _Evaluator:
-    """Rotation system, with edge signs when `signs` is given.
-
-    A face is a cycle of states under `nxt`. Without signs a state is a
-    dart; with signs each dart has two states, one per local orientation,
-    and closed state cycles come in mirror pairs, so a face is two cycles.
-    `nxt` of a state is set once the head of its dart has a rotation.
-
-    `stats()` walks every state and labels each with the walk that met it.
-    Once `nxt` is a permutation, `retrace` changes a few successors and
-    re-walks only the cycles through them, so a heuristic move costs the
-    length of the faces it touches rather than a recount.
-    """
-
-    def __init__(self, idx: _DartIndex, signs: Optional[list[int]] = None):
-        self.idx = idx
-        self.signs = None if signs is None else list(signs)  # per edge index
-        self.unit = 1 if signs is None else 2  # states per dart
-        self.nxt = [-1] * (2 * self.unit * idx.m)
-        # set by stats(), kept by retrace() and accept()
-        self.cycles = 0  # closed state cycles
-        self._label: list[int] = []  # per state: its cycle's id
-        self._fresh = 0  # the next unused cycle id
-        self._seen: list[int] = []  # per state: the last retrace() that walked it
-        self._stamp = 0
-        self._changed: list[int] = []  # states whose successor retrace() replaced
-        self._old: list[int] = []  # and their successors before
-        self._after = 0  # closed state cycles after the pending retrace()
-
-    def _links(self, v: int, rotation: list[int]) -> list[tuple[int, int]]:
-        """(state, successor) for every state whose dart enters v. The walk
-        leaves v toward the neighbor after the one it came from in v's
-        rotation, or the one before when its orientation times the edge
-        sign is -1; the successor state carries that product."""
-        into, out = self.idx.into[v], self.idx.out[v]
-        after = rotation[1:] + rotation[:1]
-        if self.signs is None:
-            return [(into[u], out[w]) for u, w in zip(rotation, after)]
-        signs = self.signs
-        links = []
-        for u, w, x in zip(rotation, after, rotation[-1:] + rotation[:-1]):
-            d = into[u]
-            succ, pred = 2 * out[w], 2 * out[x] + 1
-            if signs[d >> 1] == 1:
-                links += ((2 * d, succ), (2 * d + 1, pred))
-            else:
-                links += ((2 * d, pred), (2 * d + 1, succ))
-        return links
-
-    def _sign_links(self, edge_index: int) -> list[tuple[int, int]]:
-        """(state, successor) once the edge's sign is negated: by the rule in
-        `_links`, the two states of each of its darts swap successors."""
-        nxt = self.nxt
-        return [(s, nxt[s ^ 1]) for s in range(4 * edge_index, 4 * edge_index + 4)]
-
-    def assign(self, v: int, rotation: list[int]) -> None:
-        nxt = self.nxt
-        for s, t in self._links(v, rotation):
-            nxt[s] = t
-
-    def stats(self) -> tuple[int, int]:
-        """(closed_faces, open_states). `nxt` is injective, so a walk from an
-        unvisited state either returns to it, closing a cycle, or ends at an
-        unset successor or at the start of an open chain walked before. Each
-        state is labelled with the state its walk started from."""
-        nxt = self.nxt
-        label = [-1] * len(nxt)
-        cycles = open_states = 0
-        for s0 in range(len(nxt)):
-            if label[s0] != -1:
-                continue
-            label[s0] = s0
-            s, walked = nxt[s0], 1
-            while s != -1 and label[s] == -1:
-                label[s] = s0
-                s, walked = nxt[s], walked + 1
-            if s == s0:
-                cycles += 1
-            else:
-                open_states += walked
-        self.cycles, self._label, self._fresh = cycles, label, len(nxt)
-        self._seen, self._stamp = [0] * len(nxt), 0
-        return self._faces(cycles), open_states
-
-    def retrace(self, links: list[tuple[int, int]]) -> int:
-        """Set the successors in `links` and return the face count after,
-        on a permutation `nxt` labelled by `stats()`. The changed states
-        keep the same set of successors between them, so the cycles through
-        them afterwards cover exactly the states of the cycles through them
-        before; only those are walked. Follow with `accept` or `reject`."""
-        nxt, seen, label = self.nxt, self._seen, self._label
-        changed, old = self._changed, self._old = [], []
-        for s, t in links:
-            o = nxt[s]
-            if o != t:
-                changed.append(s)
-                old.append(o)
-                nxt[s] = t
-        stamp = self._stamp = self._stamp + 1
-        after = 0
-        for s in changed:
-            if seen[s] != stamp:
-                after += 1
-                while seen[s] != stamp:
-                    seen[s] = stamp
-                    s = nxt[s]
-        self._after = self.cycles + after - len({label[s] for s in changed})
-        return self._faces(self._after)
-
-    def accept(self) -> None:
-        """Keep the last `retrace`, giving its new cycles fresh labels."""
-        nxt, label = self.nxt, self._label
-        first = fresh = self._fresh
-        for s in self._changed:
-            if label[s] < first:
-                while label[s] < first:
-                    label[s] = fresh
-                    s = nxt[s]
-                fresh += 1
-        self._fresh, self.cycles = fresh, self._after
-
-    def reject(self) -> None:
-        """Undo the last `retrace`; the labels still describe `nxt`."""
-        nxt = self.nxt
-        for s, o in zip(self._changed, self._old):
-            nxt[s] = o
-
-    def _faces(self, cycles: int) -> int:
-        if cycles % self.unit:
-            raise SchemeError("state cycles must pair up")
-        return cycles // self.unit
-
-    def euler(self) -> int:
-        closed, open_states = self.stats()
-        if open_states:
-            raise SchemeError("euler() on a partial assignment")
-        return self.idx.base - (closed + self.idx.isolated)
+            self.out[u][v] = 2 * i
+            self.out[v][u] = 2 * i + 1
+        self.base = 2 * len(g.connected_components()) - g.n + self.m
 
 
 def _cotree_edges(g: SimpleGraph) -> list[int]:
@@ -746,70 +589,7 @@ def _scheme_from_faces(
 
 
 # ---------------------------------------------------------------------------
-# Heuristic search
-
-
-def _greedy_insertion_rotations(g: SimpleGraph, rng: random.Random, shuffle: bool) -> list[list[int]]:
-    """Insert edges one at a time, each at the cyclic positions that keep the
-    running Euler genus smallest. Cheap and a strong starting point. One
-    evaluator over all of g's darts scores every slot: an unplaced dart is a
-    fixed point of `nxt`, and a slot is tried by re-tracing the faces through
-    the darts that enter its two endpoints."""
-    edge_order = g.edges()
-    if shuffle:
-        rng.shuffle(edge_order)
-    rotations: list[list[int]] = [[] for _ in range(g.n)]
-    ev = _Evaluator(_DartIndex(g))
-    ev.nxt = list(range(len(ev.nxt)))  # nothing placed: all fixed points
-    ev.stats()
-    unplaced = len(ev.nxt)  # darts of edges not placed yet
-    # 2 * components - n + edges, and the isolated vertices, of the placed edges
-    base, isolated = g.n, g.n
-    component = list(range(g.n))
-
-    for u, v in edge_order:
-        unplaced -= 2
-        isolated -= (not rotations[u]) + (not rotations[v])
-        base += 1
-        cu, cv = component[u], component[v]
-        if cu != cv:
-            base -= 2
-            component = [cu if c == cv else c for c in component]
-        rot_u, rot_v = rotations[u], rotations[v]
-        best = None
-        for i in range(max(1, len(rot_u))):
-            for j in range(max(1, len(rot_v))):
-                faces = ev.retrace(
-                    ev._links(u, rot_u[:i] + [v] + rot_u[i:]) + ev._links(v, rot_v[:j] + [u] + rot_v[j:])
-                )
-                ev.reject()
-                e = base - (faces - unplaced + isolated)
-                if best is None or e < best[0]:
-                    best = (e, i, j)
-                if best[0] == 0:
-                    break
-            if best[0] == 0:
-                break
-        _, i, j = best
-        rot_u.insert(i, v)
-        rot_v.insert(j, u)
-        ev.retrace(ev._links(u, rot_u) + ev._links(v, rot_v))
-        ev.accept()
-    return rotations
-
-
-def _random_rotations(g: SimpleGraph, rng: random.Random) -> list[list[int]]:
-    out = []
-    for v in range(g.n):
-        rot = g.neighbors(v)
-        rng.shuffle(rot)
-        out.append(rot)
-    return out
-
-
-_SA_T_START = 1.5
-_SA_T_END = 0.02
-_SA_SIGN_MOVE_P = 0.2
+# Restart phase
 
 
 def heuristic_embedding(
@@ -819,94 +599,57 @@ def heuristic_embedding(
     seed: int = 0,
     budget: Optional[SearchBudget] = None,
 ) -> Optional[EmbeddingScheme]:
-    """Annealed local search for a scheme achieving the target genus or
-    crosscap, target >= 1, on a nonplanar connected graph: it has a vertex
-    of degree >= 3 and a cycle. Starts alternate between greedy edge
-    insertion and random rotations; moves relocate one neighbor within one
-    rotation, or flip one co-tree edge sign on nonorientable surfaces (the
-    scheme is kept unbalanced throughout). Uphill moves are accepted with
-    probability exp(-delta/T) under a geometric cooling schedule per restart.
+    """Seeded restarts of the face-set search for a scheme of g at the
+    target genus or crosscap t >= 1. g must be connected with minimum
+    degree >= 3, as the face-set search needs.
 
-    A hit returns the scheme at the first visit of the target; a miss, the
-    one at the first visit of the lowest Euler genus met, where a run aimed
-    at that value would stop, as the target is read only by the stop test.
-    None comes only from no restart. Returned schemes are re-verified.
+    The upper end starts at the neighbour-order rotation system: all signs
+    +1 on the orientable surface, and on the nonorientable one the first
+    co-tree edge negated, which unbalances the scheme. Restart k relabels g
+    by a permutation drawn from random.Random(seed) and searches the value
+    t + k % (best - t), best being the lowest value found so far, under a
+    cap of `budget.nodes_per_restart` nodes; a hit lowers best to that
+    value. The restarts stop once best reaches t. A relabelling changes the
+    order in which the search tries vertices and darts, so a value one
+    order leaves in the heavy tail of its search may be hit within a few
+    thousand nodes under another (Gomes, Selman and Kautz, "Boosting
+    combinatorial search through randomization", AAAI 1998).
+
+    Returns the scheme at best, mapped back to g and re-verified: a hit's,
+    or the neighbour-order scheme when no restart hits. None comes only
+    from no restart.
     """
     budget = budget or DEFAULT_BUDGET
     if target < 1:
         raise ValueError("target must be at least 1")
-    target_euler = 2 * target if surface == ORIENTABLE else target
-    rng = random.Random(seed)
-    idx = _DartIndex(g)
-    cotree = _cotree_edges(g)
-    movable = [v for v in range(g.n) if g.degree(v) >= 3]
-    cooling = (_SA_T_END / _SA_T_START) ** (1.0 / max(1, budget.moves_per_restart))
-    offset = idx.base - idx.isolated  # euler genus = offset - faces
-    best = None  # (euler, rotations, signs) at the first visit of the lowest
-
-    for restart in range(budget.restarts):
-        if restart % 2 == 0:
-            rotations = _greedy_insertion_rotations(g, rng, shuffle=restart > 0)
-        else:
-            rotations = _random_rotations(g, rng)
-        signs = None
-        negatives = 0  # negative co-tree signs
-        if surface == NONORIENTABLE:
-            signs = [1] * idx.m
-            for ei in rng.sample(cotree, rng.randrange(1, min(4, len(cotree) + 1))):
-                signs[ei] = -1
-                negatives += 1
-        ev = _Evaluator(idx, signs)
-        for v in range(g.n):
-            ev.assign(v, rotations[v])
-        current = ev.euler()  # labels every state for retrace()
-        temp = _SA_T_START
-
-        for _ in range(budget.moves_per_restart):
-            if best is None or current < best[0]:
-                copy = None if signs is None else list(ev.signs)
-                best = (current, [list(r) for r in rotations], copy)
-            if current == target_euler:
-                break
-            temp *= cooling
-            if surface == NONORIENTABLE and rng.random() < _SA_SIGN_MOVE_P:
-                ei = cotree[rng.randrange(len(cotree))]
-                if ev.signs[ei] == -1 and negatives == 1:
-                    continue  # keep at least one negative co-tree sign
-                e = offset - ev.retrace(ev._sign_links(ei))
-                if e <= current or rng.random() < math.exp((current - e) / temp):
-                    ev.accept()
-                    ev.signs[ei] = -ev.signs[ei]
-                    current = e
-                    negatives -= ev.signs[ei]  # one more if now -1, one fewer if +1
-                else:
-                    ev.reject()
-            else:
-                v = movable[rng.randrange(len(movable))]
-                rot = rotations[v]
-                i = rng.randrange(len(rot))
-                j = rng.randrange(len(rot))
-                if i == j:
-                    continue
-                moved = rot[i]
-                trial = rot[:i] + rot[i + 1 :]
-                trial.insert(j, moved)
-                e = offset - ev.retrace(ev._links(v, trial))
-                if e <= current or rng.random() < math.exp((current - e) / temp):
-                    ev.accept()
-                    rotations[v] = trial
-                    current = e
-                else:
-                    ev.reject()
-
-        if current == target_euler or best is None or current < best[0]:
-            best = (current, rotations, ev.signs)  # this restart changes them no more
-        if current == target_euler:
-            break
-    if best is None:
+    if not budget.restarts:
         return None
-    euler, rotations, signs = best
-    return _verified_scheme(g, idx.edges, rotations, signs, seed, euler, surface)
+    orientable = surface == ORIENTABLE
+    edges = g.edges()
+    signs = [1] * len(edges)
+    if not orientable:
+        signs[_cotree_edges(g)[0]] = -1
+    scheme = make_scheme(g, [g.neighbors(v) for v in range(g.n)], dict(zip(edges, signs)), seed=seed)
+    euler = trace_faces(g, scheme).euler_genus
+    best = euler // 2 if orientable else euler
+    rng = random.Random(seed)
+    for k in range(budget.restarts):
+        if best <= target:
+            break
+        value = target + k % (best - target)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        euler = 2 * value if orientable else value
+        hit, _ = _face_set_search(
+            SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in edges]), euler, orientable, budget.nodes_per_restart
+        )
+        if hit is not None:
+            back = {perm[v]: v for v in range(g.n)}
+            rotations = [[back[w] for w in hit.rotations[perm[v]]] for v in range(g.n)]
+            sign = hit.sign_map()
+            signs = [sign[(perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])] for u, v in edges]
+            best, scheme = value, _verified_scheme(g, edges, rotations, signs, seed, euler, surface)
+    return scheme
 
 
 def _verified_scheme(g, edges, rotations, signs, seed, euler, surface):
@@ -980,10 +723,10 @@ def exact_genus(g: SimpleGraph, budget: Optional[SearchBudget] = None) -> GenusR
     face-set pass from the bound on the graph's homeomorphic reduction,
     which raises it by each value it excludes until it hits or its node cap
     is spent: `_NODE_CAP` on a rotation space that fits `_EXHAUSTIVE_CAP`,
-    else `_FACE_NODE_CAP`. A hit's certificate binds to the reduction. A
-    pass stopped by the cap is followed by one annealing run on the graph,
-    aimed at the bound it reached; a bracket's upper end is the lowest
-    scheme of the run."""
+    else `_FACE_NODE_CAP`. A pass stopped by the cap is followed by the
+    restart phase on the reduction, from the bound it reached: the upper
+    end is the lowest value a seeded restart hits, or the neighbour-order
+    scheme's when none does. Every certificate binds to the reduction."""
     return _exact_surface(_piece(g), ORIENTABLE, budget or DEFAULT_BUDGET)
 
 
@@ -1018,38 +761,28 @@ def _face_set_pass(
 
 
 def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusResult:
-    g = piece.graph
     prov = list(piece.provenance)
-
-    def settled(value: int, scheme: EmbeddingScheme, graph: SimpleGraph = g) -> GenusResult:
-        return GenusResult(surface, value, value, True,
-                           certificate=scheme, certificate_graph=graph, provenance=prov)
-
     if piece.planar.planar:
-        return settled(0, piece.planar.scheme)
+        return GenusResult(surface, 0, 0, True, certificate=piece.planar.scheme,
+                           certificate_graph=piece.graph, provenance=prov)
 
+    g = piece.reduced
     lower = _lower_on(surface, piece.euler_lower)
     prov.append(f"lower bound {lower}")
     stop = budget.lower_stop
-    scheme, lower = _face_set_pass(piece.reduced, surface, lower, stop, piece.node_cap, prov)
-    if scheme is not None:
-        return settled(lower, scheme, piece.reduced)
-    if stop is not None and lower >= stop:
-        return GenusResult(surface, lower, None, False, provenance=prov)
-
-    scheme = heuristic_embedding(g, lower, surface, seed=budget.seed, budget=budget)
-    upper = None
-    if scheme is not None:
+    scheme, lower = _face_set_pass(g, surface, lower, stop, piece.node_cap, prov)
+    upper = lower
+    if scheme is None:
+        if stop is None or lower < stop:
+            scheme = heuristic_embedding(g, lower, surface, seed=budget.seed, budget=budget)
+        if scheme is None:
+            return GenusResult(surface, lower, None, False, provenance=prov)
         euler = trace_faces(g, scheme).euler_genus
         upper = euler // 2 if surface == ORIENTABLE else euler
-        if upper == lower:
-            prov.append(f"heuristic certificate at {lower} (seed {budget.seed})")
-            return settled(lower, scheme)
-        prov.append(f"heuristic upper bound {upper}")
-    return GenusResult(
-        surface, lower, upper, False,
-        certificate=scheme, certificate_graph=g if scheme else None, provenance=prov,
-    )
+        prov.append(f"restart certificate at {lower} (seed {budget.seed})" if upper == lower
+                    else f"restart upper bound {upper}")
+    return GenusResult(surface, lower, upper, upper == lower,
+                       certificate=scheme, certificate_graph=g, provenance=prov)
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,20 @@
 Everything here is written from first principles against the definitions,
 deliberately sharing no code with the package internals it checks; only
 the exception types come from the package. Besides the brute-force
-searches, this holds independent checks of the structural lemmas the
-pipeline rests on: the difference graph's vertex set, the lcm witness,
-the Sylow projection, the complete multipartite shape and the replay of
-a homeomorphic reduction.
+searches and a Kuratowski subdivision from networkx, this holds
+independent checks of the structural lemmas the pipeline rests on: the
+difference graph's vertex set, the lcm witness, the Sylow projection, the
+complete multipartite shape and the replay of a homeomorphic reduction.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations, product
+
+import networkx as nx
 
 from diffgenus.groups import GroupError, NotNilpotentError
 
@@ -194,9 +197,31 @@ def brute_force_bipartite(g) -> bool:
     return False
 
 
+@dataclass
+class KuratowskiWitness:
+    kind: str  # "K5" or "K3,3"
+    branch_vertices: list[int]
+    edges: list[tuple[int, int]]
+
+
+def kuratowski_witness(g) -> KuratowskiWitness | None:
+    """A K5 or K3,3 subdivision in g, from networkx, or None when g is
+    planar: an independent no-witness for `genus.is_planar`."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(g.n))
+    graph.add_edges_from((u, v) for u in range(g.n) for v in g.adj[u] if u < v)
+    ok, counter = nx.check_planarity(graph, counterexample=True)
+    if ok:
+        return None
+    branch = sorted(v for v in counter.nodes if counter.degree(v) >= 3)
+    kind = "K5" if any(counter.degree(v) >= 4 for v in branch) else "K3,3"
+    edges = sorted(tuple(sorted(e)) for e in counter.edges)
+    return KuratowskiWitness(kind, branch, edges)
+
+
 def partial_face_counts(g, rotations: dict, signs=None) -> tuple[int, int]:
     """(closed faces, open states) of a partial rotation system, by walking
-    every state again: the reference for the searches' face counters.
+    every state: how `brute_force_crosscap` counts faces.
 
     Without signs a state is a dart (u, v); with signs (a dict keyed by
     (u, v), u < v) it is (u, v, o) for a local orientation o, and the walk

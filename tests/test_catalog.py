@@ -4,6 +4,7 @@ import math
 import pytest
 
 import oracles
+from diffgenus import catalog
 from diffgenus import groups as gr
 from diffgenus.catalog import MAX_CATALOG_ORDER, builtin_catalog
 
@@ -29,8 +30,14 @@ def test_catalog_tables_are_pinned():
     assert h.hexdigest() == "a5d406830b3a68f6e87aa3d5e29fa7670b02c2c195ad0d6cd098ef4bd42c939c"
 
 
-def test_catalog_max_order_filter():
-    assert all(e.order <= 30 for e in builtin_catalog(30))
+def test_catalog_max_order_filter(monkeypatch):
+    # only the entries asked for are built and validated
+    built = []
+    monkeypatch.setattr(catalog, "build_group", lambda name: built.append(name) or gr.build_group(name))
+    catalog._entry.cache_clear()
+    entries = builtin_catalog(30)
+    assert all(e.order <= 30 for e in entries)
+    assert sorted(built) == sorted(e.name for e in entries)
     with pytest.raises(ValueError):
         builtin_catalog(500)
 

@@ -105,19 +105,20 @@ def test_genus_compute_and_verify(tmp_path):
 
 
 def test_genus_compute_certifies_a_bracket(tmp_path, monkeypatch):
-    # one nonplanar piece carries the upper end, so its annealing scheme
-    # comes with the bracket; the face-set search, which settles this
-    # crosscap, is off
+    # one nonplanar piece carries the upper end, so the scheme of its
+    # restart phase comes with the bracket; the face-set pass, which
+    # settles this crosscap, is off, and 100 nodes a restart hit 18, below
+    # the neighbour-order scheme's 28, but not 8
     monkeypatch.setattr(genus, "_FACE_NODE_CAP", 0)
     path = tmp_path / "d24.el"
     path.write_text(run("graph", "build", "--kind", "difference", "Z24").output)
     cert = tmp_path / "cert.json"
-    result = run("genus", "compute", str(path), "--surface", "n", "--budget", "200", "--cert", str(cert))
+    result = run("genus", "compute", str(path), "--surface", "n", "--budget", "100", "--cert", str(cert))
     assert result.exit_code == 0, result.output
-    assert "crosscap: in [8, 13]" in result.output
+    assert "crosscap: in [8, 18]" in result.output
     result = run("genus", "verify", str(path), str(cert))
     assert result.exit_code == 0
-    assert "certificate valid: nonorientable 13" in result.output
+    assert "certificate valid: nonorientable 18" in result.output
 
 
 def test_genus_compute_settles_the_z24_crosscap(tmp_path):

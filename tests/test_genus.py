@@ -15,7 +15,7 @@ import oracles
 from graphs import complete_bipartite
 from diffgenus.catalog import builtin_catalog
 from diffgenus import genus as genus_module
-from diffgenus.embeddings import FaceTrace, SchemeError, make_scheme, trace_faces, verify_certificate
+from diffgenus.embeddings import FaceTrace, SchemeError, trace_faces, verify_certificate
 from diffgenus.genus import (
     NONORIENTABLE,
     ORIENTABLE,
@@ -31,7 +31,6 @@ from diffgenus.genus import (
     genus_of_graph,
     heuristic_embedding,
     is_planar,
-    kuratowski_witness,
     rotation_space_size,
 )
 from diffgenus.groupgraphs import difference_graph
@@ -155,13 +154,13 @@ def test_planar_yes_with_scheme():
 def test_planar_no_with_witness():
     k33 = complete_bipartite(3, 3)
     assert not is_planar(k33).planar
-    witness = kuratowski_witness(k33)
+    witness = oracles.kuratowski_witness(k33)
     assert witness.kind == "K3,3"
     assert len(witness.branch_vertices) == 6
     k5 = SimpleGraph.complete(5)
     assert not is_planar(k5).planar
-    assert kuratowski_witness(k5).kind == "K5"
-    assert kuratowski_witness(SimpleGraph.complete(4)) is None
+    assert oracles.kuratowski_witness(k5).kind == "K5"
+    assert oracles.kuratowski_witness(SimpleGraph.complete(4)) is None
 
 
 def test_planar_agrees_with_exact_genus_on_corpus():
@@ -235,11 +234,11 @@ def test_crosscap_bracket_bound():
         assert crosscap.value <= 2 * genus.value + 1
 
 
-# -- heuristic ---------------------------------------------------------------
+# -- restart phase ---------------------------------------------------------------
 
 
 def test_heuristic_planar_target():
-    # planarity is settled before any annealing, so genus 0 is no target
+    # planarity is settled before any restart, so genus 0 is no target
     with pytest.raises(ValueError):
         heuristic_embedding(SimpleGraph.complete(4), 0, ORIENTABLE, seed=0)
 
@@ -265,14 +264,19 @@ def test_heuristic_deterministic_given_seed():
 
 
 def test_heuristic_miss_returns_the_lowest_scheme_met():
-    # with no moves, the one state a restart visits is its greedy start
+    """With no node to spend, every restart misses, so the lowest scheme
+    met is the neighbour-order one: all signs +1 on the orientable surface,
+    only the first co-tree edge negated on the nonorientable one."""
     g = SimpleGraph.complete(7)
-    budget = SearchBudget(restarts=1, moves_per_restart=0)
-    scheme = heuristic_embedding(g, 1, ORIENTABLE, seed=3, budget=budget)
-    greedy = genus_module._greedy_insertion_rotations(g, random.Random(3), shuffle=False)
-    assert scheme.rotations == tuple(map(tuple, greedy))
-    assert trace_faces(g, scheme).euler_genus > 2
-    assert heuristic_embedding(g, 1, ORIENTABLE, budget=SearchBudget(restarts=0)) is None
+    starved = SearchBudget(restarts=3, nodes_per_restart=0)
+    neighbour_order = tuple(tuple(g.neighbors(v)) for v in range(g.n))
+    for surface, negated in ((ORIENTABLE, []), (NONORIENTABLE, [g.edges()[genus_module._cotree_edges(g)[0]]])):
+        scheme = heuristic_embedding(g, 1, surface, seed=3, budget=starved)
+        assert scheme.rotations == neighbour_order
+        assert [(u, v) for u, v, sign in scheme.signs if sign < 0] == negated
+        trace = trace_faces(g, scheme)
+        assert trace.orientable == (surface == ORIENTABLE) and trace.euler_genus > 2
+        assert heuristic_embedding(g, 1, surface, budget=SearchBudget(restarts=0)) is None
 
 
 def _petersen() -> SimpleGraph:
@@ -285,27 +289,29 @@ def _petersen() -> SimpleGraph:
 
 
 def test_heuristic_certificates_are_pinned():
-    """Rotations and signs of fixed heuristic calls on both surfaces. The
-    hits come from a greedy start (K6, K7), a random start (Petersen
-    genus 2, K3,3 crosscap) and a shuffled greedy start (K5 and Petersen
-    crosscap). The digest was taken before the heuristic re-traced faces
-    locally; its Euler values are exact, so every move, and the random
-    stream, must be the same."""
+    """Rotations and signs of fixed restart-phase calls on both surfaces,
+    each verified at the value it reaches. The neighbour-order scheme is
+    above every target, so each scheme is a restart's hit, mapped back. All
+    but the last reach their target; K8, under 1,000 nodes a restart,
+    misses genus 2 and comes down from 9 to 3."""
     calls = [
-        (SimpleGraph.complete(6), 1, ORIENTABLE, 100),
-        (SimpleGraph.complete(7), 3, ORIENTABLE, 30),
-        (_petersen(), 2, ORIENTABLE, 100),
-        (complete_bipartite(3, 3), 1, NONORIENTABLE, 30),
-        (SimpleGraph.complete(5), 1, NONORIENTABLE, 100),
-        (_petersen(), 1, NONORIENTABLE, 100),
+        (SimpleGraph.complete(6), 1, ORIENTABLE, 100, 1),
+        (SimpleGraph.complete(7), 1, ORIENTABLE, 100, 1),
+        (_petersen(), 1, ORIENTABLE, 100, 1),
+        (complete_bipartite(3, 3), 1, NONORIENTABLE, 100, 1),
+        (SimpleGraph.complete(5), 1, NONORIENTABLE, 100, 1),
+        (_petersen(), 1, NONORIENTABLE, 100, 1),
+        (SimpleGraph.complete(7), 3, NONORIENTABLE, 100, 3),
+        (SimpleGraph.complete(8), 2, ORIENTABLE, 1_000, 3),
     ]
     found = []
-    for g, target, surface, moves in calls:
-        budget = SearchBudget(restarts=4, moves_per_restart=moves)
+    for g, target, surface, nodes, value in calls:
+        budget = SearchBudget(restarts=4, nodes_per_restart=nodes)
         scheme = heuristic_embedding(g, target, surface, seed=1, budget=budget)
+        assert verify_certificate(g, scheme, surface, value)
         found.append((scheme.rotations, scheme.signs))
     digest = hashlib.sha256(repr(found).encode()).hexdigest()
-    assert digest == "0bd0222b610f9e63d6c8b69bc020a19e0c3f2514f42c3859ad68039965501eca"
+    assert digest == "03e91f5cd6d2e3c9b8e06837b093c262f8b91523e3382e04579e7f6e8c62e71d"
 
 
 def _nonplanar_random_graph(rng: random.Random) -> SimpleGraph:
@@ -326,41 +332,18 @@ def _nonplanar_random_graph(rng: random.Random) -> SimpleGraph:
 
 
 def _starved_results(monkeypatch) -> list[tuple[int, GenusResult]]:
-    """Both surfaces of 20 seeded nonplanar graphs under 4 restarts of 400
-    moves, with both face-set passes off, so most upper ends come from the
-    annealing run alone."""
+    """Both surfaces of 20 seeded nonplanar graphs under 4 restarts of 50
+    nodes, with the face-set pass off, so every upper end comes from the
+    restart phase alone."""
     monkeypatch.setattr(genus_module, "_FACE_NODE_CAP", 0)
     monkeypatch.setattr(genus_module, "_EXHAUSTIVE_CAP", 0)
-    budget = SearchBudget(restarts=4, moves_per_restart=400)
+    budget = SearchBudget(restarts=4, nodes_per_restart=50)
     rng = random.Random(7)
     out = []
     for i in range(20):
         g = _nonplanar_random_graph(rng)
         out += [(i, exact_genus(g, budget)), (i, exact_crosscap(g, budget))]
     return out
-
-
-def test_lowest_scheme_matches_the_rerun_ladder(monkeypatch):
-    """A miss at the lower bound used to rerun the annealer at lower + 1,
-    ..., lower + 4 and keep the first hit. The moves and the random stream
-    do not read the target, so that hit is the first visit of the lowest
-    Euler genus the run at the bound met. The digest pins the 19 results
-    whose upper end the ladder found, taken while the ladder was in place."""
-    ladder = [
-        (0, NONORIENTABLE), (1, NONORIENTABLE), (2, NONORIENTABLE), (3, NONORIENTABLE),
-        (5, NONORIENTABLE), (6, ORIENTABLE), (7, ORIENTABLE), (7, NONORIENTABLE),
-        (8, NONORIENTABLE), (9, ORIENTABLE), (10, NONORIENTABLE), (11, NONORIENTABLE),
-        (14, NONORIENTABLE), (15, ORIENTABLE), (16, NONORIENTABLE), (17, NONORIENTABLE),
-        (18, ORIENTABLE), (18, NONORIENTABLE), (19, NONORIENTABLE),
-    ]
-    pinned = [
-        (r.surface, r.lower, r.upper, r.certificate.rotations, r.certificate.signs)
-        for i, r in _starved_results(monkeypatch)
-        if (i, r.surface) in ladder
-    ]
-    assert len(pinned) == len(ladder)
-    digest = hashlib.sha256(repr(pinned).encode()).hexdigest()
-    assert digest == "94ba8d1c5d9e68245966098b6ac2d5afb6b71ada857d7ee640ee491651381043"
 
 
 def test_every_bracket_from_a_run_carries_its_certificate(monkeypatch):
@@ -394,15 +377,19 @@ def _glue(a: SimpleGraph, b: SimpleGraph, how: str) -> SimpleGraph:
 
 def _assert_crosscap_two(g: SimpleGraph) -> None:
     """Crosscap exactly 2 from the combine rule in under a second, and an
-    independent embedding in the Klein bottle found on the whole graph."""
+    independent embedding in the Klein bottle found by the restart phase on
+    each component's reduction, searched whole: Euler genus adds over
+    components."""
     start = time.perf_counter()
     res = genus_of_graph(g, surface=NONORIENTABLE)
     assert time.perf_counter() - start < 1.0
     assert res.exact and res.value == 2, (res.lower, res.upper, res.provenance)
-    scheme = heuristic_embedding(g, 2, NONORIENTABLE)
-    assert scheme is not None
-    trace = trace_faces(g, scheme)
-    assert trace.euler_genus == 2 and not trace.orientable
+    components = [reduce_homeomorphic(induced_subgraph(g, c))[0] for c in g.connected_components()]
+    target = 2 if len(components) == 1 else 1
+    for h in components:
+        scheme = heuristic_embedding(h, target, NONORIENTABLE)
+        trace = trace_faces(h, scheme)
+        assert trace.euler_genus == target and not trace.orientable
 
 
 def test_genus_of_graph_block_additivity():
@@ -644,7 +631,7 @@ def test_one_face_set_pass_settles_a_small_space_past_the_small_cap(monkeypatch)
     """A cubic graph on 16 vertices whose rotation space fits
     _EXHAUSTIVE_CAP: excluding genus 1 takes about 109,000 nodes, more than
     _FACE_NODE_CAP, so its one pass runs under _NODE_CAP, proves genus 2 and
-    finds a scheme there before any annealing run."""
+    finds a scheme there before any restart."""
     g = SimpleGraph(16, [
         (0, 4), (0, 9), (0, 10), (0, 13), (1, 7), (1, 14), (1, 15), (2, 9), (2, 12), (2, 13),
         (3, 6), (3, 11), (3, 15), (4, 6), (4, 12), (5, 6), (5, 9), (5, 14), (5, 15), (6, 10),
@@ -656,7 +643,7 @@ def test_one_face_set_pass_settles_a_small_space_past_the_small_cap(monkeypatch)
     assert verify_certificate(g, res.certificate, ORIENTABLE, 2)
 
     def spy(*args, **kwargs):
-        raise AssertionError("the annealing run must not start")
+        raise AssertionError("the restart phase must not start")
 
     monkeypatch.setattr(genus_module, "heuristic_embedding", spy)
     res = exact_genus(g)
@@ -823,19 +810,29 @@ def test_face_set_search_skips_a_graph_with_a_leaf():
         _face_sets(g, 2, ORIENTABLE)
 
 
-def test_face_set_node_cap_falls_back_to_the_annealing_run(monkeypatch):
+def test_face_set_node_cap_falls_back_to_the_restart_phase(monkeypatch):
     """Excluding genus 1 for K5 and K5 sharing a vertex, searched whole,
-    takes 18,349 nodes, more than a cap of 10,000, so the annealing run at
-    1 gives the upper end and its scheme. Split into its two K5 blocks, the
-    graph's genus is exact 2."""
+    takes 18,349 nodes, more than a cap of 10,000, so the restart phase
+    from 1 gives the upper end 2 and its scheme, bound to the reduction.
+    Split into its two K5 blocks, the graph's genus is exact 2."""
     monkeypatch.setattr(genus_module, "_FACE_NODE_CAP", 10_000)
     g = _glue(SimpleGraph.complete(5), SimpleGraph.complete(5), "shared")
-    res = exact_genus(g, SearchBudget(restarts=4, moves_per_restart=2_000))
-    assert "face-set search stopped by node cap at 1" in res.provenance
+    res = exact_genus(g, SearchBudget(restarts=8))
+    assert res.provenance[-2:] == ["face-set search stopped by node cap at 1", "restart upper bound 2"]
     assert not res.exact and (res.lower, res.upper) == (1, 2)
-    assert verify_certificate(g, res.certificate, ORIENTABLE, 2)
+    assert res.certificate_graph.checksum() == reduce_homeomorphic(g)[0].checksum()
+    assert verify_certificate(res.certificate_graph, res.certificate, ORIENTABLE, 2)
     res = genus_of_graph(g)
     assert res.exact and res.value == 2
+
+
+def test_restart_phase_settles_the_z40_genus():
+    """Z40's difference graph stops at genus 11, its Euler bound, after the
+    100,000 nodes of its one face-set pass; a seeded restart hits 11."""
+    res = exact_genus(difference_graph(build_group("Z40")).graph)
+    assert res.exact and res.value == 11, (res.lower, res.upper, res.provenance)
+    assert res.provenance[-2:] == ["face-set search stopped by node cap at 11", "restart certificate at 11 (seed 0)"]
+    assert verify_certificate(res.certificate_graph, res.certificate, ORIENTABLE, 11)
 
 
 def test_face_set_search_settles_two_k5_sharing_a_vertex():
@@ -875,181 +872,7 @@ def test_face_set_scheme_must_reverify(monkeypatch):
         _face_sets(SimpleGraph.complete(5), 2, ORIENTABLE)
 
 
-# -- face counting -------------------------------------------------------------
-
-
-def _random_signs(rng: random.Random, g: SimpleGraph) -> dict:
-    return {e: rng.choice((1, -1)) for e in g.edges()}
-
-
-def test_face_counter_matches_full_recount():
-    """The evaluator's face count against the reference recount after
-    every assignment, in a random vertex order; at full assignments
-    against face tracing too."""
-    rng = random.Random(83)
-    for _ in range(200):
-        g = connected_random_graph(rng, n_max=7, space_cap=20_000)
-        idx = genus_module._DartIndex(g)
-        for sign_map in (None, _random_signs(rng, g)):
-            signs = None if sign_map is None else [sign_map[e] for e in idx.edges]
-            ev = genus_module._Evaluator(idx, signs)
-            order = list(range(g.n))
-            rng.shuffle(order)
-            assigned: dict[int, list[int]] = {}
-            for v in order:
-                rotation = g.neighbors(v)
-                rng.shuffle(rotation)
-                ev.assign(v, rotation)
-                assigned[v] = rotation
-                assert ev.stats() == oracles.partial_face_counts(g, assigned, sign_map)
-            rotations = [assigned[v] for v in range(g.n)]
-            trace = trace_faces(g, make_scheme(g, rotations, sign_map))
-            assert ev.stats() == (trace.face_count, 0)
-            assert ev.euler() == trace.euler_genus
-
-
-def _reference_euler(g: SimpleGraph, rotations: dict, sign_map) -> int:
-    comps, isolated = oracles._components(g)
-    faces, open_states = oracles.partial_face_counts(g, rotations, sign_map)
-    assert open_states == 0
-    return 2 * comps - g.n + g.edge_count - (faces + isolated)
-
-
-def test_local_retrace_matches_full_recount():
-    """The heuristic's moves: after every tried relocation and sign flip,
-    accepted or rejected, the Euler genus from `retrace` equals the
-    reference recount of the scheme it was tried on. Relocations at degree-2
-    vertices change no successor."""
-    rng = random.Random(89)
-    for _ in range(200):
-        g = connected_random_graph(rng, n_max=7, space_cap=20_000)
-        idx = genus_module._DartIndex(g)
-        movable = [v for v in range(g.n) if g.degree(v) >= 2]
-        for sign_map in (None, _random_signs(rng, g)):
-            signs = None if sign_map is None else [sign_map[e] for e in idx.edges]
-            rotations = dict(enumerate(genus_module._random_rotations(g, rng)))
-            ev = genus_module._Evaluator(idx, signs)
-            for v, rotation in rotations.items():
-                ev.assign(v, rotation)
-            assert ev.euler() == _reference_euler(g, rotations, sign_map)
-            for _ in range(30):
-                trial, trial_signs, flipped = dict(rotations), sign_map, None
-                if sign_map is not None and rng.random() < 0.3:
-                    flipped = rng.randrange(idx.m)
-                    trial_signs = dict(sign_map)
-                    trial_signs[idx.edges[flipped]] *= -1
-                    faces = ev.retrace(ev._sign_links(flipped))
-                else:
-                    v = rng.choice(movable)
-                    rotation = list(rotations[v])
-                    rotation.insert(rng.randrange(len(rotation)), rotation.pop(rng.randrange(len(rotation))))
-                    trial[v] = rotation
-                    faces = ev.retrace(ev._links(v, rotation))
-                euler = idx.base - (faces + idx.isolated)
-                assert euler == _reference_euler(g, trial, trial_signs)
-                if rng.random() < 0.5:
-                    ev.accept()
-                    rotations, sign_map = trial, trial_signs
-                    if flipped is not None:
-                        ev.signs[flipped] = -ev.signs[flipped]
-                else:
-                    ev.reject()
-            assert ev.euler() == _reference_euler(g, rotations, sign_map)
-
-
-def _reference_greedy(g: SimpleGraph, edge_order: list) -> tuple[list, list]:
-    """Greedy insertion scored from scratch: a slot's Euler genus is the
-    recount of SimpleGraph(g.n, placed) with the slot's rotations. Also
-    returns, for every slot tried and every edge placed, the face count
-    with each unplaced dart as a face of its own, which is what the
-    package's evaluator counts."""
-    rotations: list[list[int]] = [[] for _ in range(g.n)]
-    placed: list[tuple[int, int]] = []
-    face_counts = []
-
-    def score() -> int:
-        sub = SimpleGraph(g.n, placed)
-        comps, isolated = oracles._components(sub)
-        faces, open_states = oracles.partial_face_counts(sub, dict(enumerate(rotations)))
-        assert open_states == 0
-        face_counts.append(faces + 2 * (g.edge_count - len(placed)))
-        return 2 * comps - g.n + len(placed) - (faces + isolated)
-
-    for u, v in edge_order:
-        placed.append((u, v))
-        best = None
-        for i in range(max(1, len(rotations[u]))):
-            for j in range(max(1, len(rotations[v]))):
-                rotations[u].insert(i, v)
-                rotations[v].insert(j, u)
-                e = score()
-                rotations[u].remove(v)
-                rotations[v].remove(u)
-                if best is None or e < best[0]:
-                    best = (e, i, j)
-                if best[0] == 0:
-                    break
-            if best[0] == 0:
-                break
-        _, i, j = best
-        rotations[u].insert(i, v)
-        rotations[v].insert(j, u)
-        score()
-    return rotations, face_counts
-
-
-def test_greedy_insertion_scores_slots_like_a_recount(monkeypatch):
-    """Every slot greedy insertion tries, and every edge it places, gets
-    the face count of a recount of the placed edges. The slots tried stop
-    at the first one of Euler genus 0, so the same sequence of calls also
-    checks the Euler genus the greedy pass derives from that count. Graphs
-    with an isolated vertex and two components are included."""
-    face_counts = []
-    retrace = genus_module._Evaluator.retrace
-
-    def spy(self, links):
-        faces = retrace(self, links)
-        face_counts.append(faces)
-        return faces
-
-    monkeypatch.setattr(genus_module._Evaluator, "retrace", spy)
-    rng = random.Random(97)
-    for k in range(60):
-        g = connected_random_graph(rng, n_max=8)
-        if k % 3 == 1:
-            g = SimpleGraph(g.n + 1, g.edges())
-        elif k % 3 == 2:
-            g = SimpleGraph(g.n + 3, g.edges() + [(g.n, g.n + 1), (g.n + 1, g.n + 2), (g.n, g.n + 2)])
-        edge_order = g.edges()
-        if k % 2:
-            random.Random(k).shuffle(edge_order)
-        want_rotations, want_counts = _reference_greedy(g, edge_order)
-        face_counts.clear()
-        rotations = genus_module._greedy_insertion_rotations(g, random.Random(k), shuffle=k % 2 == 1)
-        assert rotations == want_rotations
-        assert face_counts == want_counts
-
-
 # -- correctness guards --------------------------------------------------------
-
-
-@pytest.mark.parametrize("kind", ["_Evaluator"])
-@pytest.mark.parametrize("signed", [False, True])
-def test_euler_on_partial_assignment_raises(kind, signed):
-    g = SimpleGraph.complete(4)
-    idx = genus_module._DartIndex(g)
-    ev = getattr(genus_module, kind)(idx, [1] * idx.m if signed else None)
-    ev.assign(0, g.neighbors(0))
-    with pytest.raises(SchemeError, match="partial"):
-        ev.euler()
-
-
-def test_unpaired_state_cycles_raise():
-    g = SimpleGraph(2, [(0, 1)])
-    ev = genus_module._Evaluator(genus_module._DartIndex(g), [1])
-    ev.nxt = [1, 0, 2, 3]  # three state cycles cannot be mirror pairs
-    with pytest.raises(SchemeError, match="pair up"):
-        ev.stats()
 
 
 def test_is_planar_rejects_an_embedding_that_does_not_reverify(monkeypatch):
@@ -1075,16 +898,15 @@ def test_component_bound_above_exact_block_sum_raises(monkeypatch):
 
 def test_guards_survive_optimized_mode():
     code = (
-        "import sys\n"
-        "from diffgenus import genus\n"
-        "from diffgenus.embeddings import SchemeError\n"
+        "from dataclasses import replace\n"
+        "from diffgenus.embeddings import SchemeError, make_scheme, trace_faces\n"
         "from diffgenus.simplegraph import SimpleGraph\n"
         "assert False, 'asserts are live'\n"
         "g = SimpleGraph.complete(4)\n"
-        "ev = genus._Evaluator(genus._DartIndex(g))\n"
-        "ev.assign(0, g.neighbors(0))\n"
+        "scheme = make_scheme(g, [g.neighbors(v) for v in range(g.n)])\n"
+        "bad = replace(scheme, signs=((0, 1, 2),) + scheme.signs[1:])\n"
         "try:\n"
-        "    ev.euler()\n"
+        "    trace_faces(g, bad)\n"
         "except SchemeError:\n"
         "    print('raised')\n"
     )
