@@ -47,6 +47,7 @@ from .simplegraph import (
     girth_and_bipartite,
     induced_subgraph,
     reduce_homeomorphic,
+    to_networkx,
 )
 
 ORIENTABLE = "orientable"
@@ -188,13 +189,6 @@ def rotation_space_size(g: SimpleGraph) -> int:
 # Planarity (library-backed; the embedding it returns is re-verified here)
 
 
-def _nx_graph(g: SimpleGraph) -> nx.Graph:
-    G = nx.Graph()
-    G.add_nodes_from(range(g.n))
-    G.add_edges_from(g.edges())
-    return G
-
-
 def is_planar(g: SimpleGraph) -> PlanarityResult:
     """Planarity with a genus-0 scheme as a yes-witness. A no-answer comes
     without a witness: networkx extracts a Kuratowski subdivision with one
@@ -202,7 +196,7 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
     if g.edge_count == 0:
         scheme = make_scheme(g, [[] for _ in range(g.n)])
         return PlanarityResult(True, scheme=scheme)
-    ok, emb = nx.check_planarity(_nx_graph(g), counterexample=False)
+    ok, emb = nx.check_planarity(to_networkx(g), counterexample=False)
     if not ok:
         return PlanarityResult(False)
     rotations = [list(emb.neighbors_cw_order(v)) if g.adj[v] else [] for v in range(g.n)]
@@ -318,7 +312,7 @@ def _face_set_search(
         for i in range(1, len(members)):
             lower[members[i]] = tuple(members[:i])
     touched = [0] * g.n  # edge sides covered at each vertex
-    dist = dict(nx.all_pairs_shortest_path_length(_nx_graph(g)))
+    dist = dict(nx.all_pairs_shortest_path_length(to_networkx(g)))
     # per triangle: its edges and its corners (vertex, dart, dart)
     triangles = [] if girth > 3 else [
         (
@@ -596,7 +590,6 @@ def heuristic_embedding(
     g: SimpleGraph,
     target: int,
     surface: str,
-    seed: int = 0,
     budget: Optional[SearchBudget] = None,
 ) -> Optional[EmbeddingScheme]:
     """Seeded restarts of the face-set search for a scheme of g at the
@@ -606,14 +599,14 @@ def heuristic_embedding(
     The upper end starts at the neighbour-order rotation system: all signs
     +1 on the orientable surface, and on the nonorientable one the first
     co-tree edge negated, which unbalances the scheme. Restart k relabels g
-    by a permutation drawn from random.Random(seed) and searches the value
-    t + k % (best - t), best being the lowest value found so far, under a
-    cap of `budget.nodes_per_restart` nodes; a hit lowers best to that
-    value. The restarts stop once best reaches t. A relabelling changes the
-    order in which the search tries vertices and darts, so a value one
-    order leaves in the heavy tail of its search may be hit within a few
-    thousand nodes under another (Gomes, Selman and Kautz, "Boosting
-    combinatorial search through randomization", AAAI 1998).
+    by a permutation drawn from random.Random(budget.seed) and searches
+    the value t + k % (best - t), best being the lowest value found so
+    far, under a cap of `budget.nodes_per_restart` nodes; a hit lowers best
+    to that value. The restarts stop once best reaches t. A relabelling
+    changes the order in which the search tries vertices and darts, so a
+    value one order leaves in the heavy tail of its search may be hit
+    within a few thousand nodes under another (Gomes, Selman and Kautz,
+    "Boosting combinatorial search through randomization", AAAI 1998).
 
     Returns the scheme at best, mapped back to g and re-verified: a hit's,
     or the neighbour-order scheme when no restart hits. None comes only
@@ -629,10 +622,10 @@ def heuristic_embedding(
     signs = [1] * len(edges)
     if not orientable:
         signs[_cotree_edges(g)[0]] = -1
-    scheme = make_scheme(g, [g.neighbors(v) for v in range(g.n)], dict(zip(edges, signs)), seed=seed)
+    scheme = make_scheme(g, [g.neighbors(v) for v in range(g.n)], dict(zip(edges, signs)), seed=budget.seed)
     euler = trace_faces(g, scheme).euler_genus
     best = euler // 2 if orientable else euler
-    rng = random.Random(seed)
+    rng = random.Random(budget.seed)
     for k in range(budget.restarts):
         if best <= target:
             break
@@ -648,13 +641,12 @@ def heuristic_embedding(
             rotations = [[back[w] for w in hit.rotations[perm[v]]] for v in range(g.n)]
             sign = hit.sign_map()
             signs = [sign[(perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])] for u, v in edges]
-            best, scheme = value, _verified_scheme(g, edges, rotations, signs, seed, euler, surface)
+            best, scheme = value, _verified_scheme(g, edges, rotations, signs, budget.seed, euler, surface)
     return scheme
 
 
 def _verified_scheme(g, edges, rotations, signs, seed, euler, surface):
-    sign_map = None if signs is None else dict(zip(edges, signs))
-    scheme = make_scheme(g, rotations, sign_map, seed=seed)
+    scheme = make_scheme(g, rotations, dict(zip(edges, signs)), seed=seed)
     trace = trace_faces(g, scheme)
     if trace.euler_genus != euler or trace.orientable != (surface == ORIENTABLE):
         raise SchemeError(
@@ -774,7 +766,7 @@ def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusRe
     upper = lower
     if scheme is None:
         if stop is None or lower < stop:
-            scheme = heuristic_embedding(g, lower, surface, seed=budget.seed, budget=budget)
+            scheme = heuristic_embedding(g, lower, surface, budget)
         if scheme is None:
             return GenusResult(surface, lower, None, False, provenance=prov)
         euler = trace_faces(g, scheme).euler_genus
@@ -806,7 +798,7 @@ class _Component:
         each block reduced again. Reduction keeps the genus and the
         crosscap."""
         reduced, _ = reduce_homeomorphic(self.graph)
-        blocks, _ = block_decomposition(reduced)
+        blocks = block_decomposition(reduced)
         return reduced, blocks, [reduce_homeomorphic(block)[0] for block in blocks]
 
     @cached_property

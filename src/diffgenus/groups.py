@@ -240,8 +240,6 @@ def _generating_sequence(arr: np.ndarray) -> list[int]:
 
 _ATOM_RE = re.compile(r"(SD|[ZDQ])(\d+)$", re.IGNORECASE)
 
-_FAMILY_NAMES = {"Z": "Z", "D": "D", "Q": "Q", "SD": "SD"}
-
 
 def parse_group_descriptor(text: str) -> list[tuple[str, int]]:
     """Parse a descriptor like "Z4 x Z2 x Z3" into [(family, order), ...].

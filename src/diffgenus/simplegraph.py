@@ -1,6 +1,8 @@
 """Simple undirected graphs with the operations the genus pipeline needs:
 induced subgraphs, genus-preserving homeomorphic reduction, block
-decomposition, and girth/bipartiteness."""
+decomposition (by networkx), girth/bipartiteness, and the conversion to
+networkx. networkx is imported inside the functions that use it, as the
+group layer imports this module and never needs networkx."""
 
 from __future__ import annotations
 
@@ -192,72 +194,36 @@ def reduce_homeomorphic(g: SimpleGraph) -> tuple[SimpleGraph, ReductionLog]:
 # Blocks and girth
 
 
-def block_decomposition(g: SimpleGraph) -> tuple[list[SimpleGraph], list[int]]:
-    """Maximal 2-connected subgraphs plus bridges, and the cut vertices.
+def to_networkx(g: SimpleGraph):
+    """g as a networkx Graph on nodes 0..n-1 whose vertices list their
+    neighbours in ascending order, as g.neighbors does."""
+    import networkx as nx
+
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    return G
+
+
+def block_decomposition(g: SimpleGraph) -> list[SimpleGraph]:
+    """Maximal 2-connected subgraphs plus bridges, as networkx's
+    biconnected components (Hopcroft and Tarjan, CACM 16(6), 1973) close
+    them in a depth-first search that starts each component at its lowest
+    vertex and walks neighbours in ascending order. Only the blocks are
+    returned.
 
     Every edge lands in exactly one block; a bridge becomes a K2 block.
     Block graphs inherit the original labels.
     """
-    disc = [-1] * g.n
-    low = [0] * g.n
-    edge_stack: list[tuple[int, int]] = []
-    blocks_edges: list[list[tuple[int, int]]] = []
-    cuts: set[int] = set()
-    timer = 0
-
-    for root in range(g.n):
-        if disc[root] != -1 or not g.adj[root]:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        stack = [(root, -1, iter(sorted(g.adj[root])))]
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue  # the unique tree edge back to the parent
-                if disc[w] == -1:
-                    edge_stack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, v, iter(sorted(g.adj[w]))))
-                    advanced = True
-                    break
-                elif disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    comp = []
-                    while edge_stack:
-                        e = edge_stack.pop()
-                        comp.append(e)
-                        if e == (u, v):
-                            break
-                    blocks_edges.append(comp)
-                    if u != root:
-                        cuts.add(u)
-        if root_children > 1:
-            cuts.add(root)
+    import networkx as nx
 
     blocks = []
-    for comp in blocks_edges:
+    for comp in nx.biconnected_component_edges(to_networkx(g)):
         vs = sorted({x for e in comp for x in e})
         index = {x: i for i, x in enumerate(vs)}
-        b = SimpleGraph(len(vs), labels=[g.labels[x] for x in vs])
-        for u, v in comp:
-            b.add_edge(index[u], index[v])
-        blocks.append(b)
-    return blocks, sorted(cuts)
+        blocks.append(SimpleGraph(len(vs), ((index[u], index[v]) for u, v in comp),
+                                  labels=[g.labels[x] for x in vs]))
+    return blocks
 
 
 def girth_and_bipartite(g: SimpleGraph) -> tuple[float, bool]:

@@ -6,7 +6,8 @@ the exception types come from the package. Besides the brute-force
 searches and a Kuratowski subdivision from networkx, this holds
 independent checks of the structural lemmas the pipeline rests on: the
 difference graph's vertex set, the lcm witness, the Sylow projection, the
-complete multipartite shape and the replay of a homeomorphic reduction.
+complete multipartite shape, the replay of a homeomorphic reduction and
+the partition of a graph's edges into blocks.
 """
 
 from __future__ import annotations
@@ -441,3 +442,39 @@ def replay_reduction(g, log) -> tuple[int, list[tuple[int, int]]]:
     vmap = {v: i for i, v in enumerate(sorted(adj))}
     edges = sorted((vmap[v], vmap[w]) for v in adj for w in adj[v] if v < w)
     return len(vmap), edges
+
+
+def block_partition(g) -> set[frozenset[tuple[int, int]]]:
+    """The blocks of g as sets of edges (u, v), u < v, from the definition:
+    two edges that share a vertex v are in one block exactly when their
+    other ends are connected in G - v, and the blocks are the classes this
+    relation generates."""
+    parent = {e: e for e in g.edges()}
+
+    def find(e):
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    for v in range(g.n):
+        side = {}  # neighbour of v -> a representative of its component in G - v
+        for a in sorted(g.adj[v]):
+            if a in side:
+                continue
+            stack, reached = [a], {a}
+            while stack:
+                x = stack.pop()
+                for y in g.adj[x]:
+                    if y != v and y not in reached:
+                        reached.add(y)
+                        stack.append(y)
+            for b in g.adj[v] & reached:
+                side[b] = a
+        for b, a in side.items():
+            parent[find((min(v, b), max(v, b)))] = find((min(v, a), max(v, a)))
+
+    classes: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    for e in parent:
+        classes.setdefault(find(e), set()).add(e)
+    return {frozenset(c) for c in classes.values()}

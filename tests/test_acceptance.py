@@ -304,7 +304,7 @@ def test_criterion_8_random_graph_cross_checks():
         elif reduced.n == 0:
             assert base.value == 0, checked
         # (a) block additivity
-        blocks, _ = block_decomposition(g)
+        blocks = block_decomposition(g)
         total = 0
         for b in blocks:
             rb, _ = reduce_homeomorphic(b)

@@ -240,27 +240,36 @@ def test_crosscap_bracket_bound():
 def test_heuristic_planar_target():
     # planarity is settled before any restart, so genus 0 is no target
     with pytest.raises(ValueError):
-        heuristic_embedding(SimpleGraph.complete(4), 0, ORIENTABLE, seed=0)
+        heuristic_embedding(SimpleGraph.complete(4), 0, ORIENTABLE, SearchBudget(seed=0))
 
 
 def test_heuristic_hits_formula_targets():
     g = complete_bipartite(3, 10)
-    scheme = heuristic_embedding(g, 2, ORIENTABLE, seed=0)
+    scheme = heuristic_embedding(g, 2, ORIENTABLE, SearchBudget(seed=0))
     assert scheme is not None
     assert verify_certificate(g, scheme, ORIENTABLE, 2)
 
 
 def test_heuristic_nonorientable_target_validation():
     with pytest.raises(ValueError):
-        heuristic_embedding(SimpleGraph.complete(5), 0, NONORIENTABLE, seed=0)
+        heuristic_embedding(SimpleGraph.complete(5), 0, NONORIENTABLE, SearchBudget(seed=0))
 
 
 def test_heuristic_deterministic_given_seed():
     g = complete_bipartite(3, 6)
-    a = heuristic_embedding(g, 1, ORIENTABLE, seed=5)
-    b = heuristic_embedding(g, 1, ORIENTABLE, seed=5)
+    a = heuristic_embedding(g, 1, ORIENTABLE, SearchBudget(seed=5))
+    b = heuristic_embedding(g, 1, ORIENTABLE, SearchBudget(seed=5))
     assert a is not None and b is not None
     assert a.rotations == b.rotations
+
+
+def test_heuristic_follows_the_budget_seed():
+    g = SimpleGraph.complete(7)
+    schemes = {seed: heuristic_embedding(g, 1, ORIENTABLE, budget=SearchBudget(seed=seed)) for seed in (0, 5)}
+    assert [scheme.seed for scheme in schemes.values()] == [0, 5]
+    assert schemes[0].rotations != schemes[5].rotations
+    for scheme in schemes.values():
+        assert verify_certificate(g, scheme, ORIENTABLE, 1)
 
 
 def test_heuristic_miss_returns_the_lowest_scheme_met():
@@ -268,10 +277,10 @@ def test_heuristic_miss_returns_the_lowest_scheme_met():
     met is the neighbour-order one: all signs +1 on the orientable surface,
     only the first co-tree edge negated on the nonorientable one."""
     g = SimpleGraph.complete(7)
-    starved = SearchBudget(restarts=3, nodes_per_restart=0)
+    starved = SearchBudget(restarts=3, nodes_per_restart=0, seed=3)
     neighbour_order = tuple(tuple(g.neighbors(v)) for v in range(g.n))
     for surface, negated in ((ORIENTABLE, []), (NONORIENTABLE, [g.edges()[genus_module._cotree_edges(g)[0]]])):
-        scheme = heuristic_embedding(g, 1, surface, seed=3, budget=starved)
+        scheme = heuristic_embedding(g, 1, surface, starved)
         assert scheme.rotations == neighbour_order
         assert [(u, v) for u, v, sign in scheme.signs if sign < 0] == negated
         trace = trace_faces(g, scheme)
@@ -306,8 +315,8 @@ def test_heuristic_certificates_are_pinned():
     ]
     found = []
     for g, target, surface, nodes, value in calls:
-        budget = SearchBudget(restarts=4, nodes_per_restart=nodes)
-        scheme = heuristic_embedding(g, target, surface, seed=1, budget=budget)
+        budget = SearchBudget(restarts=4, nodes_per_restart=nodes, seed=1)
+        scheme = heuristic_embedding(g, target, surface, budget)
         assert verify_certificate(g, scheme, surface, value)
         found.append((scheme.rotations, scheme.signs))
     digest = hashlib.sha256(repr(found).encode()).hexdigest()
@@ -407,7 +416,7 @@ def test_genus_of_graph_block_additivity():
     # crosscap over blocks: each block has crosscap 1 = Euler genus 1
     k33 = complete_bipartite(3, 3)
     for g in (g, _glue(k33, k33, "shared"), _glue(k33, k33, "bridge")):
-        assert g.is_connected() and len(block_decomposition(g)[0]) >= 2
+        assert g.is_connected() and len(block_decomposition(g)) >= 2
         _assert_crosscap_two(g)
 
 
@@ -470,7 +479,7 @@ def test_genus_equals_blocks_and_reduction_on_corpus():
         reduced, _ = reduce_homeomorphic(g)
         if reduced.n and reduced.is_connected():
             assert exact_genus(reduced).value == base.value
-        blocks, _ = block_decomposition(g)
+        blocks = block_decomposition(g)
         total = 0
         for b in blocks:
             rb, _ = reduce_homeomorphic(b)
@@ -885,7 +894,7 @@ def test_is_planar_rejects_an_embedding_that_does_not_reverify(monkeypatch):
 def test_heuristic_rejects_a_scheme_that_does_not_reverify(monkeypatch, surface):
     monkeypatch.setattr(genus_module, "trace_faces", lambda g, scheme: FaceTrace([], 0, 99, True))
     with pytest.raises(SchemeError, match="re-verify"):
-        heuristic_embedding(SimpleGraph.complete(5), 1, surface, seed=0)
+        heuristic_embedding(SimpleGraph.complete(5), 1, surface, SearchBudget(seed=0))
 
 
 def test_component_bound_above_exact_block_sum_raises(monkeypatch):

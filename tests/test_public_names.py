@@ -1,4 +1,4 @@
-"""Every public top-level name and class method in the package has a caller.
+"""Every top-level name and class method in the package has a caller.
 
 A function, class, constant or method whose name has no leading underscore
 must be named outside its own definition: somewhere in the package, in a
@@ -6,6 +6,9 @@ benchmark script or in the README. Tests do not count as callers; a check
 only tests need lives in `tests/oracles.py`, a graph constructor in
 `tests/graphs.py`. The CLI module is left out, since its click commands are
 reached through `main`.
+
+A private name (one leading underscore) must be named somewhere in the
+package outside its own definition. Dunder methods are called by Python.
 """
 
 import ast
@@ -27,7 +30,7 @@ def _definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             out.extend((t.id, node) for t in targets if isinstance(t, ast.Name))
-    return [(name, node) for name, node in out if not name.startswith("_")]
+    return [(name, node) for name, node in out if not name.startswith("__")]
 
 
 def _references(tree: ast.AST, skip: ast.stmt | None = None) -> set[str]:
@@ -48,20 +51,37 @@ def _references(tree: ast.AST, skip: ast.stmt | None = None) -> set[str]:
     return out
 
 
-def test_every_public_name_has_a_caller():
-    trees = {p: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
-    trees.update({p: ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))})
-    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+def _uncalled(trees: dict[Path, ast.Module], private: bool, also_named: frozenset[str] = frozenset()) -> list[str]:
+    """The public (or private) names defined in the package, outside the CLI
+    module for public ones, that no tree names outside their definition and
+    that are not in `also_named`."""
     elsewhere = {p: _references(t) for p, t in trees.items()}
-
     uncalled = []
     for path, tree in trees.items():
-        if path.parent != PACKAGE or path.name == "cli.py":
+        if path.parent != PACKAGE or (path.name == "cli.py" and not private):
             continue
         for name, node in _definitions(tree):
-            named = name in readme or name in _references(tree, skip=node) or any(
+            if name.startswith("_") != private:
+                continue
+            named = name in also_named or name in _references(tree, skip=node) or any(
                 name in refs for p, refs in elsewhere.items() if p != path
             )
             if not named:
                 uncalled.append(f"{path.name}:{node.lineno} {name}")
+    return uncalled
+
+
+def _parse(paths) -> dict[Path, ast.Module]:
+    return {p: ast.parse(p.read_text()) for p in sorted(paths)}
+
+
+def test_every_public_name_has_a_caller():
+    trees = {**_parse(PACKAGE.glob("*.py")), **_parse((ROOT / "bench").glob("*.py"))}
+    readme = frozenset(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    uncalled = _uncalled(trees, private=False, also_named=readme)
     assert not uncalled, "public names nothing in src/, bench/ or README.md uses: " + ", ".join(uncalled)
+
+
+def test_every_private_name_has_a_caller():
+    uncalled = _uncalled(_parse(PACKAGE.glob("*.py")), private=True)
+    assert not uncalled, "private names nothing in src/ uses: " + ", ".join(uncalled)

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from graphs import complete_bipartite, complete_multipartite
 from oracles import complete_multipartite_parts
+from diffgenus import simplegraph
 from diffgenus.simplegraph import (
     SimpleGraph,
     block_decomposition,
@@ -118,31 +123,57 @@ def test_reduce_replay_and_idempotence():
         assert again.edges() == reduced.edges()
 
 
+def _cut_labels(blocks: list[SimpleGraph]) -> list:
+    """The labels that lie in two or more blocks: the cut vertices."""
+    counts = Counter(label for b in blocks for label in b.labels)
+    return sorted(label for label, k in counts.items() if k >= 2)
+
+
 def test_blocks_k5_single():
-    blocks, cuts = block_decomposition(SimpleGraph.complete(5))
-    assert len(blocks) == 1 and not cuts
+    blocks = block_decomposition(SimpleGraph.complete(5))
+    assert len(blocks) == 1 and not _cut_labels(blocks)
     assert blocks[0].edge_count == 10
 
 
 def test_blocks_two_triangles_at_a_vertex():
     g = SimpleGraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
-    blocks, cuts = block_decomposition(g)
+    blocks = block_decomposition(g)
     assert len(blocks) == 2
-    assert cuts == [0]
+    assert _cut_labels(blocks) == [0]
     assert all(b.n == 3 and b.edge_count == 3 for b in blocks)
 
 
-def test_blocks_cover_each_edge_once():
+def test_blocks_match_the_definition():
+    """The edge partition, read through labels, equals the oracle's, on
+    seeded random graphs of 3-12 vertices under shuffled labels, some of
+    them disconnected or with isolated vertices."""
     rng = random.Random(23)
-    for _ in range(30):
-        g = random_graph(rng, rng.randint(3, 12), rng.uniform(0.15, 0.5))
-        blocks, _ = block_decomposition(g)
-        seen = []
-        for b in blocks:
-            for u, v in b.edges():
-                lu, lv = b.labels[u], b.labels[v]
-                seen.append((min(lu, lv), max(lu, lv)))
-        assert sorted(seen) == g.edges()
+    disconnected = isolated = 0
+    for _ in range(200):
+        n = rng.randint(3, 12)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.5))
+        g.labels = rng.sample(range(100, 200), n)
+        disconnected += not g.is_connected()
+        isolated += any(not g.adj[v] for v in range(g.n))
+        expected = {
+            frozenset(frozenset((g.labels[u], g.labels[v])) for u, v in block) for block in oracles.block_partition(g)
+        }
+        found = [
+            frozenset(frozenset((b.labels[u], b.labels[v])) for u, v in b.edges()) for b in block_decomposition(g)
+        ]
+        assert len(found) == len(expected) and set(found) == expected
+    assert disconnected >= 20 and isolated >= 20, (disconnected, isolated)
+
+
+def test_group_layer_does_not_import_networkx():
+    """networkx is imported only by the functions that use it, so a run that
+    builds groups and their difference graphs never loads it."""
+    modules = ("groups", "groupgraphs", "simplegraph", "catalog", "classify", "embeddings", "graphio")
+    code = "; ".join([*(f"import diffgenus.{m}" for m in modules), "import sys", "print('networkx' in sys.modules)"])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(simplegraph.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_girth_bipartite_known_values():
