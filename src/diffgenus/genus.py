@@ -192,10 +192,26 @@ def rotation_space_size(g: SimpleGraph) -> int:
 def is_planar(g: SimpleGraph) -> PlanarityResult:
     """Planarity with a genus-0 scheme as a yes-witness. A no-answer comes
     without a witness: networkx extracts a Kuratowski subdivision with one
-    planarity test per edge, and nothing here reads one."""
-    if g.edge_count == 0:
-        scheme = make_scheme(g, [[] for _ in range(g.n)])
+    planarity test per edge, and nothing here reads one.
+
+    Euler's formula answers no before networkx is asked. A planar simple
+    graph on V >= 3 vertices has E <= 3V - 6 edges and, if it has a cycle
+    (E >= V ensures one), E(c - 2) <= c(V - 2) at girth c: bridges joining
+    its components keep it planar and keep c, every face of the result
+    then holds a cycle, so 2E >= cF, and F = 2 - V + E. This is the test
+    `euler_lower_bound` > 0 without that bound's need for a connected
+    graph of minimum degree 2; it settles the Petersen graph (E = 15 on
+    V = 10, girth 5) and K3,3, which the edge count does not."""
+    n, m = g.n, g.edge_count
+    if m == 0:
+        scheme = make_scheme(g, [[] for _ in range(n)])
         return PlanarityResult(True, scheme=scheme)
+    if m >= n:  # so n >= 3
+        if m > 3 * n - 6:
+            return PlanarityResult(False)
+        girth, _ = girth_and_bipartite(g)
+        if m * (girth - 2) > girth * (n - 2):
+            return PlanarityResult(False)
     ok, emb = nx.check_planarity(to_networkx(g), counterexample=False)
     if not ok:
         return PlanarityResult(False)
@@ -312,7 +328,17 @@ def _face_set_search(
         for i in range(1, len(members)):
             lower[members[i]] = tuple(members[:i])
     touched = [0] * g.n  # edge sides covered at each vertex
-    dist = dict(nx.all_pairs_shortest_path_length(to_networkx(g)))
+    dist = []  # dist[w][v]: the edges on a shortest path from w to v
+    for s in range(g.n):
+        row = [-1] * g.n
+        row[s] = 0
+        queue = [s]
+        for v in queue:
+            for w in g.adj[v]:
+                if row[w] < 0:
+                    row[w] = row[v] + 1
+                    queue.append(w)
+        dist.append(row)
     # per triangle: its edges and its corners (vertex, dart, dart)
     triangles = [] if girth > 3 else [
         (
@@ -450,10 +476,18 @@ def _face_set_search(
                 continue
             score = 1
             for a in (2 * e, 2 * e + 1):
+                # the darts d that `addable(a, d, v)` admits: a dart is in
+                # at most as many corners as its edge has covered sides, so
+                # with a side free a is in fewer than two, and so is d
                 v = head[a ^ 1]
-                score *= sum(1 for d in out[v] if d != a and side[d >> 1] < 2 and addable(a, d, v))
-            if not score:
-                return None
+                close, closes = other[a], length[a] == deg[v]
+                count = 0
+                for d in out[v]:
+                    if d != a and side[d >> 1] < 2 and (d != close or closes):
+                        count += 1
+                if not count:
+                    return None
+                score *= count
             if best is None or score < best_score:
                 best, best_score = e, score
         return best
@@ -687,6 +721,10 @@ class _Piece:
 
 
 def _piece(g: SimpleGraph) -> _Piece:
+    """The facts about connected g that hold on both surfaces. The K_{m,n}
+    bound is sought only when `_degree_cap` leaves it room to beat the
+    Euler bound: where the cap does not, the bound could not raise the lower
+    end, so skipping it leaves the bound and its provenance as they are."""
     if g.edge_count and not g.is_connected():
         raise ValueError("exact search needs a connected graph")
     planar = is_planar(g)
@@ -699,11 +737,23 @@ def _piece(g: SimpleGraph) -> _Piece:
     if elb > lower:
         lower = elb
         prov.append(f"euler bound {elb}")
-    sub_bound, sub_desc = bipartite_subgraph_bound(g, NONORIENTABLE)
-    if sub_bound > lower:
-        lower = sub_bound
-        prov.append(f"subgraph {sub_desc} bound {sub_bound}")
+    if _degree_cap(g) > lower:
+        sub_bound, sub_desc = bipartite_subgraph_bound(g, NONORIENTABLE)
+        if sub_bound > lower:
+            lower = sub_bound
+            prov.append(f"subgraph {sub_desc} bound {sub_bound}")
     return _Piece(g, planar, lower, prov)
+
+
+def _degree_cap(g: SimpleGraph) -> int:
+    """A ceiling on `bipartite_subgraph_bound(g, NONORIENTABLE)`: the larger
+    crosscap of K_{3,d3} and K_{4,d4}, where d_m is g's m-th largest degree.
+    The bound's K_{m,n} has n common neighbours of m vertices, at most the
+    smallest of their degrees, which is at most d_m; its crosscap grows
+    with n, and K_{2,n} bounds nothing, as its crosscap is 0."""
+    degrees = sorted((g.degree(v) for v in range(g.n)), reverse=True)
+    return max((formula_oracle("complete_bipartite", (m, degrees[m - 1]), NONORIENTABLE)
+                for m in (3, 4) if m <= g.n and degrees[m - 1] >= 2), default=0)
 
 
 def _lower_on(surface: str, euler_lower: int) -> int:

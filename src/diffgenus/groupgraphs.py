@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import GroupTable, maximal_cyclic_subgroups
+from .groups import GroupTable, cyclic_subgroups, maximal_cyclic_subgroups
 from .simplegraph import SimpleGraph
 
 
@@ -25,17 +25,21 @@ class GroupGraph:
 
 def _power_rows(g: GroupTable) -> list[int]:
     """Bitmask adjacency of the power relation: x ~ y iff one generates the
-    other (x != y)."""
-    n = g.order
-    spans = [g.cyclic_span(x) for x in range(n)]
-    rows = [0] * n
-    for x in range(n):
-        m = rows[x]
-        for y in spans[x]:
-            m |= 1 << y
-            rows[y] |= 1 << x
-        rows[x] = m
-    for x in range(n):
+    other (x != y), that is y lies in <x> or x in <y>. Each element
+    generates exactly one cyclic subgroup, so the relation is read off the
+    cyclic subgroups, each spanned once: a subgroup's full-order members,
+    its generators, are power-adjacent to all of its members, and the
+    others to its generators."""
+    rows = [0] * g.order
+    for sub in cyclic_subgroups(g):
+        mask = gens = 0
+        for y in sub.members:
+            mask |= 1 << y
+            if g.element_order(y) == sub.order:
+                gens |= 1 << y
+        for y in sub.members:
+            rows[y] |= mask if gens >> y & 1 else gens
+    for x in range(g.order):
         rows[x] &= ~(1 << x)
     return rows
 

@@ -132,14 +132,6 @@ class GroupTable:
         """Multiset of element orders, as {order: count}."""
         return dict(sorted(Counter(self.orders()).items()))
 
-    def cyclic_span(self, g: int) -> frozenset[int]:
-        members = [0]
-        x = g
-        while x != 0:
-            members.append(x)
-            x = self._mult[x][g]
-        return frozenset(members)
-
     def name_of(self, g: int) -> str:
         if self.names is not None:
             return self.names[g]
@@ -404,16 +396,36 @@ def table_to_text(g: GroupTable) -> str:
 
 
 def cyclic_subgroups(g: GroupTable) -> list[Subgroup]:
-    """All distinct cyclic subgroups, trivial included."""
+    """All distinct cyclic subgroups, trivial included, each spanned once.
+
+    Spanning x lists its powers x^j for 0 <= j < k = |x|. The power x^j has
+    order k / gcd(j, k), so it generates <x> exactly when gcd(j, k) = 1.
+    Those generators are marked and never spanned: every element generates
+    exactly one cyclic subgroup, so an unmarked element generates one not
+    yet seen. The spans also fill the table's element-order cache."""
     if g._cyclic_subs is None:
-        seen: dict[frozenset[int], Subgroup] = {}
+        mult = g.rows()
+        if g._orders is None:
+            g._orders = [0] * g.order
+        orders = g._orders
+        seen = [False] * g.order
+        subs = []
         for x in range(g.order):
-            members = g.cyclic_span(x)
-            if members not in seen:
-                seen[members] = Subgroup(g, members)
-        g._cyclic_subs = sorted(
-            seen.values(), key=lambda s: (s.order, sorted(s.members))
-        )
+            if seen[x]:
+                continue
+            powers = [0]
+            y = x
+            while y != 0:
+                powers.append(y)
+                y = mult[y][x]
+            k = len(powers)
+            for j, y in enumerate(powers):
+                d = math.gcd(j, k)
+                orders[y] = k // d
+                if d == 1:
+                    seen[y] = True
+            subs.append(Subgroup(g, frozenset(powers)))
+        g._cyclic_subs = sorted(subs, key=lambda s: (s.order, sorted(s.members)))
     return list(g._cyclic_subs)
 
 

@@ -7,6 +7,8 @@ group layer imports this module and never needs networkx."""
 from __future__ import annotations
 
 import hashlib
+import math
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -227,13 +229,34 @@ def block_decomposition(g: SimpleGraph) -> list[SimpleGraph]:
 
 
 def girth_and_bipartite(g: SimpleGraph) -> tuple[float, bool]:
-    """Shortest cycle length (math.inf for forests) and bipartiteness."""
-    import math as _math
-    from collections import deque
+    """Shortest cycle length (math.inf for forests) and bipartiteness.
 
-    best = _math.inf
+    Bipartiteness is tested first, by 2-colouring each component. A
+    bipartite graph has only even cycles, so its girth is at least 4, and
+    any simple graph's is at least 3. The breadth-first search from each
+    vertex in turn, which finds the shortest cycle through it, stops once
+    it has found a cycle of that least possible length."""
+    color = [-1] * g.n
+    bipartite = True
     for s in range(g.n):
-        if best == 3:
+        if color[s] != -1:
+            continue
+        color[s] = 0
+        stack = [s]
+        while stack and bipartite:
+            v = stack.pop()
+            for w in g.adj[v]:
+                if color[w] == -1:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    bipartite = False
+                    break
+
+    least = 4 if bipartite else 3
+    best = math.inf
+    for s in range(g.n):
+        if best == least:
             break  # no cycle is shorter
         dist = {s: 0}
         parent = {s: -1}
@@ -251,21 +274,4 @@ def girth_and_bipartite(g: SimpleGraph) -> tuple[float, bool]:
                     cyc = dist[v] + dist[w] + 1
                     if cyc < best:
                         best = cyc
-
-    color = [-1] * g.n
-    bipartite = True
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack and bipartite:
-            v = stack.pop()
-            for w in g.adj[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    bipartite = False
-                    break
     return best, bipartite

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from typing import Sequence
 
 from diffgenus.groups import GroupTable
@@ -21,6 +22,22 @@ def complete_multipartite(parts: Sequence[int]) -> SimpleGraph:
 
 def complete_bipartite(m: int, n: int) -> SimpleGraph:
     return complete_multipartite([m, n])
+
+
+def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
+    """G(n, p): each pair of vertices joined with probability p."""
+    g = SimpleGraph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                g.add_edge(u, v)
+    return g
+
+
+def from_networkx(G) -> SimpleGraph:
+    """A networkx graph on vertices 0..n-1, in the order of G's nodes."""
+    index = {x: i for i, x in enumerate(G.nodes)}
+    return SimpleGraph(len(index), ((index[x], index[y]) for x, y in G.edges))
 
 
 def swap_semidirect_times_z3() -> GroupTable:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import random
 import re
@@ -9,10 +10,11 @@ from collections import Counter
 from itertools import combinations
 from typing import Optional
 
+import networkx as nx
 import pytest
 
 import oracles
-from graphs import complete_bipartite
+from graphs import complete_bipartite, from_networkx, random_graph
 from diffgenus.catalog import builtin_catalog
 from diffgenus import genus as genus_module
 from diffgenus.embeddings import FaceTrace, SchemeError, trace_faces, verify_certificate
@@ -35,7 +37,13 @@ from diffgenus.genus import (
 )
 from diffgenus.groupgraphs import difference_graph
 from diffgenus.groups import build_group, is_p_group
-from diffgenus.simplegraph import SimpleGraph, block_decomposition, induced_subgraph, reduce_homeomorphic
+from diffgenus.simplegraph import (
+    SimpleGraph,
+    block_decomposition,
+    induced_subgraph,
+    reduce_homeomorphic,
+    to_networkx,
+)
 
 
 def connected_random_graph(rng: random.Random, n_max=8, space_cap=60_000) -> SimpleGraph:
@@ -140,6 +148,43 @@ def test_subgraph_bound_witnesses_exist_in_catalog_graphs():
     assert checked == 42
 
 
+def test_piece_skips_the_subgraph_bound_only_where_it_cannot_win(monkeypatch):
+    """On every component of every catalog difference graph up to order 200
+    and on seeded random graphs, `_piece` gives the lower end and provenance
+    it gives when it always seeks the K_{m,n} bound, and the degree cap is
+    never below that bound."""
+    graphs = []
+    for e in builtin_catalog(200):
+        graph = difference_graph(e.group).graph
+        graphs += [induced_subgraph(graph, comp) for comp in graph.connected_components() if len(comp) > 1]
+    rng = random.Random(43)
+    few = 0
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.9))
+        g = induced_subgraph(g, max(g.connected_components(), key=len))
+        few += sum(g.degree(v) >= 2 for v in range(g.n)) < 4
+        graphs.append(g)
+    assert few >= 10, few
+    for g in graphs:
+        assert genus_module._degree_cap(g) >= bipartite_subgraph_bound(g, NONORIENTABLE)[0], g.edges()
+    sought = 0
+    original = genus_module.bipartite_subgraph_bound
+
+    def counted(g, surface):
+        nonlocal sought
+        sought += 1
+        return original(g, surface)
+
+    monkeypatch.setattr(genus_module, "bipartite_subgraph_bound", counted)
+    pieces = [genus_module._piece(g) for g in graphs]
+    nonplanar = sum(not p.planar.planar for p in pieces)
+    assert 10 <= sought <= nonplanar - 100, (sought, nonplanar)
+    monkeypatch.setattr(genus_module, "_degree_cap", lambda g: math.inf)
+    for g, piece in zip(graphs, pieces):
+        always = genus_module._piece(g)
+        assert (piece.euler_lower, piece.provenance) == (always.euler_lower, always.provenance), g.edges()
+
+
 # -- planarity --------------------------------------------------------------
 
 
@@ -170,6 +215,105 @@ def test_planar_agrees_with_exact_genus_on_corpus():
         res = exact_genus(g)
         assert res.exact
         assert is_planar(g).planar == (res.value == 0)
+
+
+def _spy_on_networkx_planarity(monkeypatch) -> list:
+    """The graphs `is_planar` hands to networkx's planarity test, from now on."""
+    calls = []
+    original = genus_module.nx.check_planarity
+
+    def spy(G, *args, **kwargs):
+        calls.append(G)
+        return original(G, *args, **kwargs)
+
+    monkeypatch.setattr(genus_module.nx, "check_planarity", spy)
+    return calls
+
+
+def _planarity_corpus(rng: random.Random) -> list[SimpleGraph]:
+    """Seeded graphs of every shape `is_planar` must handle: dense and sparse
+    G(n, p), often disconnected or with isolated vertices; dense ones with
+    pendant paths and isolated vertices attached; bipartite ones, where only
+    the girth can answer before networkx; and forests."""
+    graphs = []
+    for i in range(400):
+        kind = i % 4
+        if kind == 0:
+            graphs.append(random_graph(rng, rng.randint(1, 14), rng.uniform(0.05, 0.9)))
+        elif kind == 1:
+            g = random_graph(rng, rng.randint(3, 10), rng.uniform(0.3, 0.9))
+            n, extra = g.n, []
+            for _ in range(rng.randint(1, 3)):
+                length = rng.randint(0, 4)  # 0: an isolated vertex
+                path = list(range(n, n + length + 1))
+                extra += list(zip(path, path[1:])) + ([(rng.randrange(g.n), path[0])] if length else [])
+                n += length + 1
+            graphs.append(SimpleGraph(n, g.edges() + extra))
+        elif kind == 2:
+            a, b = rng.randint(1, 7), rng.randint(1, 7)
+            p = rng.uniform(0.3, 1.0)
+            graphs.append(SimpleGraph(a + b, [(u, a + v) for u in range(a) for v in range(b) if rng.random() < p]))
+        else:
+            n = rng.randint(1, 14)
+            graphs.append(SimpleGraph(n, [(v, rng.randrange(v)) for v in range(1, n) if rng.random() < 0.8]))
+    return graphs
+
+
+def test_is_planar_agrees_with_networkx_on_random_graphs(monkeypatch):
+    """Every answer matches networkx's planarity test, and every yes comes
+    with a scheme that traces to genus 0; each of the edge count, the girth
+    bound and networkx gives some of the answers."""
+    reference = nx.check_planarity
+    calls = _spy_on_networkx_planarity(monkeypatch)
+    by_count = by_girth = planar = disconnected = isolated = 0
+    for g in _planarity_corpus(random.Random(37)):
+        asked = len(calls)
+        res = is_planar(g)
+        assert res.planar == reference(to_networkx(g))[0], g.edges()
+        if res.planar:
+            trace = trace_faces(g, res.scheme)
+            assert trace.euler_genus == 0 and trace.orientable
+            planar += 1
+        elif len(calls) == asked:
+            if g.edge_count > 3 * g.n - 6:
+                by_count += 1
+            else:
+                by_girth += 1
+        disconnected += not g.is_connected()
+        isolated += any(not g.adj[v] for v in range(g.n))
+    assert min(by_count, by_girth, planar, disconnected, isolated) >= 20, (
+        by_count, by_girth, planar, disconnected, isolated)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: from_networkx(nx.octahedral_graph()), lambda: from_networkx(nx.icosahedral_graph()),
+     lambda: from_networkx(nx.hypercube_graph(3)), lambda: complete_bipartite(2, 3),
+     lambda: complete_bipartite(2, 4), lambda: complete_bipartite(2, 7)],
+    ids=["octahedron", "icosahedron", "Q3", "K2,3", "K2,4", "K2,7"],
+)
+def test_is_planar_boundary_edge_counts_reach_networkx(monkeypatch, build):
+    """E = 3V - 6 (the octahedron and icosahedron) and E = 2V - 4 with girth
+    4 (the cube and K_{2,n}) are as many edges as a planar graph of that
+    girth has, so only networkx can answer: planar, with a scheme that
+    re-verifies."""
+    g = build()
+    assert g.edge_count in (3 * g.n - 6, 2 * g.n - 4)
+    calls = _spy_on_networkx_planarity(monkeypatch)
+    res = is_planar(g)
+    assert res.planar and len(calls) == 1
+    trace = trace_faces(g, res.scheme)
+    assert trace.euler_genus == 0 and trace.orientable
+
+
+def test_is_planar_answers_dense_graphs_without_networkx(monkeypatch):
+    """K5 and Z30's difference graph have more than 3V - 6 edges; K3,3 and
+    the Petersen graph more than their girth allows."""
+    graphs = [SimpleGraph.complete(5), complete_bipartite(3, 3), from_networkx(nx.petersen_graph()),
+              difference_graph(build_group("Z30")).graph]
+    calls = _spy_on_networkx_planarity(monkeypatch)
+    assert not any(is_planar(g).planar for g in graphs)
+    assert not calls
 
 
 # -- exact searches ----------------------------------------------------------

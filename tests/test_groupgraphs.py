@@ -4,6 +4,7 @@ from collections import Counter
 import oracles
 from oracles import complete_multipartite_parts, vertex_membership
 from diffgenus import groups as gr
+from diffgenus.catalog import builtin_catalog
 from diffgenus.groupgraphs import difference_graph, enhanced_power_graph, power_graph
 from diffgenus.simplegraph import induced_subgraph, reduce_homeomorphic
 
@@ -54,13 +55,23 @@ def test_power_subset_enhanced():
 
 
 def test_difference_graph_matches_definition_oracle():
-    for desc in ("Z12", "Z18", "Z20", "Q8 x Z3", "Z4 x Z2 x Z3", "Z2 x Z2 x Z7", "Z36"):
-        g = gr.build_group(desc)
-        gg = difference_graph(g)
+    """On every catalog group up to order 100, each on a fresh table: the
+    cyclic subgroups are the elements' spans, each listed once; the element
+    orders the spans leave in the table are the spans' sizes; the power
+    graph's edges are the power relation; and the difference graph is the
+    one built from the definitions."""
+    for e in builtin_catalog(100):
+        g = gr.GroupTable(e.group.rows(), source=e.name)
+        spans = oracles._spans(g)
+        subs = gr.cyclic_subgroups(g)
+        assert len(subs) == len({s.members for s in subs}) and {s.members for s in subs} == set(spans), e.name
+        assert g.orders() == [len(span) for span in spans], e.name
+        power = sorted((x, y) for x in range(g.order) for y in range(x + 1, g.order) if y in spans[x] or x in spans[y])
+        assert _edge_labels(power_graph(g)) == power, e.name
         want_vertices, want_edges = oracles.brute_force_difference(g)
-        got_vertices = sorted(lab[0] for lab in gg.graph.labels)
-        assert got_vertices == want_vertices, desc
-        assert _edge_labels(gg) == want_edges, desc
+        gg = difference_graph(g)
+        assert sorted(lab[0] for lab in gg.graph.labels) == want_vertices, e.name
+        assert _edge_labels(gg) == want_edges, e.name
 
 
 def test_difference_z12_shape():

@@ -5,12 +5,13 @@ import subprocess
 import sys
 from collections import Counter
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from graphs import complete_bipartite, complete_multipartite
+from graphs import complete_bipartite, complete_multipartite, from_networkx, random_graph
 from oracles import complete_multipartite_parts
 from diffgenus import simplegraph
 from diffgenus.simplegraph import (
@@ -20,15 +21,6 @@ from diffgenus.simplegraph import (
     induced_subgraph,
     reduce_homeomorphic,
 )
-
-
-def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
-    g = SimpleGraph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                g.add_edge(u, v)
-    return g
 
 
 def test_basic_construction():
@@ -181,6 +173,43 @@ def test_girth_bipartite_known_values():
     assert girth_and_bipartite(SimpleGraph.complete(5)) == (3, False)
     girth, bip = girth_and_bipartite(SimpleGraph.path(4))
     assert math.isinf(girth) and bip
+    # a 4-cycle met before the triangle does not end the search
+    assert girth_and_bipartite(SimpleGraph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)])) == (3, False)
+
+
+def test_girth_of_bipartite_graphs_matches_oracles():
+    """On bipartite graphs the search stops at the first 4-cycle. The named
+    graphs have girths 4, 6 and 8. The seeded draws are random bipartite
+    graphs, mostly of girth 4 or forests, and full subdivisions of random
+    graphs, which are bipartite with twice the girth: 6, 8 or more."""
+    named = {
+        "Q3": (from_networkx(nx.hypercube_graph(3)), 4),
+        "Heawood": (from_networkx(nx.heawood_graph()), 6),
+        "C8": (SimpleGraph.cycle(8), 8),
+        **{f"K{m},{n}": (complete_bipartite(m, n), 4 if m > 1 else math.inf)
+           for m, n in [(1, 5), (2, 2), (2, 6), (3, 3), (3, 7), (4, 5)]},
+    }
+    for name, (g, girth) in named.items():
+        assert girth_and_bipartite(g) == (girth, True), name
+        assert oracles.brute_force_girth(g) == girth and oracles.brute_force_bipartite(g), name
+    rng = random.Random(41)
+    seen = Counter()
+    for i in range(200):
+        if i % 2:
+            a, b = rng.randint(2, 6), rng.randint(2, 6)
+            p = rng.uniform(0.2, 0.9)
+            g = SimpleGraph(a + b, [(u, a + v) for u in range(a) for v in range(b) if rng.random() < p])
+        else:
+            base = random_graph(rng, rng.randint(4, 6), rng.uniform(0.4, 0.9))
+            edges = rng.sample(base.edges(), min(8, base.edge_count))
+            n = base.n
+            g = SimpleGraph(n + len(edges), [x for k, (u, v) in enumerate(edges) for x in ((u, n + k), (n + k, v))])
+        girth, bip = girth_and_bipartite(g)
+        assert bip and oracles.brute_force_bipartite(g)
+        assert girth == oracles.brute_force_girth(g)
+        seen[girth] += 1
+    longer = sum(n for girth, n in seen.items() if 8 <= girth < math.inf)
+    assert seen[4] >= 40 and seen[6] >= 30 and longer >= 5 and seen[math.inf] >= 5, seen
 
 
 @settings(max_examples=60, deadline=None)
