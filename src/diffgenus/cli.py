@@ -248,7 +248,7 @@ def classify_cmd(spec, as_json):
     except NotNilpotentError as exc:
         raise InputError(f"not nilpotent: {exc}")
     reports = []
-    dec = gr.sylow_decomposition(g)  # cached by the classification above
+    dec = gr.sylow_decomposition(g)  # cached on the table by the classification above
     if 2 in dec.primes:
         two_part, _ = dec.components[dec.primes.index(2)].as_group()
         reports = condition_reports(two_part)

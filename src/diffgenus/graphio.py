@@ -37,7 +37,10 @@ def parse_edgelist(text: str) -> SimpleGraph:
     for row in tokens[1 : 1 + m]:
         if len(row) != 2:
             raise ValueError(f"bad edge line {' '.join(row)!r}")
-        g.add_edge(int(row[0]), int(row[1]))
+        u, v = int(row[0]), int(row[1])
+        if 0 <= u < n and v in g.adj[u]:
+            raise ValueError(f"repeated edge {u} {v}")
+        g.add_edge(u, v)
     labels: list = list(range(n))
     for row in tokens[1 + m :]:
         if len(row) != 3:

@@ -2,7 +2,8 @@
 of the package needs: element orders, cyclic and maximal cyclic subgroups,
 Sylow decomposition, and isomorphism testing.
 
-Elements are indices 0..n-1 with the identity fixed at 0.
+Elements are indices 0..n-1 with the identity fixed at 0. Each derived fact
+is found once per table, by one algorithm, and cached on it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -76,9 +78,11 @@ class GroupTable:
 
     mult[a][b] is the index of the product a*b; index 0 is the identity.
     Every table is validated as a group on construction. Instances are
-    immutable after construction and cache derived data (element orders,
-    cyclic subgroups, Sylow decomposition); they keep the table as tuples,
-    not as a numpy array.
+    immutable after construction and keep the table as tuples, not as a
+    numpy array. Two cached properties hold what is derived from it:
+    `_cyclic`, one span per cyclic subgroup, which gives the element orders
+    and the cyclic and maximal cyclic subgroups; and `_sylow`, the Sylow
+    decomposition or the error showing that the group is not nilpotent.
     """
 
     def __init__(
@@ -97,11 +101,6 @@ class GroupTable:
         self.order = n
         self.names = list(names) if names is not None else None
         self.source = source
-        self._orders: Optional[list[int]] = None
-        self._cyclic_subs: Optional[list[Subgroup]] = None
-        self._maximal_cyclic: Optional[list[Subgroup]] = None
-        self._sylow: Optional[SylowDecomposition] = None
-        self._sylow_error: Optional[NotNilpotentError] = None
 
     def mult(self, a: int, b: int) -> int:
         return self._mult[a][b]
@@ -112,18 +111,10 @@ class GroupTable:
     def element_order(self, g: int) -> int:
         if not 0 <= g < self.order:
             raise IndexError(f"element index {g} out of range 0..{self.order - 1}")
-        if self._orders is None:
-            self._orders = [0] * self.order
-        if self._orders[g] == 0:
-            k, x = 1, g
-            while x != 0:
-                x = self._mult[x][g]
-                k += 1
-            self._orders[g] = k
-        return self._orders[g]
+        return self._cyclic.orders[g]
 
     def orders(self) -> list[int]:
-        return [self.element_order(g) for g in range(self.order)]
+        return list(self._cyclic.orders)
 
     def exponent(self) -> int:
         return math.lcm(*self.orders()) if self.order else 1
@@ -140,6 +131,62 @@ class GroupTable:
     def __repr__(self) -> str:
         src = f" {self.source!r}" if self.source else ""
         return f"<GroupTable order={self.order}{src}>"
+
+    @cached_property
+    def _cyclic(self) -> _CyclicSpans:
+        """Spans each distinct cyclic subgroup, trivial included, once.
+
+        Spanning x lists its powers x^j for 0 <= j < k = |x|. The power x^j
+        has order k / gcd(j, k), so it generates <x> exactly when
+        gcd(j, k) = 1. Those generators are marked and never spanned: every
+        element generates exactly one cyclic subgroup, so an unmarked element
+        generates one not yet seen. The other powers generate proper
+        subgroups, so <x> is maximal iff no span reaches x as one of them."""
+        mult = self._mult
+        orders = [0] * self.order
+        spanned = [False] * self.order
+        inside = [False] * self.order
+        subs = []
+        for x in range(self.order):
+            if spanned[x]:
+                continue
+            powers = [0]
+            y = x
+            while y != 0:
+                powers.append(y)
+                y = mult[y][x]
+            k = len(powers)
+            for j, y in enumerate(powers):
+                d = math.gcd(j, k)
+                orders[y] = k // d
+                if d == 1:
+                    spanned[y] = True
+                else:
+                    inside[y] = True
+            subs.append((Subgroup(self, frozenset(powers)), x))
+        subs.sort(key=lambda s: (s[0].order, sorted(s[0].members)))
+        return _CyclicSpans(orders, [s for s, _ in subs], [s for s, x in subs if not inside[x]])
+
+    @cached_property
+    def _sylow(self) -> SylowDecomposition | NotNilpotentError:
+        """The p-elements are the union of the Sylow p-subgroups, so they
+        number the p-part of the order exactly when that subgroup is unique
+        (normal); the group is nilpotent iff this holds for every p. Where it
+        fails, the p-elements are not closed (closed, they would form a
+        p-subgroup holding every Sylow p-subgroup), and the first product
+        leaving them is the witness."""
+        n, orders, mult = self.order, self._cyclic.orders, self._mult
+        primes = _prime_factors(n)
+        components = []
+        for p in primes:
+            part = math.gcd(n, p ** n.bit_length())
+            members = [x for x in range(n) if part % orders[x] == 0]
+            if len(members) != part:
+                return NotNilpotentError(p, next(
+                    (a, b) for a in members for b in members if part % orders[mult[a][b]]
+                ))
+            components.append(Subgroup(self, frozenset(members)))
+        return SylowDecomposition(primes, components)
 
 
 @dataclass(frozen=True)
@@ -173,6 +220,12 @@ class SylowDecomposition:
 
     primes: list[int]
     components: list[Subgroup]
+
+
+class _CyclicSpans(NamedTuple):
+    orders: list[int]  # element orders, by element index
+    subgroups: list[Subgroup]  # every cyclic subgroup, by order then members
+    maximal: list[Subgroup]  # those in no larger cyclic subgroup, same order
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +390,9 @@ def ingest_table(text: str, source: str = "<table>") -> GroupTable:
     """Parse and validate a Cayley table file.
 
     Format: first data line is n; the next n lines hold n space-separated
-    0-based indices each (row i is the products i*j); '#' starts a comment
-    line. If the identity is found at an index other than 0 the table is
-    relabeled so it lands at 0.
+    0-based indices each (row i is the products i*j), and no data line may
+    follow them; '#' starts a comment line. If the identity is found at an
+    index other than 0 the table is relabeled so it lands at 0.
     """
     rows: list[list[int]] = []
     n: Optional[int] = None
@@ -355,6 +408,8 @@ def ingest_table(text: str, source: str = "<table>") -> GroupTable:
             if n < 1:
                 raise TableParseError(f"order must be positive, got {n}", lineno)
             continue
+        if len(rows) == n:
+            raise TableParseError(f"unexpected data after the {n} table rows", lineno)
         try:
             row = list(map(int, line.split()))
         except ValueError:
@@ -365,8 +420,6 @@ def ingest_table(text: str, source: str = "<table>") -> GroupTable:
             x = next(x for x in row if not 0 <= x < n)
             raise TableParseError(f"entry {x} out of range 0..{n - 1}", lineno)
         rows.append(row)
-        if len(rows) == n:
-            break
     if n is None:
         raise TableParseError("empty table file")
     if len(rows) != n:
@@ -396,37 +449,9 @@ def table_to_text(g: GroupTable) -> str:
 
 
 def cyclic_subgroups(g: GroupTable) -> list[Subgroup]:
-    """All distinct cyclic subgroups, trivial included, each spanned once.
-
-    Spanning x lists its powers x^j for 0 <= j < k = |x|. The power x^j has
-    order k / gcd(j, k), so it generates <x> exactly when gcd(j, k) = 1.
-    Those generators are marked and never spanned: every element generates
-    exactly one cyclic subgroup, so an unmarked element generates one not
-    yet seen. The spans also fill the table's element-order cache."""
-    if g._cyclic_subs is None:
-        mult = g.rows()
-        if g._orders is None:
-            g._orders = [0] * g.order
-        orders = g._orders
-        seen = [False] * g.order
-        subs = []
-        for x in range(g.order):
-            if seen[x]:
-                continue
-            powers = [0]
-            y = x
-            while y != 0:
-                powers.append(y)
-                y = mult[y][x]
-            k = len(powers)
-            for j, y in enumerate(powers):
-                d = math.gcd(j, k)
-                orders[y] = k // d
-                if d == 1:
-                    seen[y] = True
-            subs.append(Subgroup(g, frozenset(powers)))
-        g._cyclic_subs = sorted(subs, key=lambda s: (s.order, sorted(s.members)))
-    return list(g._cyclic_subs)
+    """All distinct cyclic subgroups, trivial included, by order then
+    members; each is spanned once (see `GroupTable._cyclic`)."""
+    return list(g._cyclic.subgroups)
 
 
 def cyclic_subgroup_counts(g: GroupTable) -> dict[int, int]:
@@ -437,15 +462,7 @@ def cyclic_subgroup_counts(g: GroupTable) -> dict[int, int]:
 
 def maximal_cyclic_subgroups(g: GroupTable) -> list[Subgroup]:
     """Cyclic subgroups not properly contained in another cyclic subgroup."""
-    if g._maximal_cyclic is None:
-        subs = cyclic_subgroups(g)
-        maximal = []
-        for s in subs:
-            if any(s.order < t.order and s.members < t.members for t in subs):
-                continue
-            maximal.append(s)
-        g._maximal_cyclic = maximal
-    return list(g._maximal_cyclic)
+    return list(g._cyclic.maximal)
 
 
 def intersection_pattern(subs: Sequence[Subgroup]) -> list[list[int]]:
@@ -479,39 +496,14 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def sylow_decomposition(g: GroupTable) -> SylowDecomposition:
-    """Split a nilpotent group into its Sylow components.
+    """Split a nilpotent group into its Sylow components, the direct factors.
 
-    Raises NotNilpotentError when, for some prime p, the p-elements are not
-    closed under multiplication. When they are closed for every p, each set
-    of p-elements is the unique Sylow p-subgroup, and the group is the
-    direct product of these.
-    """
-    if g._sylow is not None:
-        return g._sylow
-    if g._sylow_error is not None:
-        raise g._sylow_error
-
-    primes = _prime_factors(g.order)
-    components = []
-    for p in primes:
-        members = [x for x in range(g.order) if _is_power_of(g.element_order(x), p)]
-        mem_set = frozenset(members)
-        for a in members:
-            for b in members:
-                if g.mult(a, b) not in mem_set:
-                    err = NotNilpotentError(p, (a, b))
-                    g._sylow_error = err
-                    raise err
-        components.append(Subgroup(g, mem_set))
-    dec = SylowDecomposition(primes, components)
-    g._sylow = dec
+    Raises NotNilpotentError when, for some prime p, the Sylow p-subgroup is
+    not unique; its witness is two p-elements whose product is not one."""
+    dec = g._sylow
+    if isinstance(dec, NotNilpotentError):
+        raise dec
     return dec
-
-
-def _is_power_of(m: int, p: int) -> bool:
-    while m % p == 0:
-        m //= p
-    return m == 1
 
 
 def is_p_group(g: GroupTable) -> bool:

@@ -104,6 +104,14 @@ def test_genus_compute_and_verify(tmp_path):
     assert "certificate valid" in result.output
 
 
+def test_genus_compute_on_a_repeated_edge_is_input_error(tmp_path):
+    path = tmp_path / "dup.el"
+    path.write_text("3 2\n0 1\n1 0\n")
+    result = run("genus", "compute", str(path))
+    assert result.exit_code == 2, result.output
+    assert "repeated edge 1 0" in result.output
+
+
 def test_genus_compute_certifies_a_bracket(tmp_path, monkeypatch):
     # one nonplanar piece carries the upper end, so the scheme of its
     # restart phase comes with the bracket; the face-set pass, which

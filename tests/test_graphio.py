@@ -37,6 +37,13 @@ def test_parse_edgelist_errors():
         parse_edgelist("2 2\n0 1\n")  # missing an edge line
 
 
+def test_parse_edgelist_rejects_a_repeated_edge():
+    with pytest.raises(ValueError, match="repeated edge 1 0"):
+        parse_edgelist("3 2\n0 1\n1 0\n")
+    with pytest.raises(ValueError, match="repeated edge 0 1"):
+        parse_edgelist("3 3\n0 1\n1 2\n0 1\n")
+
+
 def test_dot_output_mentions_labels():
     gg = difference_graph(gr.build_group("Z12"))
     dot = write_dot(gg.graph)

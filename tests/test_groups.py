@@ -155,6 +155,80 @@ def test_not_nilpotent(s3):
     assert not oracles.is_nilpotent(s3)
 
 
+def _permutation_group(gens):
+    """The group the permutations `gens` generate, identity at index 0; the
+    product p*q applies q first."""
+    elems = [tuple(range(len(gens[0])))]
+    seen = set(elems)
+    for p in elems:
+        for s in gens:
+            q = tuple(p[i] for i in s)
+            if q not in seen:
+                seen.add(q)
+                elems.append(q)
+    index = {p: i for i, p in enumerate(elems)}
+    mult = [[index[tuple(p[i] for i in q)] for q in elems] for p in elems]
+    return gr.GroupTable(mult, source="permutation group")
+
+
+def _p_elements(spans, p):
+    """The elements whose span has p-power order."""
+    return {x for x, span in enumerate(spans) if len(span) in {p**k for k in range(len(span))}}
+
+
+def test_sylow_count_matches_the_closure_oracle_on_the_catalog():
+    """On a fresh table of every catalog group up to order 200, the Sylow
+    count agrees with the closure oracle: each component is the prime's
+    p-elements, and the maximal cyclic subgroups are the spans in no larger
+    span."""
+    for e in builtin_catalog(200):
+        g = gr.GroupTable(e.group.rows(), source=e.name)
+        assert oracles.is_nilpotent(g), e.name
+        spans = oracles._spans(g)
+        dec = gr.sylow_decomposition(g)
+        assert dec.primes == oracles._primes(g.order), e.name
+        for p, comp in zip(dec.primes, dec.components):
+            assert comp.members == _p_elements(spans, p), (e.name, p)
+        distinct = set(spans)
+        maximal = {s.members for s in gr.maximal_cyclic_subgroups(g)}
+        assert maximal == {s for s in distinct if not any(s < t for t in distinct)}, e.name
+
+
+@pytest.mark.parametrize(
+    "gens, first_prime",
+    [([(1, 0, 2), (1, 2, 0)], 2), ([(1, 0, 2, 3), (1, 2, 3, 0)], 2), ([(1, 2, 0, 3), (0, 2, 3, 1)], 3)],
+    ids=["S3", "S4", "A4"],
+)
+def test_sylow_count_rejects_non_nilpotent_permutation_groups(gens, first_prime):
+    """S3 and S4 fail at 2; A4's Sylow 2-subgroup is normal and its 3-part
+    fails. The error names a prime whose p-elements the oracle finds
+    unclosed, with two p-elements whose product is not one."""
+    g = _permutation_group(gens)
+    spans = oracles._spans(g)
+    unclosed = set()
+    for p in oracles._primes(g.order):
+        members = _p_elements(spans, p)
+        if any(g.mult(a, b) not in members for a in members for b in members):
+            unclosed.add(p)
+    assert not oracles.is_nilpotent(g)
+    with pytest.raises(gr.NotNilpotentError) as exc_info:
+        gr.sylow_decomposition(g)
+    err = exc_info.value
+    assert err.prime == first_prime and err.prime in unclosed
+    a, b = err.witness
+    members = _p_elements(spans, err.prime)
+    assert a in members and b in members and g.mult(a, b) not in members
+    assert str(err) == f"{err.prime}-elements are not closed under multiplication (witness product {a}*{b})"
+    with pytest.raises(gr.NotNilpotentError) as again:
+        gr.sylow_decomposition(g)
+    assert (again.value.prime, again.value.witness) == (err.prime, err.witness)
+
+
+def test_element_order_rejects_negative_indices(z12):
+    with pytest.raises(IndexError):
+        z12.element_order(-1)
+
+
 def test_lcm_witness(z12):
     z = oracles.lcm_witness(z12, 4, 6)
     assert z12.element_order(z) == 12
@@ -198,6 +272,18 @@ def test_ingest_z2():
 def test_ingest_comments_and_blank_lines():
     g = gr.ingest_table("# cyclic of order 3\n\n3\n0 1 2\n1 2 0\n# middle\n2 0 1\n")
     assert g.order == 3
+
+
+def test_ingest_rejects_data_after_the_table():
+    with pytest.raises(gr.TableParseError) as exc_info:
+        gr.ingest_table("2\n0 1\n1 0\n1 0\ngarbage here\n")
+    assert exc_info.value.line == 4
+    assert "line 4" in str(exc_info.value)
+
+
+def test_ingest_accepts_trailing_comments_and_blank_lines():
+    g = gr.ingest_table("2\n0 1\n1 0\n\n# end of table\n   \n")
+    assert g.rows() == ((0, 1), (1, 0))
 
 
 def test_ingest_latin_square_error():
