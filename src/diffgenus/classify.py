@@ -54,6 +54,9 @@ class GenusClass:
     def label(self) -> str:
         return "GE3" if self.value >= GE3 else str(self.value)
 
+    def to_json_dict(self) -> dict:
+        return {"class": self.label, "basis": self.basis, "witness": self.witness}
+
 
 @dataclass
 class ConditionReport:

@@ -173,7 +173,7 @@ def genus():
 @click.argument("path", type=click.Path(exists=True))
 @click.option("--surface", type=click.Choice(["o", "n"]), default="o")
 @click.option("--exact", is_flag=True, help="fail (exit 1) unless the result is exact")
-@click.option("--budget", type=int, default=None, help=_BUDGET_HELP)
+@click.option("--budget", type=click.IntRange(min=0), default=None, help=_BUDGET_HELP)
 @click.option("--seed", type=int, default=None)
 @click.option("--cert", "cert_path", type=click.Path(), default=None)
 def genus_compute(path, surface, exact, budget, seed, cert_path):
@@ -256,8 +256,8 @@ def classify_cmd(spec, as_json):
         doc = {
             "group": g.source or f"order-{g.order}",
             "order": g.order,
-            "genus": {"class": cg.label, "basis": cg.basis, "witness": cg.witness},
-            "crosscap": {"class": cc.label, "basis": cc.basis, "witness": cc.witness},
+            "genus": cg.to_json_dict(),
+            "crosscap": cc.to_json_dict(),
             "conditions": [
                 {"condition": r.condition, "holds": r.holds, "note": r.note}
                 for r in reports
@@ -286,7 +286,7 @@ def verify():
 
 @verify.command("group")
 @click.argument("spec")
-@click.option("--budget", type=int, default=None, help=_BUDGET_HELP)
+@click.option("--budget", type=click.IntRange(min=0), default=None, help=_BUDGET_HELP)
 @click.option("--seed", type=int, default=None)
 def verify_group_cmd(spec, budget, seed):
     g = _load_group(spec)
@@ -302,7 +302,7 @@ def verify_group_cmd(spec, budget, seed):
 
 @verify.command("sweep")
 @click.option("--max-order", type=click.IntRange(max=MAX_CATALOG_ORDER), default=100)
-@click.option("--budget", type=int, default=None, help=_BUDGET_HELP)
+@click.option("--budget", type=click.IntRange(min=0), default=None, help=_BUDGET_HELP)
 @click.option("--seed", type=int, default=None)
 @click.option("--report", "report_path", type=click.Path(), default=None)
 def verify_sweep_cmd(max_order, budget, seed, report_path):

@@ -23,6 +23,11 @@ Ginsberg, Luks and Roy, KR 1996). It prunes nodes only: where the
 unpruned search ends within its cap, this one excludes the same values and
 hits the same scheme first.
 
+Each graph is planned once: `GraphPlan` keeps a `_Piece` per component,
+and a `_Piece` keeps all that is known of a connected graph on both
+surfaces, down to the nonplanar pieces of its split, which are `_Piece`s
+too.
+
 The Euler genus of an embedding scheme is 2 - V + E - F on each component;
 orientable genus is half the minimum over all-positive schemes, crosscap the
 minimum over unbalanced schemes.
@@ -697,14 +702,14 @@ def _verified_scheme(g, edges, rotations, signs, seed, euler, surface):
 
 @dataclass
 class _Piece:
-    """A connected graph with the facts about it that hold on both
-    surfaces, found once per piece: a planar embedding, or else a lower
-    bound on its Euler genus min(2 genus, crosscap), which bounds the
-    crosscap as it stands and the genus once halved, rounding up. A
-    nonplanar piece also keeps, found on first use, the homeomorphic
-    reduction its face-set search runs on and that search's node cap.
-    Nothing here depends on a surface or a budget. Search results are
-    never kept, so each search of a piece starts from these facts alone."""
+    """A connected graph and what is known of it on both surfaces: a
+    planar embedding, or else a lower bound on its Euler genus min(2 genus,
+    crosscap), which bounds the crosscap as it stands and the genus once
+    halved, rounding up; then, found on first use, its homeomorphic
+    reduction, the node cap of a face-set search on that, its split and the
+    split's nonplanar pieces. Nothing here depends on a surface or a
+    budget. Search results are never kept, so each search of a piece
+    starts from these facts alone."""
 
     graph: SimpleGraph
     planar: PlanarityResult
@@ -718,6 +723,29 @@ class _Piece:
     @cached_property
     def node_cap(self) -> int:
         return _NODE_CAP if rotation_space_size(self.graph) <= _EXHAUSTIVE_CAP else _FACE_NODE_CAP
+
+    @cached_property
+    def split(self) -> tuple[SimpleGraph, list[SimpleGraph], list[SimpleGraph]]:
+        """The reduction, the blocks of that, and each block reduced again.
+        Reduction keeps the genus and the crosscap."""
+        blocks = block_decomposition(self.reduced)
+        return self.reduced, blocks, [reduce_homeomorphic(block)[0] for block in blocks]
+
+    @cached_property
+    def nonplanar(self) -> list[_Piece]:
+        """The nonplanar pieces of the split, searched in this graph's
+        place; a graph the split leaves whole is its own piece, searched
+        with the reduction the split made. One piece alone carries this
+        graph's bound, when that is higher: Euler genus adds over blocks,
+        so it has this graph's."""
+        checksum = self.graph.checksum()
+        pieces = [self if b.checksum() == checksum else _piece(b) for b in self.split[2] if b.edge_count]
+        nonplanar = [p for p in pieces if not p.planar.planar]
+        if len(nonplanar) == 1 and nonplanar[0].euler_lower < self.euler_lower:
+            p = nonplanar[0]
+            nonplanar = [replace(p, euler_lower=self.euler_lower,
+                                 provenance=[*p.provenance, f"component bound {self.euler_lower}"])]
+        return nonplanar
 
 
 def _piece(g: SimpleGraph) -> _Piece:
@@ -831,51 +859,18 @@ def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusRe
 # Orchestrator
 
 
-class _Component:
-    """A component of a planned graph, and what is found of it on first
-    use: its `_Piece`, its split, and the nonplanar pieces of the split."""
-
-    def __init__(self, graph: SimpleGraph):
-        self.graph = graph
-
-    @cached_property
-    def whole(self) -> _Piece:
-        return _piece(self.graph)
-
-    @cached_property
-    def split(self) -> tuple[SimpleGraph, list[SimpleGraph], list[SimpleGraph]]:
-        """The component's homeomorphic reduction, the blocks of that, and
-        each block reduced again. Reduction keeps the genus and the
-        crosscap."""
-        reduced, _ = reduce_homeomorphic(self.graph)
-        blocks = block_decomposition(reduced)
-        return reduced, blocks, [reduce_homeomorphic(block)[0] for block in blocks]
-
-    @cached_property
-    def nonplanar(self) -> list[_Piece]:
-        """The nonplanar pieces of the split, searched in the component's
-        place. One alone carries the component's bound, when that is
-        higher: Euler genus adds over blocks, so it has the component's."""
-        whole, checksum = self.whole, self.graph.checksum()
-        # a component the split left whole keeps the facts found for it
-        pieces = [whole if b.checksum() == checksum else _piece(b) for b in self.split[2] if b.edge_count]
-        nonplanar = [p for p in pieces if not p.planar.planar]
-        if len(nonplanar) == 1 and nonplanar[0].euler_lower < whole.euler_lower:
-            p = nonplanar[0]
-            nonplanar = [replace(p, euler_lower=whole.euler_lower,
-                                 provenance=[*p.provenance, f"component bound {whole.euler_lower}"])]
-        return nonplanar
-
-
 class GraphPlan:
-    """A graph's components with an edge, and what `genus_of_graph` finds
-    of each before it searches, kept for every later call on the plan and
-    for `derived_subgraphs`. It describes the graph as it was when planned."""
+    """A graph's components with an edge, each a `_Piece` with what
+    `genus_of_graph` finds of it before it searches, kept for every later
+    call on the plan and for `derived_subgraphs`. A component that spans
+    the graph is the graph itself, so the plan describes the graph as it
+    was when planned and holds only while the graph is left unchanged."""
 
     def __init__(self, g: SimpleGraph):
         self.graph = g
         self.components = [
-            _Component(induced_subgraph(g, comp)) for comp in g.connected_components() if len(comp) > 1
+            _piece(g if len(comp) == g.n else induced_subgraph(g, comp))
+            for comp in g.connected_components() if len(comp) > 1
         ]
 
 
@@ -887,12 +882,12 @@ def genus_of_graph(
     """Genus or crosscap of any graph, combined over the pieces its plan
     splits its nonplanar components into. Planar pieces count 0, and each
     component's own bounds bound the sum over its pieces. Given a graph, it
-    plans it first; given a `GraphPlan`, it reads what earlier calls on the
-    plan found: components, planarity tests with their embeddings, lower
-    bounds, the split and the piece reductions and node caps, which hold on
-    either surface. It never shares a search: those depend on the surface
-    and the budget, so every call runs its own, and its result is the one a
-    call on the graph alone gives.
+    plans it first; given a `GraphPlan`, it reads what the plan's `_Piece`s
+    hold, the components' and their pieces' alike: planarity tests with
+    their embeddings, lower bounds, reductions, splits and node caps, which
+    hold on either surface. It never shares a search: those depend on the
+    surface and the budget, so every call runs its own, and its result is
+    the one a call on the graph alone gives.
 
     The genus adds over the pieces. The crosscap (Stahl and Beineke, J.
     Graph Theory 1 (1977) 75-78) is the sum over the nonplanar pieces of
@@ -913,8 +908,7 @@ def genus_of_graph(
     results: list[GenusResult] = []  # the planar components', then the pieces'
     searched: list[tuple[int, list[_Piece]]] = []  # per component: bound, nonplanar pieces
     lower, upper, exact = 0, 0, True
-    for ci, comp in enumerate(plan.components):
-        whole = comp.whole
+    for ci, whole in enumerate(plan.components):
         if whole.planar.planar:
             prov.append(f"component {ci}: planar")
             results.append(_exact_surface(whole, surface, budget))
@@ -927,7 +921,7 @@ def genus_of_graph(
             prov.append(f"component {ci}: stopped at lower bound >= {budget.lower_stop}")
             lower, upper, exact = lower + floor, None, False
             continue
-        searched.append((floor, comp.nonplanar))
+        searched.append((floor, whole.nonplanar))
 
     both = surface == NONORIENTABLE and sum(len(pieces) for _, pieces in searched) > 1
     simple = True
@@ -970,16 +964,17 @@ def _describe(res: GenusResult) -> str:
 
 def derived_subgraphs(g: SimpleGraph | GraphPlan) -> list[SimpleGraph]:
     """The graphs the pipeline may bind a certificate to, each once by
-    checksum: the graph itself, its components, and what the split makes of
-    each. Used to match a certificate back to its graph. Given the plan
-    `genus_of_graph` searched, it lists that plan's split, the one the
-    certificates were issued on, rather than splitting again; it reads no
-    search result, which the plan never keeps."""
+    checksum: the graph itself, its components, and each component's
+    reduction, blocks and reduced blocks, as its `_Piece.split` holds them.
+    Used to match a certificate back to its graph. Given the plan
+    `genus_of_graph` searched, it reads the splits the certificates were
+    issued on rather than splitting again; given a graph, it plans it
+    first. It reads no search result, which the plan never keeps."""
     plan = g if isinstance(g, GraphPlan) else GraphPlan(g)
     graphs = [plan.graph]
-    for comp in plan.components:
-        reduced, blocks, pieces = comp.split
-        graphs += [comp.graph, reduced, *blocks, *pieces]
+    for piece in plan.components:
+        reduced, blocks, pieces = piece.split
+        graphs += [piece.graph, reduced, *blocks, *pieces]
     unique: dict[str, SimpleGraph] = {}
     for h in graphs:
         unique.setdefault(h.checksum(), h)

@@ -31,6 +31,8 @@ def parse_edgelist(text: str) -> SimpleGraph:
     if len(head) != 2:
         raise ValueError(f"expected header 'n m', got {' '.join(head)!r}")
     n, m = int(head[0]), int(head[1])
+    if m < 0:
+        raise ValueError(f"negative edge count {m}")
     if len(tokens) < 1 + m:
         raise ValueError(f"expected {m} edge lines, found {len(tokens) - 1}")
     g = SimpleGraph(n)

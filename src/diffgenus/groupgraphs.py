@@ -60,17 +60,18 @@ def _enhanced_rows(g: GroupTable) -> list[int]:
 
 
 def _graph_from_rows(g: GroupTable, rows: list[int], vertices: list[int], kind: str) -> GroupGraph:
+    """The graph of `rows` on `vertices`. The rows are symmetric and clear
+    their own bit, and every element a kept row names is kept, so each
+    vertex's neighbour set is read off its row."""
     index = {e: i for i, e in enumerate(vertices)}
     labels = [(e, g.element_order(e)) for e in vertices]
     graph = SimpleGraph(len(vertices), labels=labels)
-    for e in vertices:
-        m = rows[e]
+    for i, e in enumerate(vertices):
+        m, nbrs = rows[e], graph.adj[i]
         while m:
             low = m & -m
-            y = low.bit_length() - 1
+            nbrs.add(index[low.bit_length() - 1])
             m ^= low
-            if y > e and y in index:
-                graph.add_edge(index[e], index[y])
     return GroupGraph(kind, graph, g)
 
 

@@ -43,17 +43,13 @@ class ClassificationRecord:
         return {
             "group": self.group_name,
             "order": self.order,
-            "predicted_genus": _class_dict(self.predicted_genus),
-            "predicted_crosscap": _class_dict(self.predicted_crosscap),
+            "predicted_genus": self.predicted_genus.to_json_dict(),
+            "predicted_crosscap": self.predicted_crosscap.to_json_dict(),
             "computed_genus": _result_dict(self.computed_genus),
             "computed_crosscap": _result_dict(self.computed_crosscap),
             "status": self.status,
             "timings_ms": {k: round(v, 1) for k, v in self.timings_ms.items()},
         }
-
-
-def _class_dict(c: GenusClass) -> dict:
-    return {"class": c.label, "basis": c.basis, "witness": c.witness}
 
 
 def _result_dict(r: Optional[GenusResult]) -> Optional[dict]:
@@ -109,9 +105,9 @@ def verify_group(
     graph, and compare. p-groups come back as trivial consistent rows with
     an empty graph; non-nilpotent input raises NotNilpotentError.
 
-    Both surfaces are computed from one `GraphPlan` of the graph, so its
-    components, planarity tests, lower bounds, split and piece reductions
-    are found once per record. The searches are not shared: each surface
+    Both surfaces are computed from one `GraphPlan` of the graph, so what
+    its pieces hold (planarity tests, lower bounds, reductions and splits)
+    is found once per record. The searches are not shared: each surface
     runs its own under its own budget. The plan is not kept in the record."""
     budget = budget or DEFAULT_BUDGET
     label = name or g.source or f"order-{g.order} group"

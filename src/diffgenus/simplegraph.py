@@ -122,10 +122,7 @@ def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
             raise ValueError(f"unknown vertex {v}")
     index = {v: i for i, v in enumerate(vs)}
     sub = SimpleGraph(len(vs), labels=[g.labels[v] for v in vs])
-    for u in vs:
-        for w in g.adj[u]:
-            if u < w and w in index:
-                sub.add_edge(index[u], index[w])
+    sub.adj = [{index[w] for w in g.adj[v] if w in index} for v in vs]
     return sub
 
 
@@ -185,10 +182,7 @@ def reduce_homeomorphic(g: SimpleGraph) -> tuple[SimpleGraph, ReductionLog]:
     survivors = sorted(adj)
     log.vertex_map = {v: i for i, v in enumerate(survivors)}
     out = SimpleGraph(len(survivors), labels=[g.labels[v] for v in survivors])
-    for v in survivors:
-        for w in adj[v]:
-            if v < w:
-                out.add_edge(log.vertex_map[v], log.vertex_map[w])
+    out.adj = [{log.vertex_map[w] for w in adj[v]} for v in survivors]
     return out, log
 
 

@@ -34,6 +34,19 @@ def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
     return g
 
 
+def assert_sound(g: SimpleGraph) -> None:
+    """g's adjacency is what `SimpleGraph.add_edge` would have built: one
+    neighbour set per vertex, symmetric, loop-free and in range, with an
+    edge count that matches its edge list, and one label per vertex."""
+    assert len(g.adj) == g.n and len(g.labels) == g.n, g
+    for v, nbrs in enumerate(g.adj):
+        assert isinstance(nbrs, set), (v, nbrs)
+        for w in nbrs:
+            assert 0 <= w < g.n and w != v, (v, w)
+            assert v in g.adj[w], (v, w)
+    assert g.edge_count == len(g.edges()), g
+
+
 def from_networkx(G) -> SimpleGraph:
     """A networkx graph on vertices 0..n-1, in the order of G's nodes."""
     index = {x: i for i, x in enumerate(G.nodes)}

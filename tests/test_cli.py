@@ -112,6 +112,29 @@ def test_genus_compute_on_a_repeated_edge_is_input_error(tmp_path):
     assert "repeated edge 1 0" in result.output
 
 
+def test_genus_compute_on_a_negative_edge_count_is_input_error(tmp_path):
+    path = tmp_path / "neg.el"
+    path.write_text("3 -1\n")
+    result = run("genus", "compute", str(path))
+    assert result.exit_code == 2, result.output
+    assert "negative edge count -1" in result.output
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("genus", "compute", "{graph}"), ("verify", "group", "Z20"), ("verify", "sweep", "--max-order", "4")],
+    ids=["compute", "group", "sweep"],
+)
+def test_a_negative_budget_is_input_error(tmp_path, command):
+    graph = tmp_path / "k5.el"
+    graph.write_text(write_edgelist(SimpleGraph.complete(5)))
+    result = run(*(arg.format(graph=graph) for arg in command), "--budget", "-3")
+    assert result.exit_code == 2, result.output
+    assert "--budget" in result.output
+    result = run(*(arg.format(graph=graph) for arg in command), "--budget", "0")
+    assert result.exit_code == 0, result.output
+
+
 def test_genus_compute_certifies_a_bracket(tmp_path, monkeypatch):
     # one nonplanar piece carries the upper end, so the scheme of its
     # restart phase comes with the bracket; the face-set pass, which

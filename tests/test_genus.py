@@ -697,6 +697,35 @@ def test_exact_search_tests_planarity_once_and_never_splits(planning_calls, exac
         assert steps["is_planar"] == 1 and steps["block_decomposition"] == 0, steps
 
 
+def test_plan_copies_only_a_component_that_does_not_span(monkeypatch):
+    """A connected graph is planned as itself, with no induced subgraph; a
+    graph with several components or isolated vertices still plans each
+    component with an edge on its own vertices, under their labels."""
+    copies = 0
+    original = genus_module.induced_subgraph
+
+    def counted(g, vertices):
+        nonlocal copies
+        copies += 1
+        return original(g, vertices)
+
+    monkeypatch.setattr(genus_module, "induced_subgraph", counted)
+    for g in [SimpleGraph.complete(5), SimpleGraph.cycle(6), difference_graph(build_group("Z30")).graph]:
+        plan = GraphPlan(g)
+        assert copies == 0 and [p.graph for p in plan.components] == [g]
+    # K4 on 0-3, vertex 4 isolated, a triangle on 5-7
+    edges = list(combinations(range(4), 2)) + [(5, 6), (6, 7), (5, 7)]
+    g = SimpleGraph(8, edges, labels="abcdefgh")
+    plan = GraphPlan(g)
+    assert copies == 2
+    assert [(p.graph.labels, p.graph.edges()) for p in plan.components] == [
+        (list("abcd"), list(combinations(range(4), 2))),
+        (list("fgh"), [(0, 1), (0, 2), (1, 2)]),
+    ]
+    res = genus_of_graph(plan)
+    assert res.exact and res.value == 0
+
+
 def test_derived_subgraphs_contains_reduction():
     g = SimpleGraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
     checksums = {h.checksum() for h in derived_subgraphs(g)}

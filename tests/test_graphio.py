@@ -44,6 +44,13 @@ def test_parse_edgelist_rejects_a_repeated_edge():
         parse_edgelist("3 3\n0 1\n1 2\n0 1\n")
 
 
+def test_parse_edgelist_rejects_a_negative_edge_count():
+    with pytest.raises(ValueError, match="negative edge count -1"):
+        parse_edgelist("3 -1\n")
+    with pytest.raises(ValueError, match="negative edge count -2"):
+        parse_edgelist("3 -2\n0 0 0\n")
+
+
 def test_dot_output_mentions_labels():
     gg = difference_graph(gr.build_group("Z12"))
     dot = write_dot(gg.graph)

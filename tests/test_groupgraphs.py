@@ -2,6 +2,7 @@ import math
 from collections import Counter
 
 import oracles
+from graphs import assert_sound
 from oracles import complete_multipartite_parts, vertex_membership
 from diffgenus import groups as gr
 from diffgenus.catalog import builtin_catalog
@@ -72,6 +73,17 @@ def test_difference_graph_matches_definition_oracle():
         gg = difference_graph(g)
         assert sorted(lab[0] for lab in gg.graph.labels) == want_vertices, e.name
         assert _edge_labels(gg) == want_edges, e.name
+
+
+def test_group_graphs_are_sound():
+    """The group graphs read each neighbour set off a bitmask row, with no
+    `add_edge` check: every one built from a catalog group up to order 100
+    is sound, and its labels are (element, order) pairs."""
+    for e in builtin_catalog(100):
+        for build in (power_graph, enhanced_power_graph, difference_graph):
+            gg = build(e.group)
+            assert_sound(gg.graph)
+            assert all(e.group.element_order(x) == o for x, o in gg.graph.labels), (e.name, gg.kind)
 
 
 def test_difference_z12_shape():

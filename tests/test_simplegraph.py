@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from graphs import complete_bipartite, complete_multipartite, from_networkx, random_graph
+from graphs import assert_sound, complete_bipartite, complete_multipartite, from_networkx, random_graph
 from oracles import complete_multipartite_parts
 from diffgenus import simplegraph
 from diffgenus.simplegraph import (
@@ -154,6 +154,34 @@ def test_blocks_match_the_definition():
             frozenset(frozenset((b.labels[u], b.labels[v])) for u, v in b.edges()) for b in block_decomposition(g)
         ]
         assert len(found) == len(expected) and set(found) == expected
+    assert disconnected >= 20 and isolated >= 20, (disconnected, isolated)
+
+
+def test_builders_make_sound_graphs():
+    """induced_subgraph, reduce_homeomorphic and block_decomposition fill
+    neighbour sets without `add_edge`: on seeded random graphs, some of them
+    disconnected or with isolated vertices, each output is sound and keeps
+    the edges it should."""
+    rng = random.Random(31)
+    disconnected = isolated = 0
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.7))
+        g.labels = rng.sample(range(100, 200), n)
+        disconnected += not g.is_connected()
+        isolated += any(not g.adj[v] for v in range(g.n))
+        vs = sorted(rng.sample(range(n), rng.randint(0, n)))
+        sub = induced_subgraph(g, vs)
+        assert_sound(sub)
+        assert sub.labels == [g.labels[v] for v in vs]
+        assert sub.edges() == [(vs.index(u), vs.index(v)) for u, v in g.edges() if u in vs and v in vs]
+        reduced, log = reduce_homeomorphic(g)
+        assert_sound(reduced)
+        assert reduced.labels == [g.labels[v] for v in sorted(log.vertex_map, key=log.vertex_map.get)]
+        blocks = block_decomposition(g)
+        for b in blocks:
+            assert_sound(b)
+        assert sum(b.edge_count for b in blocks) == g.edge_count
     assert disconnected >= 20 and isolated >= 20, (disconnected, isolated)
 
 
