@@ -301,7 +301,7 @@ def verify_group_cmd(spec, budget, seed):
 
 
 @verify.command("sweep")
-@click.option("--max-order", type=click.IntRange(max=MAX_CATALOG_ORDER), default=100)
+@click.option("--max-order", type=click.IntRange(1, MAX_CATALOG_ORDER), default=100)
 @click.option("--budget", type=click.IntRange(min=0), default=None, help=_BUDGET_HELP)
 @click.option("--seed", type=int, default=None)
 @click.option("--report", "report_path", type=click.Path(), default=None)
@@ -326,7 +326,7 @@ def catalog():
 
 
 @catalog.command("list")
-@click.option("--max-order", type=click.IntRange(max=MAX_CATALOG_ORDER), default=MAX_CATALOG_ORDER)
+@click.option("--max-order", type=click.IntRange(1, MAX_CATALOG_ORDER), default=MAX_CATALOG_ORDER)
 def catalog_list(max_order):
     """List catalog groups up to the given order."""
     for entry in builtin_catalog(max_order):

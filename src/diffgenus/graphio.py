@@ -44,12 +44,16 @@ def parse_edgelist(text: str) -> SimpleGraph:
             raise ValueError(f"repeated edge {u} {v}")
         g.add_edge(u, v)
     labels: list = list(range(n))
+    labelled = set()
     for row in tokens[1 + m :]:
         if len(row) != 3:
             raise ValueError(f"bad label line {' '.join(row)!r}")
         vid, elem, order = int(row[0]), int(row[1]), int(row[2])
         if not 0 <= vid < n:
             raise ValueError(f"label vertex {vid} out of range")
+        if vid in labelled:
+            raise ValueError(f"repeated label line for vertex {vid}")
+        labelled.add(vid)
         labels[vid] = (elem, order)
     g.labels = labels
     return g

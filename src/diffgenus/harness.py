@@ -5,6 +5,7 @@ computed independently by the embedding machinery, and report consistency."""
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -34,8 +35,8 @@ class ClassificationRecord:
     order: int
     predicted_genus: GenusClass
     predicted_crosscap: GenusClass
-    computed_genus: Optional[GenusResult]
-    computed_crosscap: Optional[GenusResult]
+    computed_genus: GenusResult
+    computed_crosscap: GenusResult
     status: str
     timings_ms: dict[str, float] = field(default_factory=dict)
 
@@ -52,9 +53,7 @@ class ClassificationRecord:
         }
 
 
-def _result_dict(r: Optional[GenusResult]) -> Optional[dict]:
-    if r is None:
-        return None
+def _result_dict(r: GenusResult) -> dict:
     out = {
         "surface": r.surface,
         "lower": r.lower,
@@ -69,22 +68,19 @@ def _result_dict(r: Optional[GenusResult]) -> Optional[dict]:
 
 
 def _status_against(predicted: GenusClass, computed: GenusResult) -> str:
-    if predicted.value < GE3:
-        want = predicted.value
-        if computed.exact:
-            return CONSISTENT if computed.value == want else CONTRADICTION
-        if computed.lower > want:
-            return CONTRADICTION
-        if computed.upper is not None and computed.upper < want:
-            return CONTRADICTION
-        return INCONCLUSIVE
-    # predicted >= 3
-    if computed.lower >= 3:
+    """One range rule. The class predicts [v, v], or [3, inf) for GE3; the
+    result gives [lower, upper], with inf for an open upper end. Ranges
+    that do not meet contradict. A result inside the predicted range is
+    consistent, where an inexact result counts as open above: its lower
+    end can confirm GE3, but it confirms no single value. Anything else is
+    inconclusive."""
+    want_lo = predicted.value  # GE3 is 3
+    want_hi = math.inf if predicted.value >= GE3 else predicted.value
+    hi = math.inf if computed.upper is None else computed.upper
+    if computed.lower > want_hi or hi < want_lo:
+        return CONTRADICTION
+    if computed.lower >= want_lo and (hi if computed.exact else math.inf) <= want_hi:
         return CONSISTENT
-    if computed.exact and computed.value < 3:
-        return CONTRADICTION
-    if computed.upper is not None and computed.upper < 3:
-        return CONTRADICTION
     return INCONCLUSIVE
 
 
@@ -102,8 +98,11 @@ def verify_group(
     name: str = "",
 ) -> ClassificationRecord:
     """Classify the group, compute genus and crosscap of its difference
-    graph, and compare. p-groups come back as trivial consistent rows with
-    an empty graph; non-nilpotent input raises NotNilpotentError.
+    graph, and compare by `_status_against`. Every group takes this one
+    path; non-nilpotent input raises NotNilpotentError. A p-group's graph
+    is empty, so both results are an exact 0, and the paper's stronger
+    claim for it, a difference graph with no vertex at all, is checked
+    too: a p-group whose graph has a vertex is a contradiction.
 
     Both surfaces are computed from one `GraphPlan` of the graph, so what
     its pieces hold (planarity tests, lower bounds, reductions and splits)
@@ -115,19 +114,6 @@ def verify_group(
     predicted_genus = classify_genus(g)  # raises NotNilpotentError if needed
     predicted_crosscap = classify_crosscap(g)
     t_classify = time.perf_counter()
-
-    if is_p_group(g):
-        graph = difference_graph(g).graph
-        empty_ok = graph.n == 0
-        trivial = GenusResult(ORIENTABLE, 0, 0, True, provenance=["empty difference graph"])
-        trivial_n = GenusResult(NONORIENTABLE, 0, 0, True, provenance=["empty difference graph"])
-        return ClassificationRecord(
-            label, g.order, predicted_genus, predicted_crosscap,
-            trivial, trivial_n,
-            CONSISTENT if empty_ok else CONTRADICTION,
-            {"classify": (t_classify - t_start) * 1e3,
-             "total": (time.perf_counter() - t_start) * 1e3},
-        )
 
     graph = difference_graph(g).graph
     t_build = time.perf_counter()
@@ -144,6 +130,7 @@ def verify_group(
     status = _combine(
         _status_against(predicted_genus, computed_genus),
         _status_against(predicted_crosscap, computed_crosscap),
+        CONTRADICTION if graph.n and is_p_group(g) else CONSISTENT,
     )
     return ClassificationRecord(
         label, g.order, predicted_genus, predicted_crosscap,
@@ -181,8 +168,8 @@ class SweepSummary:
 def verify_sweep(
     max_order: int, budget: Optional[SearchBudget] = None
 ) -> tuple[list[ClassificationRecord], SweepSummary]:
-    """Run verify_group over every catalog group of order <= max_order.
-    p-groups appear as trivial rows exercising the empty-graph claim."""
+    """Run verify_group over every catalog group of order <= max_order,
+    p-groups included."""
     budget = budget or DEFAULT_BUDGET
     records = [verify_group(e.group, budget, name=e.name) for e in builtin_catalog(max_order)]
     records.sort(key=lambda r: (r.order, r.group_name))
@@ -212,9 +199,7 @@ def export_report(records: list[ClassificationRecord]) -> tuple[str, str]:
     return doc, "\n".join(lines)
 
 
-def _fmt_result(r: Optional[GenusResult]) -> str:
-    if r is None:
-        return "-"
+def _fmt_result(r: GenusResult) -> str:
     if r.exact:
         return str(r.value)
     hi = r.upper if r.upper is not None else "?"

@@ -7,7 +7,9 @@ searches and a Kuratowski subdivision from networkx, this holds
 independent checks of the structural lemmas the pipeline rests on: the
 difference graph's vertex set, the lcm witness, the Sylow projection, the
 complete multipartite shape, the replay of a homeomorphic reduction and
-the partition of a graph's edges into blocks.
+the partition of a graph's edges into blocks. It also keeps the
+harness's former two-branch status rule, against which the range rule is
+checked.
 """
 
 from __future__ import annotations
@@ -478,3 +480,25 @@ def block_partition(g) -> set[frozenset[tuple[int, int]]]:
     for e in parent:
         classes.setdefault(find(e), set()).add(e)
     return {frozenset(c) for c in classes.values()}
+
+
+def two_branch_status(predicted_value: int, lower: int, upper: int | None, exact: bool) -> str:
+    """The verdict of a predicted class (0, 1, 2, or 3 for "at least 3")
+    against a computed [lower, upper] result, by the two-branch rule the
+    harness used before its single range rule: an exact class is met only
+    by an exact equal value, and the open class by a lower end of 3."""
+    if predicted_value < 3:
+        if exact:
+            return "consistent" if lower == predicted_value else "contradiction"
+        if lower > predicted_value:
+            return "contradiction"
+        if upper is not None and upper < predicted_value:
+            return "contradiction"
+        return "inconclusive"
+    if lower >= 3:
+        return "consistent"
+    if exact and lower < 3:
+        return "contradiction"
+    if upper is not None and upper < 3:
+        return "contradiction"
+    return "inconclusive"

@@ -308,3 +308,26 @@ def test_max_order_past_the_catalog_is_input_error(command):
     result = run(*command, "--max-order", "201")
     assert result.exit_code == 2, result.output
     assert "201" in result.output
+
+
+@pytest.mark.parametrize("command", [("catalog", "list"), ("verify", "sweep")])
+@pytest.mark.parametrize("max_order", ["0", "-3"])
+def test_max_order_below_one_is_input_error(command, max_order):
+    result = run(*command, "--max-order", max_order)
+    assert result.exit_code == 2, result.output
+    assert "--max-order" in result.output
+    assert "contradictions" not in result.output
+
+
+def test_genus_compute_on_a_repeated_label_line_is_input_error(tmp_path):
+    path = tmp_path / "labels.el"
+    path.write_text("3 2\n0 1\n1 2\n0 5 2\n0 6 2\n")
+    result = run("genus", "compute", str(path))
+    assert result.exit_code == 2, result.output
+    assert "repeated label line for vertex 0" in result.output
+
+
+def test_verify_group_cmd_on_a_p_group():
+    result = run("verify", "group", "Z8")
+    assert result.exit_code == 0, result.output
+    assert "0/0 consistent" in result.output

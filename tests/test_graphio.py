@@ -51,6 +51,15 @@ def test_parse_edgelist_rejects_a_negative_edge_count():
         parse_edgelist("3 -2\n0 0 0\n")
 
 
+def test_parse_edgelist_rejects_a_repeated_label_line():
+    with pytest.raises(ValueError, match="repeated label line for vertex 0"):
+        parse_edgelist("3 2\n0 1\n1 2\n0 5 2\n0 6 2\n")
+    with pytest.raises(ValueError, match="repeated label line for vertex 2"):
+        parse_edgelist("3 0\n2 1 1\n0 0 1\n2 1 1\n")
+    g = parse_edgelist("3 0\n2 1 1\n0 0 1\n1 2 2\n")
+    assert g.labels == [(0, 1), (2, 2), (1, 1)]
+
+
 def test_dot_output_mentions_labels():
     gg = difference_graph(gr.build_group("Z12"))
     dot = write_dot(gg.graph)

@@ -2,18 +2,27 @@ import json
 import weakref
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import two_branch_status
 from diffgenus import groups as gr
 from diffgenus import harness
 from diffgenus.catalog import builtin_catalog
+from diffgenus.classify import GenusClass
 from diffgenus.embeddings import certificate_from_json, verify_certificate
+from diffgenus.genus import NONORIENTABLE, ORIENTABLE, GenusResult
+from diffgenus.groupgraphs import GroupGraph
 from diffgenus.harness import (
     CONSISTENT,
+    CONTRADICTION,
     ClassificationRecord,
+    _status_against,
     export_report,
     verify_group,
     verify_sweep,
 )
+from diffgenus.simplegraph import SimpleGraph
 
 
 def test_verify_group_z18():
@@ -156,3 +165,52 @@ def test_status_logic_direct():
     assert _status_against(ge3, bounds(3, None)) == CONSISTENT
     assert _status_against(ge3, bounds(2, None)) == INCONCLUSIVE
     assert _status_against(ge3, exact(2)) == CONTRADICTION
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.integers(0, 6),
+    st.one_of(st.none(), st.integers(0, 4)),
+    st.booleans(),
+)
+@example(0, 0, 0, False)
+@example(1, 1, 0, False)
+@example(2, 2, 0, False)
+@example(3, 3, 0, False)
+@example(1, 0, 0, False)
+def test_range_rule_matches_the_two_branch_rule(value, lower, extra, exact):
+    """The range rule gives the old two-branch verdict on every well-formed
+    result: an exact one has equal ends, an inexact one an upper end at or
+    above its lower end, or none. An inexact result with equal ends reads
+    as no single value, so it confirms GE3 but no exact class."""
+    upper = lower if exact else (None if extra is None else lower + extra)
+    predicted = GenusClass(value, "x", witness="w")
+    computed = GenusResult(ORIENTABLE, lower, upper, exact)
+    assert _status_against(predicted, computed) == two_branch_status(value, lower, upper, exact)
+
+
+def test_a_p_group_with_a_vertex_in_its_graph_is_a_contradiction(monkeypatch):
+    """Z8's difference graph is empty by the paper; a builder that gives it
+    an edgeless vertex still leaves genus and crosscap 0, so only the
+    emptiness claim can catch it."""
+    z8 = gr.build_group("Z8")
+    monkeypatch.setattr(harness, "difference_graph", lambda g: GroupGraph("difference", SimpleGraph(1), g))
+    record = verify_group(z8, name="Z8")
+    assert record.computed_genus.exact and record.computed_genus.value == 0
+    assert record.computed_crosscap.exact and record.computed_crosscap.value == 0
+    assert record.status == CONTRADICTION
+
+    edge = SimpleGraph(2, [(0, 1)])
+    monkeypatch.setattr(harness, "difference_graph", lambda g: GroupGraph("difference", edge, g))
+    assert verify_group(z8, name="Z8").status == CONTRADICTION
+
+
+@pytest.mark.parametrize("name", ["Z8", "Q8", "Z3 x Z3", "D8 x Z2"])
+def test_a_p_group_record_takes_the_common_path(name):
+    record = verify_group(gr.build_group(name), name=name)
+    assert record.status == CONSISTENT
+    for res, surface in ((record.computed_genus, ORIENTABLE), (record.computed_crosscap, NONORIENTABLE)):
+        assert res.surface == surface
+        assert (res.lower, res.upper, res.exact) == (0, 0, True)
+    assert list(record.timings_ms) == ["classify", "build_graph", "genus", "crosscap", "total"]
