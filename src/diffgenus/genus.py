@@ -43,8 +43,6 @@ from functools import cached_property
 from itertools import chain, combinations
 from typing import Optional
 
-import networkx as nx
-
 from .embeddings import EmbeddingScheme, SchemeError, make_scheme, trace_faces
 from .simplegraph import (
     SimpleGraph,
@@ -207,6 +205,8 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
     `euler_lower_bound` > 0 without that bound's need for a connected
     graph of minimum degree 2; it settles the Petersen graph (E = 15 on
     V = 10, girth 5) and K3,3, which the edge count does not."""
+    import networkx as nx  # here, so a run that tests no planarity never loads it
+
     n, m = g.n, g.edge_count
     if m == 0:
         scheme = make_scheme(g, [[] for _ in range(n)])

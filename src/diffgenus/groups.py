@@ -2,8 +2,11 @@
 of the package needs: element orders, cyclic and maximal cyclic subgroups,
 Sylow decomposition, and isomorphism testing.
 
-Elements are indices 0..n-1 with the identity fixed at 0. Each derived fact
-is found once per table, by one algorithm, and cached on it.
+Elements are indices 0..n-1 with the identity fixed at 0. A table from
+outside the group layer (`GroupTable(...)`, `ingest_table`) is proven a
+group when it is made; `build_group`'s tables are groups by construction
+and are not checked again. Each derived fact is found once per table, by one
+algorithm, and cached on it.
 """
 
 from __future__ import annotations
@@ -77,9 +80,11 @@ class GroupTable:
     """A finite group given by its full multiplication table.
 
     mult[a][b] is the index of the product a*b; index 0 is the identity.
-    Every table is validated as a group on construction. Instances are
-    immutable after construction and keep the table as tuples, not as a
-    numpy array. Two cached properties hold what is derived from it:
+    The constructor accepts integer entries only and proves the table a
+    group (`_validate_table`); `build_group` stores its tables through
+    `_built`, which skips that proof. Instances are immutable after
+    construction and keep the table as tuples, not as a numpy array. Two
+    cached properties hold what is derived from it:
     `_cyclic`, one span per cyclic subgroup, which gives the element orders
     and the cyclic and maximal cyclic subgroups; and `_sylow`, the Sylow
     decomposition or the error showing that the group is not nilpotent.
@@ -92,13 +97,36 @@ class GroupTable:
         source: str = "",
     ):
         n = len(mult)
+        if n == 0:
+            raise GroupError("empty table")
         for i, row in enumerate(mult):
             if len(row) != n:
                 raise LatinSquareError(f"row {i} has length {len(row)}, expected {n}")
-        arr = np.array(mult, dtype=np.int64).reshape(n, n)
+        arr = np.asarray(mult)
+        if arr.dtype.kind not in "iu":  # numpy found a float, a string or a mix
+            bad = next((
+                (i, j, x) for i, row in enumerate(mult) for j, x in enumerate(row)
+                if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < n
+            ), None)
+            if bad is not None:
+                i, j, x = bad
+                what = f"entry {x} ({type(x).__name__})"
+                raise GroupError(f"row {i}, column {j}: {what} is not an integer in 0..{n - 1}")
+        arr = arr.astype(np.int64, copy=False).reshape(n, n)
         _validate_table(arr)
+        self._adopt(arr, names, source)
+
+    @classmethod
+    def _built(cls, arr: np.ndarray, names: list[str], source: str) -> GroupTable:
+        """The square int64 table `arr`, a group by construction, stored
+        without `_validate_table`."""
+        g = cls.__new__(cls)
+        g._adopt(arr, names, source)
+        return g
+
+    def _adopt(self, arr: np.ndarray, names: Optional[Sequence[str]], source: str) -> None:
         self._mult = tuple(map(tuple, arr.tolist()))
-        self.order = n
+        self.order = len(arr)
         self.names = list(names) if names is not None else None
         self.source = source
 
@@ -233,7 +261,7 @@ class _CyclicSpans(NamedTuple):
 
 
 def _validate_table(arr: np.ndarray) -> None:
-    """Raise unless the square table `arr` is a group with identity 0.
+    """Raise unless the nonempty square table `arr` is a group with identity 0.
 
     Associativity is proven by Light's test (Clifford and Preston 1961,
     section 1.2): the elements g with (x*g)*y == x*(g*y) for all x, y are
@@ -241,8 +269,6 @@ def _validate_table(arr: np.ndarray) -> None:
     `_generating_sequence` picks, in O(|gens| n^2).
     """
     n = len(arr)
-    if n == 0:
-        raise GroupError("empty table")
     target = np.arange(n)
     for what, lines in (("row", arr), ("column", arr.T)):
         bad = np.flatnonzero((np.sort(lines, axis=1) != target).any(axis=1))
@@ -337,7 +363,8 @@ def _two_generator_atom(family: str, order: int) -> tuple[np.ndarray, list[str]]
 
     Elements are x^i*y^j encoded as i + half*j, with x of order `half`.
     The defining twist is y^-1 x y = x^r; quaternion additionally has
-    y^2 = x^(half/2).
+    y^2 = x^(half/2). A wrong twist gives no group, so the table is
+    validated here, the one check `build_group` makes.
     """
     half = order // 2
     if family == "D":
@@ -351,6 +378,7 @@ def _two_generator_atom(family: str, order: int) -> tuple[np.ndarray, list[str]]
     i = (x[:, None] + x * twist + ysq * (y[:, None] & y)) % half
     mult = i + half * ((y[:, None] + y) % 2)
     names = [f"x{i}" if j == 0 else f"x{i}y" for j in (0, 1) for i in range(half)]
+    _validate_table(mult)
     return mult, names
 
 
@@ -368,7 +396,11 @@ def _direct_product(
 
 
 def build_group(descriptor: str) -> GroupTable:
-    """Build the direct product of family groups named by the descriptor."""
+    """Build the direct product of family groups named by the descriptor.
+
+    The table is not validated again: Z_n is addition mod n, the other
+    atoms are checked when built, and a direct product of groups is a
+    group. tests/test_groups.py proves every table the catalog uses."""
     atoms = parse_group_descriptor(descriptor)
     tables, names = [], []
     for family, order in atoms:
@@ -379,7 +411,7 @@ def build_group(descriptor: str) -> GroupTable:
         tables.append(t)
         names.append(nm)
     mult, nms = _direct_product(tables, names)
-    return GroupTable(mult, names=nms, source=normalize_descriptor(descriptor))
+    return GroupTable._built(mult, nms, normalize_descriptor(descriptor))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def test_catalog_tables_are_pinned():
 
 
 def test_catalog_max_order_filter(monkeypatch):
-    # only the entries asked for are built and validated
+    # only the entries asked for are built
     built = []
     monkeypatch.setattr(catalog, "build_group", lambda name: built.append(name) or gr.build_group(name))
     catalog._entry.cache_clear()

@@ -220,13 +220,13 @@ def test_planar_agrees_with_exact_genus_on_corpus():
 def _spy_on_networkx_planarity(monkeypatch) -> list:
     """The graphs `is_planar` hands to networkx's planarity test, from now on."""
     calls = []
-    original = genus_module.nx.check_planarity
+    original = nx.check_planarity
 
     def spy(G, *args, **kwargs):
         calls.append(G)
         return original(G, *args, **kwargs)
 
-    monkeypatch.setattr(genus_module.nx, "check_planarity", spy)
+    monkeypatch.setattr(nx, "check_planarity", spy)
     return calls
 
 

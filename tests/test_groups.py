@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from diffgenus import groups as gr
@@ -368,6 +370,65 @@ def test_empty_table():
         gr.GroupTable([])
 
 
+@pytest.mark.parametrize("table, where", [
+    ([[0, 1], [1, 0.7]], r"row 1, column 1: entry 0\.7 \(float\)"),
+    ([[0.0, 1.9], [1.2, 0.3]], r"row 0, column 0: entry 0\.0 \(float\)"),
+    ([[0, 1], [1.0, 0]], r"row 1, column 0: entry 1\.0 \(float\)"),
+    ([["0", "1"], ["1", "0"]], r"row 0, column 0: entry 0 \(str\)"),
+    ([[0, 1], [1, "0"]], r"row 1, column 1: entry 0 \(str\)"),
+    ([[True, False], [False, True]], r"row 0, column 0: entry True \(bool\)"),
+    (np.array([[0.0, 1.0], [1.0, 0.0]]), r"row 0, column 0: entry 0\.0 \(float64\)"),
+])
+def test_non_integer_entries_are_rejected(table, where):
+    """numpy would cast each of these to Z2 without complaint."""
+    with pytest.raises(gr.GroupError, match=where):
+        gr.GroupTable(table)
+
+
+@pytest.mark.parametrize("table", [
+    ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+    np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.int64),
+    np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.uint8),
+    [[0, 1, 2], [1, 2, 0], [2, 0, np.int32(1)]],
+])
+def test_integer_tables_are_accepted(table):
+    assert gr.GroupTable(table).rows() == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def test_every_table_build_group_makes_is_a_group():
+    """`build_group` does not validate its tables; this proves every one the
+    program uses: the catalog's, Z_n up to 256, and D, Q and SD at every
+    power of two they allow up to 256."""
+    descriptors = [e.name for e in builtin_catalog()]
+    descriptors += [f"Z{n}" for n in range(1, 257)]
+    descriptors += [f"{family}{2 ** k}" for family in ("D", "Q", "SD") for k in range(3, 9)
+                    if not (family == "SD" and k == 3)]
+    for descriptor in descriptors:
+        g = gr.build_group(descriptor)
+        gr._validate_table(np.array(g.rows()))
+
+
+def _small_tables(s3) -> list[np.ndarray]:
+    groups = [gr.build_group(d) for d in ("Z1", "Z2", "Z3", "Z4", "Z5", "Z2 x Z2", "D8", "Q8", "D16")]
+    return [np.array(g.rows()) for g in groups + [s3]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_direct_product_is_a_group_with_homomorphic_projections(s3, data):
+    """Pair (a, b) sits at a*nb + b; its projections x // nb and x % nb
+    must respect every product, for abelian and non-abelian factors."""
+    tables = _small_tables(s3)
+    a, b = (data.draw(st.sampled_from(tables)) for _ in range(2))
+    mult, names = gr._direct_product([a, b], [[str(x) for x in range(len(t))] for t in (a, b)])
+    gr._validate_table(mult)
+    nb = len(b)
+    x = np.arange(len(mult))
+    assert np.array_equal(mult // nb, a[np.ix_(x // nb, x // nb)])
+    assert np.array_equal(mult % nb, b[np.ix_(x % nb, x % nb)])
+    assert names == [f"({i},{j})" for i in range(len(a)) for j in range(len(b))]
+
+
 def test_associativity_is_exact_above_order_256():
     """Z_258 with one intercalate swapped (rows 1 and 130, columns 1 and
     130) is a Latin square with identity 0 and the inverses of Z_258; only
@@ -417,6 +478,7 @@ def test_large_product_validates():
     g = gr.build_group("Q16 x Z3 x Z25")
     assert g.order == 1200
     assert g.exponent() == 8 * 3 * 25
+    gr._validate_table(np.array(g.rows()))
 
 
 # -- isomorphism -------------------------------------------------------------

@@ -187,8 +187,10 @@ def test_builders_make_sound_graphs():
 
 def test_group_layer_does_not_import_networkx():
     """networkx is imported only by the functions that use it, so a run that
-    builds groups and their difference graphs never loads it."""
-    modules = ("groups", "groupgraphs", "simplegraph", "catalog", "classify", "embeddings", "graphio")
+    builds groups and their difference graphs, or imports the genus layer,
+    the harness or the CLI without testing planarity, never loads it."""
+    modules = ("groups", "groupgraphs", "simplegraph", "catalog", "classify", "embeddings", "graphio",
+               "genus", "harness", "cli")
     code = "; ".join([*(f"import diffgenus.{m}" for m in modules), "import sys", "print('networkx' in sys.modules)"])
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(simplegraph.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
