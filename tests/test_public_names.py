@@ -9,6 +9,9 @@ reached through `main`.
 
 A private name (one leading underscore) must be named somewhere in the
 package outside its own definition. Dunder methods are called by Python.
+
+No package file holds an `assert`: `python -O` strips them, so every guard
+raises a real exception.
 """
 
 import ast
@@ -85,3 +88,9 @@ def test_every_public_name_has_a_caller():
 def test_every_private_name_has_a_caller():
     uncalled = _uncalled(_parse(PACKAGE.glob("*.py")), private=True)
     assert not uncalled, "private names nothing in src/ uses: " + ", ".join(uncalled)
+
+
+def test_no_assert_in_the_package():
+    asserts = [f"{path.name}:{node.lineno}" for path, tree in _parse(PACKAGE.glob("*.py")).items()
+               for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not asserts, "assert statements in src/diffgenus: " + ", ".join(asserts)
