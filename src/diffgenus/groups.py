@@ -12,13 +12,15 @@ algorithm, and cached on it.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
+_Rows = tuple[tuple[int, ...], ...]  # a Cayley table, row a holding the products a*b
 
 
 class GroupError(ValueError):
@@ -83,8 +85,9 @@ class GroupTable:
     The constructor accepts integer entries only and proves the table a
     group (`_validate_table`); `build_group` stores its tables through
     `_built`, which skips that proof. Instances are immutable after
-    construction and keep the table as tuples, not as a numpy array. Two
-    cached properties hold what is derived from it:
+    construction and keep the table as a tuple of tuple rows, the one form
+    the group layer builds, checks and reads. Two cached properties hold
+    what is derived from it:
     `_cyclic`, one span per cyclic subgroup, which gives the element orders
     and the cyclic and maximal cyclic subgroups; and `_sylow`, the Sylow
     decomposition or the error showing that the group is not nilpotent.
@@ -96,44 +99,46 @@ class GroupTable:
         names: Optional[Sequence[str]] = None,
         source: str = "",
     ):
-        n = len(mult)
+        rows = tuple(map(tuple, mult))
+        n = len(rows)
         if n == 0:
             raise GroupError("empty table")
-        for i, row in enumerate(mult):
+        for i, row in enumerate(rows):
             if len(row) != n:
                 raise LatinSquareError(f"row {i} has length {len(row)}, expected {n}")
-        arr = np.asarray(mult)
-        if arr.dtype.kind not in "iu":  # numpy found a float, a string or a mix
+        if set(map(type, chain.from_iterable(rows))) != {int}:  # other integer types, or not integers
             bad = next((
-                (i, j, x) for i, row in enumerate(mult) for j, x in enumerate(row)
-                if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < n
+                (i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)
+                if isinstance(x, bool) or not hasattr(x, "__index__")
             ), None)
             if bad is not None:
                 i, j, x = bad
                 what = f"entry {x} ({type(x).__name__})"
                 raise GroupError(f"row {i}, column {j}: {what} is not an integer in 0..{n - 1}")
-        arr = arr.astype(np.int64, copy=False).reshape(n, n)
-        _validate_table(arr)
-        self._adopt(arr, names, source)
+            rows = tuple(tuple(map(operator.index, row)) for row in rows)
+        _validate_table(rows)
+        self._adopt(rows, names, source)
 
     @classmethod
-    def _built(cls, arr: np.ndarray, names: list[str], source: str) -> GroupTable:
-        """The square int64 table `arr`, a group by construction, stored
-        without `_validate_table`."""
+    def _built(cls, rows: _Rows, names: list[str], source: str) -> GroupTable:
+        """The square table `rows`, a group by construction, stored without
+        `_validate_table`."""
         g = cls.__new__(cls)
-        g._adopt(arr, names, source)
+        g._adopt(rows, names, source)
         return g
 
-    def _adopt(self, arr: np.ndarray, names: Optional[Sequence[str]], source: str) -> None:
-        self._mult = tuple(map(tuple, arr.tolist()))
-        self.order = len(arr)
+    def _adopt(self, rows: _Rows, names: Optional[Sequence[str]], source: str) -> None:
+        if names is not None and len(names) != len(rows):
+            raise GroupError(f"{len(names)} names for a group of order {len(rows)}")
+        self._mult = rows
+        self.order = len(rows)
         self.names = list(names) if names is not None else None
         self.source = source
 
     def mult(self, a: int, b: int) -> int:
         return self._mult[a][b]
 
-    def rows(self) -> tuple[tuple[int, ...], ...]:
+    def rows(self) -> _Rows:
         return self._mult
 
     def element_order(self, g: int) -> int:
@@ -262,48 +267,69 @@ class _CyclicSpans(NamedTuple):
 # Table validation
 
 
-def _validate_table(arr: np.ndarray) -> None:
-    """Raise unless the nonempty square table `arr` is a group with identity 0.
+def _validate_table(rows: _Rows) -> None:
+    """Raise unless the nonempty square table `rows` is a group with identity 0.
+
+    Entries are range-checked first, as Python reads a negative index from
+    the end of a row. A group's table is a Latin square, so its rows and
+    columns are scanned only once an axiom fails (`_latin_or`).
 
     Associativity is proven by Light's test (Clifford and Preston 1961,
     section 1.2): the elements g with (x*g)*y == x*(g*y) for all x, y are
     closed under the product, so it suffices to check the generators that
     `_generating_sequence` picks, in O(|gens| n^2).
     """
-    n = len(arr)
-    target = np.arange(n)
-    for what, lines in (("row", arr), ("column", arr.T)):
-        bad = np.flatnonzero((np.sort(lines, axis=1) != target).any(axis=1))
-        if bad.size:
-            raise LatinSquareError(f"{what} {bad[0]} is not a permutation of 0..{n - 1}")
-    if not (np.array_equal(arr[0], target) and np.array_equal(arr[:, 0], target)):
-        raise IdentityError("index 0 is not a two-sided identity")
-    right_inverse = np.argmax(arr == 0, axis=1)
-    bad = np.flatnonzero(arr[right_inverse, target] != 0)
-    if bad.size:
-        raise InverseError(int(bad[0]))
-    for g in _generating_sequence(arr):
-        bad = np.argwhere(arr[arr[:, g]] != arr[:, arr[g]])  # (x*g)*y against x*(g*y)
-        if bad.size:
-            x, y = map(int, bad[0])
-            raise AssociativityError((x, g, y))
+    n = len(rows)
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
+        raise _latin_or(rows, LatinSquareError(f"an entry lies outside 0..{n - 1}"))
+    identity = tuple(range(n))
+    if rows[0] != identity or tuple(row[0] for row in rows) != identity:
+        raise _latin_or(rows, IdentityError("index 0 is not a two-sided identity"))
+    for x, row in enumerate(rows):
+        if 0 not in row or rows[row.index(0)][x] != 0:
+            raise _latin_or(rows, InverseError(x))
+    for g in _generating_sequence(rows):
+        # row x to the products x*(g*y); a tuple, as only n >= 2 has generators
+        times_g = operator.itemgetter(*rows[g])
+        for x, row in enumerate(rows):
+            xg_row = rows[row[g]]  # the products (x*g)*y
+            if xg_row != times_g(row):
+                y = next(y for y, (p, q) in enumerate(zip(xg_row, times_g(row))) if p != q)
+                raise _latin_or(rows, AssociativityError((x, g, y)))
 
 
-def _generating_sequence(arr: np.ndarray) -> list[int]:
+def _latin_or(rows: _Rows, error: GroupError) -> GroupError:
+    """A LatinSquareError naming the first row, else the first column, of
+    `rows` that is not a permutation of 0..n-1; `error` when there is none."""
+    target = list(range(len(rows)))
+    for what, lines in (("row", rows), ("column", zip(*rows))):
+        for i, line in enumerate(lines):
+            if sorted(line) != target:
+                return LatinSquareError(f"{what} {i} is not a permutation of 0..{len(rows) - 1}")
+    return error
+
+
+def _generating_sequence(rows: _Rows) -> list[int]:
     """Generators of the table's product, each the smallest element outside
-    the closure of 0 and the generators before it."""
-    span = np.zeros(len(arr), dtype=bool)
-    span[0] = True
+    the span of the generators before it: what a breadth-first search from 0
+    by right multiplication reaches, in a group the subgroup they generate.
+    A new generator g extends the span by g from every element already in
+    it, and by every generator from each element it adds."""
+    seen = [True] + [False] * (len(rows) - 1)
+    span = [0]
     gens: list[int] = []
-    while not span.all():
-        g = int(np.argmin(span))
+    for g in range(len(rows)):
+        if seen[g]:
+            continue
         gens.append(g)
-        span[g] = True
-        while True:
-            members = np.flatnonzero(span)
-            span[arr[np.ix_(members, members)]] = True
-            if np.count_nonzero(span) == members.size:
-                break
+        old = len(span)
+        for i, x in enumerate(span):  # grows as the search reaches new elements
+            row = rows[x]
+            for s in gens if i >= old else (g,):
+                y = row[s]
+                if not seen[y]:
+                    seen[y] = True
+                    span.append(y)
     return gens
 
 
@@ -355,12 +381,12 @@ def normalize_descriptor(text: str) -> str:
     return " x ".join(f"{f}{n}" for f, n in parse_group_descriptor(text))
 
 
-def _cyclic_atom(n: int) -> tuple[np.ndarray, list[str]]:
-    r = np.arange(n)
-    return (r[:, None] + r) % n, [str(i) for i in range(n)]
+def _cyclic_atom(n: int) -> tuple[_Rows, list[str]]:
+    r = tuple(range(n)) * 2
+    return tuple(r[i : i + n] for i in range(n)), [str(i) for i in range(n)]
 
 
-def _two_generator_atom(family: str, order: int) -> tuple[np.ndarray, list[str]]:
+def _two_generator_atom(family: str, order: int) -> tuple[_Rows, list[str]]:
     """Dihedral, quaternion, or semidihedral group of the given 2-power order.
 
     Elements are x^i*y^j encoded as i + half*j, with x of order `half`.
@@ -375,24 +401,31 @@ def _two_generator_atom(family: str, order: int) -> tuple[np.ndarray, list[str]]
         r, ysq = half - 1, half // 2
     else:  # SD
         r, ysq = half // 2 - 1, 0
-    x, y = np.arange(order) % half, np.arange(order) // half  # exponents
-    twist = np.where(y == 1, r, 1)[:, None]
-    i = (x[:, None] + x * twist + ysq * (y[:, None] & y)) % half
-    mult = i + half * ((y[:, None] + y) % 2)
+    # (x1 y^j1)(x2 y^j2) = x^(x1 + x2 r^j1 + ysq j1 j2) y^(j1 + j2)
+    mult = tuple(
+        tuple((x1 + x2 * twist + ysq * (j1 & j2)) % half + half * (j1 ^ j2) for j2 in (0, 1) for x2 in range(half))
+        for j1, twist in ((0, 1), (1, r))
+        for x1 in range(half)
+    )
     names = [f"x{i}" if j == 0 else f"x{i}y" for j in (0, 1) for i in range(half)]
     _validate_table(mult)
     return mult, names
 
 
-def _direct_product(
-    tables: list[np.ndarray], names: list[list[str]]
-) -> tuple[np.ndarray, list[str]]:
-    """Pair (a, b) is the element a*nb + b, nb the order of the right factor."""
+def _direct_product(tables: list[_Rows], names: list[list[str]]) -> tuple[_Rows, list[str]]:
+    """Pair (a, b) is the element a*nb + b, nb the order of the right factor.
+
+    Row (a, b) is, for each a' in turn, row b of the right factor shifted
+    by (a*a')*nb; those shifted rows are made once and shared."""
     mult, nms = tables[0], names[0]
     for t, nm in zip(tables[1:], names[1:]):
         nb = len(t)
-        n = len(mult) * nb
-        mult = (mult[:, None, :, None] * nb + t[None, :, None, :]).reshape(n, n)
+        blocks = [[tuple(map(k.__add__, row)) for k in range(0, len(mult) * nb, nb)] for row in t]
+        mult = tuple(
+            tuple(chain.from_iterable(map(shifted.__getitem__, row_a)))
+            for row_a in mult
+            for shifted in blocks
+        )
         nms = [f"({x},{y})" for x in nms for y in nm]
     return mult, nms
 
@@ -428,7 +461,7 @@ def ingest_table(text: str, source: str = "<table>") -> GroupTable:
     follow them; '#' starts a comment line. If the identity is found at an
     index other than 0 the table is relabeled so it lands at 0.
     """
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     n: Optional[int] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -445,7 +478,7 @@ def ingest_table(text: str, source: str = "<table>") -> GroupTable:
         if len(rows) == n:
             raise TableParseError(f"unexpected data after the {n} table rows", lineno)
         try:
-            row = list(map(int, line.split()))
+            row = tuple(map(int, line.split()))
         except ValueError:
             raise TableParseError(f"non-integer entry in {line!r}", lineno)
         if len(row) != n:
@@ -461,14 +494,17 @@ def ingest_table(text: str, source: str = "<table>") -> GroupTable:
     return GroupTable(_relabel_identity_to_zero(rows), source=source)
 
 
-def _relabel_identity_to_zero(rows: list[list[int]]) -> np.ndarray:
-    arr = np.array(rows, dtype=np.int64)
-    perm = np.arange(len(arr))
-    found = np.flatnonzero((arr == perm).all(axis=1) & (arr == perm[:, None]).all(axis=0))
-    if not found.size:
+def _relabel_identity_to_zero(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    identity = tuple(range(len(rows)))
+    e = next((e for e in identity if rows[e] == identity and all(row[e] == i for i, row in enumerate(rows))), None)
+    if e is None:
         raise IdentityError("no two-sided identity element in table")
-    perm[[0, found[0]]] = found[0], 0  # a transposition is its own inverse
-    return perm[arr[np.ix_(perm, perm)]]
+    if e == 0:
+        return rows
+    perm = list(identity)
+    perm[0], perm[e] = e, 0  # a transposition is its own inverse
+    pick = operator.itemgetter(*perm)  # n >= 2 entries, so a tuple
+    return [tuple(map(perm.__getitem__, pick(rows[p]))) for p in perm]
 
 
 def table_to_text(g: GroupTable) -> str:
@@ -567,8 +603,8 @@ def group_isomorphic(
         return False, None
     if cyclic_subgroup_counts(a) != cyclic_subgroup_counts(b):
         return False, None
-    ma, mb = np.array(a.rows()), np.array(b.rows())
-    if np.array_equal(ma, ma.T) != np.array_equal(mb, mb.T):  # abelian or not
+    ma, mb = a.rows(), b.rows()
+    if (ma == tuple(zip(*ma))) != (mb == tuple(zip(*mb))):  # abelian or not
         return False, None
 
     gens = _generating_sequence(ma)
@@ -577,31 +613,29 @@ def group_isomorphic(
         by_order.setdefault(b.element_order(y), []).append(y)
     candidates = [by_order.get(a.element_order(g), []) for g in gens]
 
-    phi = np.full(a.order, -1)
-    phi[0] = 0
+    phi = [0] + [-1] * (a.order - 1)
     mapping = _extend_isomorphism(ma, mb, gens, [], phi, candidates)
     if mapping is None:
         return False, None
-    return True, mapping.tolist()
+    return True, mapping
 
 
 def _extend_isomorphism(
-    ma: np.ndarray,
-    mb: np.ndarray,
+    ma: _Rows,
+    mb: _Rows,
     gens: list[int],
     images: list[int],
-    phi: np.ndarray,
+    phi: list[int],
     candidates: list[list[int]],
-) -> Optional[np.ndarray]:
+) -> Optional[list[int]]:
     """Try the candidate images of the next generator in order; `phi` is the
     homomorphism that sends the generators before it to `images`."""
     k = len(images)
     if k == len(gens):
         return phi
-    used = np.zeros(len(mb), dtype=bool)
-    used[phi[phi >= 0]] = True
+    used = set(phi)
     for h in candidates[k]:
-        if used[h]:
+        if h in used:
             continue
         extended = _try_extend(ma, mb, gens[: k + 1], images + [h])
         if extended is None:
@@ -612,9 +646,7 @@ def _extend_isomorphism(
     return None
 
 
-def _try_extend(
-    ma: np.ndarray, mb: np.ndarray, gens: list[int], images: list[int]
-) -> Optional[np.ndarray]:
+def _try_extend(ma: _Rows, mb: _Rows, gens: list[int], images: list[int]) -> Optional[list[int]]:
     """The injective homomorphism from the subgroup generated by `gens` that
     sends each generator to its image, with -1 outside that subgroup; None
     when there is none.
@@ -625,17 +657,18 @@ def _try_extend(
     multiplication by its generators respects every product, since every
     element is a word in them.
     """
-    phi = np.full(len(ma), -1)
-    phi[0] = 0
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        reached = ma[np.ix_(frontier, gens)].ravel()
-        mapped = mb[np.ix_(phi[frontier], images)].ravel()
-        fresh = phi[reached] < 0
-        phi[reached[fresh]] = mapped[fresh]
-        if not np.array_equal(phi[reached], mapped):
-            return None
-        frontier = np.flatnonzero(np.bincount(reached[fresh]))  # distinct, sorted
-    if np.bincount(phi[phi >= 0]).max() > 1:
+    phi = [0] + [-1] * (len(ma) - 1)
+    reached = [0]
+    pairs = list(zip(gens, images))
+    for x in reached:  # grows as the search reaches new elements
+        row_a, row_b = ma[x], mb[phi[x]]
+        for s, t in pairs:
+            y, z = row_a[s], row_b[t]
+            if phi[y] < 0:
+                phi[y] = z
+                reached.append(y)
+            elif phi[y] != z:
+                return None
+    if len({phi[x] for x in reached}) < len(reached):
         return None
     return phi

@@ -9,7 +9,8 @@ difference graph's vertex set, the lcm witness, the Sylow projection, the
 complete multipartite shape, the replay of a homeomorphic reduction and
 the partition of a graph's edges into blocks. It also keeps the
 harness's former two-branch status rule, against which the range rule is
-checked.
+checked, and the group layer's former numpy table validator and generating
+sequence, against which the tuple-row ones are checked.
 """
 
 from __future__ import annotations
@@ -20,8 +21,16 @@ from functools import cache
 from itertools import combinations, permutations, product
 
 import networkx as nx
+import numpy as np
 
-from diffgenus.groups import GroupError, NotNilpotentError
+from diffgenus.groups import (
+    AssociativityError,
+    GroupError,
+    IdentityError,
+    InverseError,
+    LatinSquareError,
+    NotNilpotentError,
+)
 
 
 def brute_force_genus(g) -> int:
@@ -261,6 +270,51 @@ def partial_face_counts(g, rotations: dict, signs=None) -> tuple[int, int]:
     per_face = 1 if signs is None else 2
     assert cycles % per_face == 0
     return cycles // per_face, len(states) - len(on_cycle)
+
+
+# ---------------------------------------------------------------------------
+# Cayley-table validation with numpy, as the group layer once did it
+
+
+def numpy_validate_table(arr: np.ndarray) -> None:
+    """Raise unless the nonempty square int array `arr` is a group with
+    identity 0: rows and columns first, then the identity, the inverses and
+    Light's test on the generators of `numpy_generating_sequence`."""
+    n = len(arr)
+    target = np.arange(n)
+    for what, lines in (("row", arr), ("column", arr.T)):
+        bad = np.flatnonzero((np.sort(lines, axis=1) != target).any(axis=1))
+        if bad.size:
+            raise LatinSquareError(f"{what} {bad[0]} is not a permutation of 0..{n - 1}")
+    if not (np.array_equal(arr[0], target) and np.array_equal(arr[:, 0], target)):
+        raise IdentityError("index 0 is not a two-sided identity")
+    right_inverse = np.argmax(arr == 0, axis=1)
+    bad = np.flatnonzero(arr[right_inverse, target] != 0)
+    if bad.size:
+        raise InverseError(int(bad[0]))
+    for g in numpy_generating_sequence(arr):
+        bad = np.argwhere(arr[arr[:, g]] != arr[:, arr[g]])  # (x*g)*y against x*(g*y)
+        if bad.size:
+            x, y = map(int, bad[0])
+            raise AssociativityError((x, g, y))
+
+
+def numpy_generating_sequence(arr: np.ndarray) -> list[int]:
+    """Generators of the table's product, each the smallest element outside
+    the closure of 0 and the generators before it under the product."""
+    span = np.zeros(len(arr), dtype=bool)
+    span[0] = True
+    gens: list[int] = []
+    while not span.all():
+        g = int(np.argmin(span))
+        gens.append(g)
+        span[g] = True
+        while True:
+            members = np.flatnonzero(span)
+            span[arr[np.ix_(members, members)]] = True
+            if np.count_nonzero(span) == members.size:
+                break
+    return gens
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -234,7 +237,7 @@ def test_element_order_rejects_negative_indices(z12):
 def test_element_order_stops_on_a_table_whose_powers_never_reach_the_identity():
     """1, 1*1 = 2, 2*1 = 2, ...: a table that skipped validation must end in
     an error, not in a list of powers that grows without bound."""
-    g = gr.GroupTable._built(np.array([[0, 1, 2], [1, 2, 2], [2, 2, 1]]), ["e", "a", "b"], "bad")
+    g = gr.GroupTable._built(((0, 1, 2), (1, 2, 2), (2, 2, 1)), ["e", "a", "b"], "bad")
     with pytest.raises(gr.GroupError, match="element 1"):
         g.element_order(1)
 
@@ -373,6 +376,44 @@ def test_right_inverse_that_is_not_a_left_inverse():
     assert exc_info.value.element == 1
 
 
+@pytest.mark.parametrize("entry", [-1, 3])
+def test_out_of_range_entries_of_z3_are_not_a_latin_square(entry):
+    """Python reads index -1 as the last row; neither -1 nor 3 may pass in
+    any cell of Z3."""
+    for i in range(3):
+        for j in range(3):
+            table = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+            table[i][j] = entry
+            with pytest.raises(gr.LatinSquareError, match=f"row {i}"):
+                gr.GroupTable(table)
+
+
+@pytest.mark.parametrize("names", [["e"], ["e", "a", "b"]])
+def test_names_must_number_the_elements(names):
+    with pytest.raises(gr.GroupError, match=f"{len(names)} names for a group of order 2"):
+        gr.GroupTable([[0, 1], [1, 0]], names=names)
+    assert gr.GroupTable([[0, 1], [1, 0]], names=["e", "a"]).name_of(1) == "a"
+
+
+def test_the_package_never_imports_numpy():
+    """numpy is a test dependency only: importing every module, building
+    the order-200 catalog and verifying one group leave it unloaded."""
+    code = "\n".join([
+        "import importlib, pkgutil, sys",
+        "import diffgenus",
+        "for m in pkgutil.iter_modules(diffgenus.__path__):",
+        "    importlib.import_module(f'diffgenus.{m.name}')",
+        "from diffgenus import catalog, harness",
+        "entry = next(e for e in catalog.builtin_catalog(200) if e.name == 'Q8 x Z3')",
+        "print(harness.verify_group(entry.group, name=entry.name).status)",
+        "print('numpy' in sys.modules)",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gr.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["consistent", "False"]
+
+
 def test_empty_table():
     with pytest.raises(gr.GroupError, match="empty"):
         gr.GroupTable([])
@@ -403,22 +444,91 @@ def test_integer_tables_are_accepted(table):
     assert gr.GroupTable(table).rows() == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def test_every_table_build_group_makes_is_a_group():
-    """`build_group` does not validate its tables; this proves every one the
-    program uses: the catalog's, Z_n up to 256, and D, Q and SD at every
-    power of two they allow up to 256."""
+def _program_descriptors() -> list[str]:
+    """The catalog's groups, Z_n up to 256, and D, Q and SD at every power
+    of two they allow up to 256."""
     descriptors = [e.name for e in builtin_catalog()]
     descriptors += [f"Z{n}" for n in range(1, 257)]
     descriptors += [f"{family}{2 ** k}" for family in ("D", "Q", "SD") for k in range(3, 9)
                     if not (family == "SD" and k == 3)]
-    for descriptor in descriptors:
+    return descriptors
+
+
+def test_every_table_build_group_makes_is_a_group():
+    """`build_group` does not validate its tables; this proves every one the
+    program uses (`_program_descriptors`)."""
+    for descriptor in _program_descriptors():
         g = gr.build_group(descriptor)
-        gr._validate_table(np.array(g.rows()))
+        gr._validate_table(g.rows())
 
 
-def _small_tables(s3) -> list[np.ndarray]:
+def test_generating_sequence_matches_the_numpy_closure():
+    """The breadth-first span by right multiplication picks the same
+    generators as the numpy product closure on every table the program
+    uses, so Light's test checks the same elements."""
+    for descriptor in _program_descriptors():
+        rows = gr.build_group(descriptor).rows()
+        assert gr._generating_sequence(rows) == oracles.numpy_generating_sequence(np.array(rows)), descriptor
+
+
+MUTATIONS = ("swap", "-1", "n", "True", "intercalate")
+
+
+def _intercalates(table: list[list[int]], r1: int, c1: int) -> list[tuple[int, int]]:
+    """The (r2, c2) with table[r1][c1] == table[r2][c2] and table[r1][c2] ==
+    table[r2][c1], c2 != c1; in a group, c2 = c1*u for an involution u."""
+    n = len(table)
+    out = []
+    for c2 in range(n):
+        r2 = next(r for r in range(n) if table[r][c1] == table[r1][c2])
+        if c2 != c1 and table[r2][c2] == table[r1][c1]:
+            out.append((r2, c2))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validator_matches_the_numpy_oracle_on_mutated_catalog_tables(data):
+    """One mutation of a catalog table: two entries swapped, one entry set
+    to -1, n or True, or an intercalate swapped (a Latin square again, on
+    even orders). Both validators must accept it or raise the same class;
+    Latin-square, identity and inverse errors must name the same row,
+    column or element, and an associativity triple must fail."""
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    entries = [e for e in builtin_catalog() if kind != "intercalate" or e.order % 2 == 0]
+    table = [list(row) for row in data.draw(st.sampled_from(entries)).group.rows()]
+    n = len(table)
+    r1, c1 = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    if kind == "swap":
+        r2, c2 = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        table[r1][c1], table[r2][c2] = table[r2][c2], table[r1][c1]
+    elif kind == "intercalate":
+        r2, c2 = data.draw(st.sampled_from(_intercalates(table, r1, c1)))
+        for r in (r1, r2):
+            table[r][c1], table[r][c2] = table[r][c2], table[r][c1]
+    else:
+        table[r1][c1] = {"-1": -1, "n": n, "True": True}[kind]
+
+    def outcome(validate, t):
+        try:
+            validate(t)
+        except gr.GroupError as exc:
+            return exc
+        return None
+
+    new = outcome(gr._validate_table, tuple(map(tuple, table)))
+    old = outcome(oracles.numpy_validate_table, np.array(table))
+    assert type(new) is type(old), (kind, new, old)
+    if isinstance(new, gr.AssociativityError):
+        a, b, c = new.triple
+        assert table[table[a][b]][c] != table[a][table[b][c]]
+    elif new is not None:
+        assert str(new) == str(old)
+
+
+def _small_tables(s3) -> list[tuple[tuple[int, ...], ...]]:
     groups = [gr.build_group(d) for d in ("Z1", "Z2", "Z3", "Z4", "Z5", "Z2 x Z2", "D8", "Q8", "D16")]
-    return [np.array(g.rows()) for g in groups + [s3]]
+    return [g.rows() for g in groups + [s3]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -431,6 +541,7 @@ def test_direct_product_is_a_group_with_homomorphic_projections(s3, data):
     mult, names = gr._direct_product([a, b], [[str(x) for x in range(len(t))] for t in (a, b)])
     gr._validate_table(mult)
     nb = len(b)
+    mult, a, b = map(np.array, (mult, a, b))
     x = np.arange(len(mult))
     assert np.array_equal(mult // nb, a[np.ix_(x // nb, x // nb)])
     assert np.array_equal(mult % nb, b[np.ix_(x % nb, x % nb)])
@@ -486,7 +597,7 @@ def test_large_product_validates():
     g = gr.build_group("Q16 x Z3 x Z25")
     assert g.order == 1200
     assert g.exponent() == 8 * 3 * 25
-    gr._validate_table(np.array(g.rows()))
+    gr._validate_table(g.rows())
 
 
 # -- isomorphism -------------------------------------------------------------
