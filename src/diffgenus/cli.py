@@ -38,7 +38,7 @@ def _load_group(spec: str) -> gr.GroupTable:
     path = Path(spec)
     if path.exists():
         try:
-            return gr.ingest_table(path.read_text(), source=str(path))
+            return gr.ingest_table(path.read_text(encoding="utf-8-sig"), source=str(path))
         except (GroupError, OSError, UnicodeDecodeError) as exc:
             raise InputError(str(exc))
     try:
@@ -49,7 +49,7 @@ def _load_group(spec: str) -> gr.GroupTable:
 
 def _load_graph(path: str):
     try:
-        return parse_edgelist(Path(path).read_text())
+        return parse_edgelist(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:
         raise InputError(str(exc))
 

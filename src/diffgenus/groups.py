@@ -83,8 +83,10 @@ class GroupTable:
 
     mult[a][b] is the index of the product a*b; index 0 is the identity.
     The constructor accepts integer entries only and proves the table a
-    group (`_validate_table`); `build_group` stores its tables through
-    `_built`, which skips that proof. Instances are immutable after
+    group (`_validate_table`); `build_group` and `ingest_table` store their
+    tables through `_built`, which skips the copy and the proof: the first
+    builds groups by construction, the second proves its parsed table
+    itself. Instances are immutable after
     construction and keep the table as a tuple of tuple rows, the one form
     the group layer builds, checks and reads. Two cached properties hold
     what is derived from it:
@@ -120,9 +122,10 @@ class GroupTable:
         self._adopt(rows, names, source)
 
     @classmethod
-    def _built(cls, rows: _Rows, names: list[str], source: str) -> GroupTable:
-        """The square table `rows`, a group by construction, stored without
-        `_validate_table`."""
+    def _built(cls, rows: _Rows, names: Optional[Sequence[str]], source: str) -> GroupTable:
+        """The square table `rows` of ints, stored as it is, neither copied
+        nor checked: a group by construction (`build_group`), or one that
+        `_validate_table` has already proven (`ingest_table`)."""
         g = cls.__new__(cls)
         g._adopt(rows, names, source)
         return g
@@ -460,9 +463,18 @@ def ingest_table(text: str, source: str = "<table>") -> GroupTable:
     0-based indices each (row i is the products i*j), and no data line may
     follow them; '#' starts a comment line. If the identity is found at an
     index other than 0 the table is relabeled so it lands at 0.
+
+    Once a data row shows n entries, each entry is read by one lookup in
+    {"0": 0, ..., str(n-1): n-1}, which both converts and range-checks it;
+    the map is sized from that row, not the header, so a huge header
+    allocates nothing. A row the lookup cannot read, or one with a wrong
+    entry count, goes to `_parse_row`, which reads any spelling `int`
+    accepts ("+1", "01") and raises the row's error with its line number.
+    The table is then proven a group once.
     """
     rows: list[tuple[int, ...]] = []
     n: Optional[int] = None
+    lookup: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -477,21 +489,39 @@ def ingest_table(text: str, source: str = "<table>") -> GroupTable:
             continue
         if len(rows) == n:
             raise TableParseError(f"unexpected data after the {n} table rows", lineno)
+        entries = line.split()
+        if not lookup and len(entries) == n:
+            lookup = {str(i): i for i in range(n)}
         try:
-            row = tuple(map(int, line.split()))
-        except ValueError:
-            raise TableParseError(f"non-integer entry in {line!r}", lineno)
+            row = tuple(map(lookup.__getitem__, entries))
+        except KeyError:
+            row = ()  # n >= 1, so this takes the branch below
         if len(row) != n:
-            raise TableParseError(f"expected {n} entries, got {len(row)}", lineno)
-        if min(row) < 0 or max(row) >= n:
-            x = next(x for x in row if not 0 <= x < n)
-            raise TableParseError(f"entry {x} out of range 0..{n - 1}", lineno)
+            row = _parse_row(line, entries, n, lineno)
         rows.append(row)
     if n is None:
         raise TableParseError("empty table file")
     if len(rows) != n:
         raise TableParseError(f"expected {n} rows, found {len(rows)}")
-    return GroupTable(_relabel_identity_to_zero(rows), source=source)
+    table = tuple(_relabel_identity_to_zero(rows))
+    _validate_table(table)
+    return GroupTable._built(table, None, source)
+
+
+def _parse_row(line: str, entries: list[str], n: int, lineno: int) -> tuple[int, ...]:
+    """The data row `line`, split into `entries`, read with `int`; raises
+    on a non-integer entry, then on a count other than n, then on an entry
+    outside 0..n-1."""
+    try:
+        row = tuple(map(int, entries))
+    except ValueError:
+        raise TableParseError(f"non-integer entry in {line!r}", lineno)
+    if len(row) != n:
+        raise TableParseError(f"expected {n} entries, got {len(row)}", lineno)
+    if min(row) < 0 or max(row) >= n:
+        x = next(x for x in row if not 0 <= x < n)
+        raise TableParseError(f"entry {x} out of range 0..{n - 1}", lineno)
+    return row
 
 
 def _relabel_identity_to_zero(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -9,8 +9,9 @@ difference graph's vertex set, the lcm witness, the Sylow projection, the
 complete multipartite shape, the replay of a homeomorphic reduction and
 the partition of a graph's edges into blocks. It also keeps the
 harness's former two-branch status rule, against which the range rule is
-checked, and the group layer's former numpy table validator and generating
-sequence, against which the tuple-row ones are checked.
+checked, the group layer's former numpy table validator and generating
+sequence, against which the tuple-row ones are checked, and its former
+Cayley-table file parser, against which `ingest_table` is checked.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from diffgenus.groups import (
     InverseError,
     LatinSquareError,
     NotNilpotentError,
+    TableParseError,
 )
 
 
@@ -315,6 +317,54 @@ def numpy_generating_sequence(arr: np.ndarray) -> list[int]:
             if np.count_nonzero(span) == members.size:
                 break
     return gens
+
+
+# ---------------------------------------------------------------------------
+# Cayley-table files, parsed with int() row by row as the group layer once did
+
+
+def parse_table_text(text: str) -> list[tuple[int, ...]]:
+    """The rows of a Cayley-table file, relabelled so that the identity is
+    0. Every entry is read with `int` and each row is checked for a
+    non-integer entry, then its length, then its range; raises
+    TableParseError with the line number, or IdentityError."""
+    rows: list[tuple[int, ...]] = []
+    n = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if n is None:
+            try:
+                n = int(line)
+            except ValueError:
+                raise TableParseError(f"expected group order, got {line!r}", lineno)
+            if n < 1:
+                raise TableParseError(f"order must be positive, got {n}", lineno)
+            continue
+        if len(rows) == n:
+            raise TableParseError(f"unexpected data after the {n} table rows", lineno)
+        try:
+            row = tuple(map(int, line.split()))
+        except ValueError:
+            raise TableParseError(f"non-integer entry in {line!r}", lineno)
+        if len(row) != n:
+            raise TableParseError(f"expected {n} entries, got {len(row)}", lineno)
+        if min(row) < 0 or max(row) >= n:
+            x = next(x for x in row if not 0 <= x < n)
+            raise TableParseError(f"entry {x} out of range 0..{n - 1}", lineno)
+        rows.append(row)
+    if n is None:
+        raise TableParseError("empty table file")
+    if len(rows) != n:
+        raise TableParseError(f"expected {n} rows, found {len(rows)}")
+    elements = range(n)
+    e = next((e for e in elements if all(rows[e][x] == x == rows[x][e] for x in elements)), None)
+    if e is None:
+        raise IdentityError("no two-sided identity element in table")
+    swap = list(elements)
+    swap[0], swap[e] = e, 0  # new label of each old one, and its own inverse
+    return [tuple(swap[rows[swap[a]][swap[b]]] for b in elements) for a in elements]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,30 @@ def test_group_build_and_ingest(tmp_path):
     assert "valid group of order 6" in result.output
 
 
+def _data_lines(text: str) -> list[str]:
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+def test_group_ingest_reads_a_table_saved_with_a_byte_order_mark(tmp_path):
+    table = run("group", "build", "Z6").output
+    path = tmp_path / "z6.tbl"
+    path.write_text(table, encoding="utf-8-sig")
+    result = run("group", "ingest", str(path))
+    assert result.exit_code == 0, result.output
+    assert _data_lines(result.output) == _data_lines(table)
+
+
+def test_genus_compute_reads_an_edge_list_saved_with_a_byte_order_mark(tmp_path):
+    el = run("graph", "build", "--kind", "difference", "Z12").output
+    plain, marked = tmp_path / "d12.el", tmp_path / "d12-bom.el"
+    plain.write_text(el)
+    marked.write_text(el, encoding="utf-8-sig")
+    expected = run("genus", "compute", str(plain))
+    result = run("genus", "compute", str(marked))
+    assert result.exit_code == 0, result.output
+    assert result.output == expected.output
+
+
 def test_group_info():
     result = run("group", "info", "Q8 x Z3")
     assert result.exit_code == 0

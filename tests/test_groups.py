@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,6 +335,113 @@ def test_ingest_parse_error_has_line_number():
     with pytest.raises(gr.TableParseError) as exc_info:
         gr.ingest_table("2\n0 x\n1 0\n")
     assert exc_info.value.line == 2
+
+
+# The ten digits of three scripts that int() reads: Arabic-Indic, Devanagari
+# and fullwidth.
+NON_ASCII_DIGITS = [str.maketrans("0123456789", "".join(map(chr, range(z, z + 10)))) for z in (0x660, 0x966, 0xFF10)]
+TABLE_FAULTS = ("non-integer", "short row", "long row", "-1", "n", "extra line", "missing row")
+
+
+def _spell(x: int, rng: random.Random) -> str:
+    """x in one of the spellings int() accepts."""
+    way = rng.randrange(5)
+    if way == 1:
+        return f"+{x}"
+    if way == 2:
+        return "0" * rng.randint(1, 3) + str(x)
+    if way == 3:
+        return "_".join(f"0{x}")  # 0_x, or 0_1_2 for 12
+    if way == 4:
+        return str(x).translate(rng.choice(NON_ASCII_DIGITS))
+    return str(x)
+
+
+def _table_file(rows, rng: random.Random, faults) -> str:
+    """`rows` as a table file with random spellings and separators and a
+    comment or blank line now and then. The entry faults all fall on one
+    row, so that two of them show which error is raised first."""
+    n = len(rows)
+    lines = [list(map(str, row)) if rng.random() < 0.5 else [_spell(x, rng) for x in row] for row in rows]
+    row = lines[rng.randrange(n)]
+    for fault in faults:
+        j = rng.randrange(len(row) + 1)
+        if fault == "non-integer":
+            row[j : j + 1] = [rng.choice(["x", "1.0", "0x1", "--1", "1e0"])]
+        elif fault == "short row":
+            del row[j : j + 1]
+        elif fault == "long row":
+            row.insert(j, _spell(rng.randrange(n), rng))
+        elif fault in ("-1", "n"):
+            row[j : j + 1] = [str(-1 if fault == "-1" else n)]
+    if "extra line" in faults:
+        lines.append(list(rng.choice(lines)))
+    if "missing row" in faults:
+        del lines[rng.randrange(len(lines))]
+    out = [rng.choice(["# a relabelled table", ""]), _spell(n, rng)]
+    for tokens in lines:
+        if rng.random() < 0.1:
+            out.append(rng.choice(["# between rows", "", " \t"]))
+        sep = rng.choice([" ", " ", "  ", "\t", " \t "])
+        out.append(rng.choice(["", " ", "\t"]) + sep.join(tokens) + rng.choice(["", " ", "\t"]))
+    return "\n".join(out) + "\n"
+
+
+SMALL_CATALOG = [entry.group for entry in builtin_catalog(40)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    index=st.integers(0, len(SMALL_CATALOG) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    faults=st.lists(st.sampled_from(TABLE_FAULTS), max_size=2),
+)
+def test_ingest_reads_any_spelling_as_the_int_parser_does(index, seed, faults):
+    """A catalog table of order <= 40, relabelled by a seeded permutation and
+    written with random spellings and up to two faults, ingests to the rows
+    the former int() parser gives, or raises the error that parser or the
+    public constructor raised, with its message and line."""
+    rng = random.Random(seed)
+    rows = SMALL_CATALOG[index].rows()
+    n = len(rows)
+    perm = list(range(n))
+    rng.shuffle(perm)  # element x is written as perm[x]
+    relabelled = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            relabelled[perm[a]][perm[b]] = perm[rows[a][b]]
+    text = _table_file(relabelled, rng, faults)
+
+    def outcome(ingest):
+        try:
+            return ingest(text).rows()
+        except gr.GroupError as exc:
+            return type(exc), str(exc), getattr(exc, "line", None)
+
+    # the former path: parse with int(), then the public constructor's checks
+    expected = outcome(lambda t: gr.GroupTable(oracles.parse_table_text(t)))
+    assert outcome(gr.ingest_table) == expected
+    if not faults:  # a relabelled group ingests
+        assert expected == tuple(map(tuple, oracles.parse_table_text(text)))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("1000000000\n", "expected 1000000000 rows, found 0"),
+     ("1000000000\n0 1\n", "line 2: expected 1000000000 entries, got 2")],
+    ids=["no-rows", "short-row"],
+)
+def test_ingest_a_huge_header_fails_at_once_in_little_memory(text, message):
+    """The entry lookup is sized from the data, not from the header."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(gr.TableParseError) as exc_info:
+            gr.ingest_table(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc_info.value) == message
+    assert peak < 1 << 20
 
 
 # -- validation ---------------------------------------------------------------
