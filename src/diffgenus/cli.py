@@ -208,7 +208,7 @@ def genus_verify(graph_path, cert_path):
 
     g = _load_graph(graph_path)
     try:
-        scheme, surface, value = certificate_from_json(Path(cert_path).read_text())
+        scheme, surface, value = certificate_from_json(Path(cert_path).read_text(encoding="utf-8-sig"))
     except (SchemeError, ValueError, OSError) as exc:
         click.echo(f"bad certificate file: {exc}")
         sys.exit(2)

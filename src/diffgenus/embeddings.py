@@ -139,25 +139,25 @@ def trace_faces(g: SimpleGraph, scheme: EmbeddingScheme) -> FaceTrace:
     if sum(len(f) for f in faces) != 2 * edge_total:
         raise SchemeError("face lengths must sum to 2E")
     comps = g.connected_components()
-    isolated = sum(1 for c in comps if len(c) == 1 and not g.adj[c[0]])
+    isolated = sum(1 for c in comps if len(c) == 1)
     face_count = len(faces) + isolated
     euler_genus = 2 * len(comps) - g.n + edge_total - face_count
-    return FaceTrace(faces, face_count, euler_genus, _is_balanced(g, sign))
+    return FaceTrace(faces, face_count, euler_genus, _is_balanced(scheme.rotations, sign))
 
 
-def _is_balanced(g: SimpleGraph, sign: Mapping[tuple[int, int], int]) -> bool:
+def _is_balanced(rotations: Sequence[Sequence[int]], sign: Mapping[tuple[int, int], int]) -> bool:
     """A sign assignment is balanced iff every cycle has positive product,
     i.e. vertex potentials can make all edges positive."""
-    pot = [0] * g.n
-    seen = [False] * g.n
-    for s in range(g.n):
+    pot = [0] * len(rotations)
+    seen = [False] * len(rotations)
+    for s in range(len(rotations)):
         if seen[s]:
             continue
         seen[s] = True
         stack = [s]
         while stack:
             v = stack.pop()
-            for w in g.adj[v]:
+            for w in rotations[v]:
                 sw = sign[(v, w) if v < w else (w, v)]
                 want = pot[v] ^ (sw < 0)
                 if not seen[w]:

@@ -40,7 +40,7 @@ import random
 from dataclasses import dataclass, field, replace
 from collections import Counter
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from typing import Optional
 
 from .embeddings import EmbeddingScheme, SchemeError, make_scheme, trace_faces
@@ -156,7 +156,7 @@ def bipartite_subgraph_bound(g: SimpleGraph, surface: str) -> tuple[int, Optiona
     bound and a witness description like "K_{3,10}"."""
     if g.n == 0 or g.edge_count == 0:
         return 0, None
-    masks = g.adjacency_masks()
+    masks = g.masks
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     cands = order[:_SUBGRAPH_CANDIDATE_CAP]
     best, desc = 0, None
@@ -215,7 +215,7 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
     ok, emb = nx.check_planarity(to_networkx(g), counterexample=False)
     if not ok:
         return PlanarityResult(False)
-    rotations = [list(emb.neighbors_cw_order(v)) if g.adj[v] else [] for v in range(g.n)]
+    rotations = [list(emb.neighbors_cw_order(v)) if g.masks[v] else [] for v in range(g.n)]
     scheme = _verified_scheme(g, g.edges(), rotations, [1] * m, None, 0, ORIENTABLE)
     return PlanarityResult(True, scheme=scheme)
 
@@ -253,7 +253,7 @@ def _cotree_edges(g: SimpleGraph) -> list[int]:
         queue = [s]
         while queue:
             v = queue.pop()
-            for w in g.adj[v]:
+            for w in g.neighbors(v):
                 if not seen[w]:
                     seen[w] = True
                     tree.add(index[(v, w) if v < w else (w, v)])
@@ -312,12 +312,13 @@ def _face_set_search(
         return None, 0
     girth = int(girth)
     head = idx.head
-    out = [[idx.out[v][w] for w in g.neighbors(v)] for v in range(g.n)]
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    out = [[idx.out[v][w] for w in nbrs[v]] for v in range(g.n)]
     # twin classes, keyed by open and by closed neighbourhood (an open one
     # never equals a closed one); a vertex has at most one nontrivial class,
     # and keeps its lower classmates in it
     classes: dict[int, list[int]] = {}
-    for v, mask in enumerate(g.adjacency_masks()):
+    for v, mask in enumerate(g.masks):
         classes.setdefault(mask, []).append(v)
         classes.setdefault(mask | 1 << v, []).append(v)
     lower: list[tuple[int, ...]] = [()] * g.n
@@ -331,7 +332,7 @@ def _face_set_search(
         row[s] = 0
         queue = [s]
         for v in queue:
-            for w in g.adj[v]:
+            for w in nbrs[v]:
                 if row[w] < 0:
                     row[w] = row[v] + 1
                     queue.append(w)
@@ -343,8 +344,7 @@ def _face_set_search(
             ((x, idx.out[x][y], idx.out[x][z]), (y, idx.out[y][x], idx.out[y][z]),
              (z, idx.out[z][x], idx.out[z][y])),
         )
-        for x, y, z in combinations(range(g.n), 3)
-        if y in g.adj[x] and z in g.adj[x] and z in g.adj[y]
+        for x, y in idx.edges for z in nbrs[x] if z > y and g.has_edge(y, z)
     ]
 
     side = [0] * idx.m  # sides covered per edge
@@ -578,8 +578,9 @@ def _scheme_from_faces(
     head = idx.head
     rotations, position = [], []
     for v in range(g.n):
+        degree = g.degree(v)
         order = [idx.out[v][g.neighbors(v)[0]]]
-        while len(order) < g.degree(v):
+        while len(order) < degree:
             x, y = link[order[-1]]
             order.append(y if len(order) > 1 and x == order[-2] else x)
         rotations.append([head[d] for d in order])
@@ -602,7 +603,7 @@ def _scheme_from_faces(
     seen[0] = True
     queue = [0]
     for v in queue:
-        for w in g.adj[v]:
+        for w in g.neighbors(v):
             if not seen[w]:
                 seen[w] = True
                 flip[w] = flip[v] ^ (signs[idx.out[v][w] >> 1] < 0)

@@ -40,7 +40,7 @@ def parse_edgelist(text: str) -> SimpleGraph:
         if len(row) != 2:
             raise ValueError(f"bad edge line {' '.join(row)!r}")
         u, v = int(row[0]), int(row[1])
-        if 0 <= u < n and v in g.adj[u]:
+        if 0 <= u < n and 0 <= v < n and g.has_edge(u, v):
             raise ValueError(f"repeated edge {u} {v}")
         g.add_edge(u, v)
     labels: list = list(range(n))

@@ -8,9 +8,10 @@ other isolated vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .groups import GroupTable, cyclic_subgroups, maximal_cyclic_subgroups
-from .simplegraph import SimpleGraph
+from .simplegraph import SimpleGraph, induced_subgraph
 
 
 @dataclass
@@ -30,12 +31,12 @@ def _power_rows(g: GroupTable) -> list[int]:
     cyclic subgroups, each spanned once: a subgroup's full-order members,
     its generators, are power-adjacent to all of its members, and the
     others to its generators."""
-    rows = [0] * g.order
+    rows, orders = [0] * g.order, g.orders()
     for sub in cyclic_subgroups(g):
         mask = gens = 0
         for y in sub.members:
             mask |= 1 << y
-            if g.element_order(y) == sub.order:
+            if orders[y] == len(sub.members):
                 gens |= 1 << y
         for y in sub.members:
             rows[y] |= mask if gens >> y & 1 else gens
@@ -59,33 +60,24 @@ def _enhanced_rows(g: GroupTable) -> list[int]:
     return rows
 
 
-def _graph_from_rows(g: GroupTable, rows: list[int], vertices: list[int], kind: str) -> GroupGraph:
-    """The graph of `rows` on `vertices`. The rows are symmetric and clear
-    their own bit, and every element a kept row names is kept, so each
-    vertex's neighbour set is read off its row."""
-    index = {e: i for i, e in enumerate(vertices)}
-    labels = [(e, g.element_order(e)) for e in vertices]
-    graph = SimpleGraph(len(vertices), labels=labels)
-    for i, e in enumerate(vertices):
-        m, nbrs = rows[e], graph.adj[i]
-        while m:
-            low = m & -m
-            nbrs.add(index[low.bit_length() - 1])
-            m ^= low
-    return GroupGraph(kind, graph, g)
+def _graph(g: GroupTable, rows: list[int], vertices: Iterable[int]) -> SimpleGraph:
+    """The graph of the symmetric, loop-free `rows` on `vertices`, each
+    labelled by its element and that element's order."""
+    return induced_subgraph(SimpleGraph.from_masks(rows, list(enumerate(g.orders()))), vertices)
 
 
 def power_graph(g: GroupTable) -> GroupGraph:
-    return _graph_from_rows(g, _power_rows(g), list(range(g.order)), "power")
+    return GroupGraph("power", _graph(g, _power_rows(g), range(g.order)), g)
 
 
 def enhanced_power_graph(g: GroupTable) -> GroupGraph:
-    return _graph_from_rows(g, _enhanced_rows(g), list(range(g.order)), "enhanced")
+    return GroupGraph("enhanced", _graph(g, _enhanced_rows(g), range(g.order)), g)
 
 
 def difference_graph(g: GroupTable) -> GroupGraph:
     """Enhanced-power edges that are not power edges, isolated vertices
-    (always including the identity) removed."""
+    (always including the identity) removed: the rows, compacted onto the
+    kept elements."""
     power = _power_rows(g)
     enhanced = _enhanced_rows(g)
     diff = [enhanced[x] & ~power[x] for x in range(g.order)]
@@ -93,5 +85,4 @@ def difference_graph(g: GroupTable) -> GroupGraph:
     for x in range(1, g.order):
         diff[x] &= ~1
     vertices = [x for x in range(1, g.order) if diff[x]]
-    return _graph_from_rows(g, diff, vertices, "difference")
-
+    return GroupGraph("difference", _graph(g, diff, vertices), g)

@@ -92,7 +92,9 @@ class GroupTable:
     what is derived from it:
     `_cyclic`, one span per cyclic subgroup, which gives the element orders
     and the cyclic and maximal cyclic subgroups; and `_sylow`, the Sylow
-    decomposition or the error showing that the group is not nilpotent.
+    decomposition or the witness that the group is not nilpotent. Both hold
+    member sets, never `Subgroup`s, which point back at the table, so a
+    dropped table is freed without the cyclic garbage collector.
     """
 
     def __init__(
@@ -201,18 +203,19 @@ class GroupTable:
                     spanned[y] = True
                 else:
                     inside[y] = True
-            subs.append((Subgroup(self, frozenset(powers)), x))
-        subs.sort(key=lambda s: (s[0].order, sorted(s[0].members)))
+            subs.append((frozenset(powers), x))
+        subs.sort(key=lambda s: (len(s[0]), sorted(s[0])))
         return _CyclicSpans(orders, [s for s, _ in subs], [s for s, x in subs if not inside[x]])
 
     @cached_property
-    def _sylow(self) -> SylowDecomposition | NotNilpotentError:
+    def _sylow(self) -> tuple[list[int], list[frozenset[int]]] | tuple[None, tuple[int, tuple[int, int]]]:
         """The p-elements are the union of the Sylow p-subgroups, so they
         number the p-part of the order exactly when that subgroup is unique
         (normal); the group is nilpotent iff this holds for every p. Where it
         fails, the p-elements are not closed (closed, they would form a
         p-subgroup holding every Sylow p-subgroup), and the first product
-        leaving them is the witness."""
+        leaving them is the witness: (None, (p, witness)) is cached, not an
+        error, whose traceback would tie its frames back to the table."""
         n, orders, mult = self.order, self._cyclic.orders, self._mult
         primes = _prime_factors(n)
         components = []
@@ -220,11 +223,9 @@ class GroupTable:
             part = math.gcd(n, p ** n.bit_length())
             members = [x for x in range(n) if part % orders[x] == 0]
             if len(members) != part:
-                return NotNilpotentError(p, next(
-                    (a, b) for a in members for b in members if part % orders[mult[a][b]]
-                ))
-            components.append(Subgroup(self, frozenset(members)))
-        return SylowDecomposition(primes, components)
+                return None, (p, next((a, b) for a in members for b in members if part % orders[mult[a][b]]))
+            components.append(frozenset(members))
+        return primes, components
 
 
 @dataclass(frozen=True)
@@ -262,8 +263,8 @@ class SylowDecomposition:
 
 class _CyclicSpans(NamedTuple):
     orders: list[int]  # element orders, by element index
-    subgroups: list[Subgroup]  # every cyclic subgroup, by order then members
-    maximal: list[Subgroup]  # those in no larger cyclic subgroup, same order
+    subgroups: list[frozenset[int]]  # every cyclic subgroup's members, by order then members
+    maximal: list[frozenset[int]]  # those in no larger cyclic subgroup, same order
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +552,7 @@ def table_to_text(g: GroupTable) -> str:
 def cyclic_subgroups(g: GroupTable) -> list[Subgroup]:
     """All distinct cyclic subgroups, trivial included, by order then
     members; each is spanned once (see `GroupTable._cyclic`)."""
-    return list(g._cyclic.subgroups)
+    return [Subgroup(g, m) for m in g._cyclic.subgroups]
 
 
 def cyclic_subgroup_counts(g: GroupTable) -> dict[int, int]:
@@ -562,7 +563,7 @@ def cyclic_subgroup_counts(g: GroupTable) -> dict[int, int]:
 
 def maximal_cyclic_subgroups(g: GroupTable) -> list[Subgroup]:
     """Cyclic subgroups not properly contained in another cyclic subgroup."""
-    return list(g._cyclic.maximal)
+    return [Subgroup(g, m) for m in g._cyclic.maximal]
 
 
 def intersection_pattern(subs: Sequence[Subgroup]) -> list[list[int]]:
@@ -600,10 +601,10 @@ def sylow_decomposition(g: GroupTable) -> SylowDecomposition:
 
     Raises NotNilpotentError when, for some prime p, the Sylow p-subgroup is
     not unique; its witness is two p-elements whose product is not one."""
-    dec = g._sylow
-    if isinstance(dec, NotNilpotentError):
-        raise dec
-    return dec
+    primes, found = g._sylow
+    if primes is None:
+        raise NotNilpotentError(*found)
+    return SylowDecomposition(primes, [Subgroup(g, m) for m in found])
 
 
 def is_p_group(g: GroupTable) -> bool:

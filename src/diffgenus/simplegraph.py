@@ -2,20 +2,22 @@
 induced subgraphs, genus-preserving homeomorphic reduction, block
 decomposition (by networkx), girth/bipartiteness, and the conversion to
 networkx. networkx is imported inside the functions that use it, as the
-group layer imports this module and never needs networkx."""
+group layer imports this module and never needs networkx. A graph's
+adjacency is one int bitmask per vertex, which only this module writes."""
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 
 class SimpleGraph:
-    """Labeled undirected simple graph on vertices 0..n-1."""
+    """Labeled undirected simple graph on vertices 0..n-1. Bit w of
+    masks[v] is set when v and w are adjacent; degrees, neighbours and
+    edges, in ascending order, are read off the masks."""
 
     def __init__(
         self,
@@ -26,7 +28,7 @@ class SimpleGraph:
         if n < 0:
             raise ValueError("negative vertex count")
         self.n = n
-        self.adj: list[set[int]] = [set() for _ in range(n)]
+        self.masks: list[int] = [0] * n
         for u, v in edges:
             self.add_edge(u, v)
         if labels is not None:
@@ -36,35 +38,39 @@ class SimpleGraph:
         else:
             self.labels = list(range(n))
 
+    @classmethod
+    def from_masks(cls, masks: Sequence[int], labels: Optional[Sequence] = None) -> SimpleGraph:
+        """The graph whose adjacency is `masks`, taken unchecked: they must
+        be symmetric, clear their own bits and set none past len(masks)."""
+        g = cls(len(masks), labels=labels)
+        g.masks = list(masks)
+        return g
+
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
             raise ValueError(f"loop at vertex {u}")
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"edge ({u},{v}) out of range")
-        self.adj[u].add(v)
-        self.adj[v].add(u)
+        self.masks[u] |= 1 << v
+        self.masks[v] |= 1 << u
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether u and v, both vertices of the graph, are adjacent."""
+        return self.masks[u] >> v & 1 == 1
 
     @property
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(m.bit_count() for m in self.masks) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
+        """Every edge (u, v) with u < v, in ascending order."""
+        return [(u, v) for u, m in enumerate(self.masks) for v in _bits(m >> u + 1 << u + 1)]
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.masks[v].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
-        return sorted(self.adj[v])
-
-    def adjacency_masks(self) -> list[int]:
-        masks = [0] * self.n
-        for u in range(self.n):
-            m = 0
-            for v in self.adj[u]:
-                m |= 1 << v
-            masks[u] = m
-        return masks
+        return _bits(self.masks[v])
 
     def checksum(self) -> str:
         """Hex digest identifying the graph up to labels (vertex ids + edges)."""
@@ -72,21 +78,19 @@ class SimpleGraph:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def connected_components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                x = stack.pop()
-                comp.append(x)
-                for y in self.adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        stack.append(y)
-            comps.append(sorted(comp))
+        """Each component's vertices, ascending, by lowest vertex."""
+        masks, comps = self.masks, []
+        unseen = (1 << self.n) - 1
+        while unseen:
+            comp = layer = unseen & -unseen
+            while layer:  # one breadth-first layer at a time
+                reach = 0
+                for v in _bits(layer):
+                    reach |= masks[v]
+                layer = reach & ~comp
+                comp |= layer
+            unseen ^= comp
+            comps.append(_bits(comp))
         return comps
 
     def is_connected(self) -> bool:
@@ -120,10 +124,67 @@ def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
     for v in vs:
         if not 0 <= v < g.n:
             raise ValueError(f"unknown vertex {v}")
-    index = {v: i for i, v in enumerate(vs)}
-    sub = SimpleGraph(len(vs), labels=[g.labels[v] for v in vs])
-    sub.adj = [{index[w] for w in g.adj[v] if w in index} for v in vs]
-    return sub
+    return SimpleGraph.from_masks(_compacted(g.masks, vs), [g.labels[v] for v in vs])
+
+
+_BYTE_PLACES: list[list[tuple[int, ...]]] = []  # [k][b]: the set bits of byte b at byte place k < 32
+
+
+def _bits(m: int) -> list[int]:
+    """The positions of the set bits of m >= 0, ascending. Each nonzero
+    byte of the low 256 bits, which hold every catalog graph, is looked up
+    in a table of its bit positions at its place, made the first time a
+    mask reaches that place. Bits past them are read one at a time, so a
+    wide sparse mask costs what its set bits do, and the tables stay
+    small."""
+    if m >> 256:
+        out, m = _bits(m & (1 << 256) - 1), m >> 256
+        while m:
+            low = m & -m
+            out.append(255 + low.bit_length())  # the bit's position, 256 up
+            m ^= low
+        return out
+    while m >> 8 * len(_BYTE_PLACES):
+        place = tuple(range(8 * len(_BYTE_PLACES), 8 * len(_BYTE_PLACES) + 8))
+        _BYTE_PLACES.append([tuple(place[i] for i in range(8) if b >> i & 1) for b in range(256)])
+    out = []
+    for table in _BYTE_PLACES:
+        if not m:
+            break
+        byte = m & 255
+        if byte:
+            out += table[byte]
+        m >>= 8
+    return out
+
+
+def _compacted(masks: Sequence[int], vs: Sequence[int]) -> list[int]:
+    """masks[v] for each v of the ascending vertices vs, with the bit of
+    vs[i] moved to bit i and the bits outside vs dropped, by the compress
+    of Hacker's Delight (Warren, 2nd ed., section 7-4). Round j moves by
+    2**j each kept bit whose count of dropped positions below it has bit j
+    set. The moves depend on vs alone, so a row costs a few int operations
+    per round that moves anything, whatever its degree."""
+    keep = sum(1 << v for v in vs)
+    shifts = [1 << j for j in range((keep.bit_length() - 1).bit_length())]
+    kept, below, moves = keep, ((1 << keep.bit_length()) - 1 ^ keep) << 1, []
+    for shift in shifts:
+        odd = below  # made, at each position, the parity of `below` up to it
+        for step in shifts:
+            odd ^= odd << step
+        move = odd & kept
+        kept = kept ^ move | move >> shift
+        below &= ~odd
+        if move:
+            moves.append((shift, move))
+    out = []
+    for v in vs:
+        x = masks[v] & keep
+        for shift, move in moves:
+            t = x & move
+            x = x ^ t | t >> shift
+        out.append(x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -150,39 +211,38 @@ def reduce_homeomorphic(g: SimpleGraph) -> tuple[SimpleGraph, ReductionLog]:
     The output has the same genus and crosscap as the input. Trees and
     cycles reduce to the empty graph.
     """
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    masks = list(g.masks)
+    alive = (1 << g.n) - 1
     log = ReductionLog()
     changed = True
     while changed:
         changed = False
-        for v in sorted(adj):
-            deg = len(adj[v])
+        for v in _bits(alive):
+            m = masks[v]
+            deg = m.bit_count()
+            if deg > 2:
+                continue
+            alive ^= 1 << v
+            changed = True
             if deg == 0:
                 log.steps.append(("removed_isolated", v))
-                del adj[v]
-                changed = True
             elif deg == 1:
-                (u,) = adj[v]
-                adj[u].discard(v)
-                del adj[v]
+                u = m.bit_length() - 1
+                masks[u] ^= 1 << v
                 log.steps.append(("removed_degree_one", v))
-                changed = True
-            elif deg == 2:
-                u, w = sorted(adj[v])
-                adj[u].discard(v)
-                adj[w].discard(v)
-                del adj[v]
+            else:
+                u, w = (m & -m).bit_length() - 1, m.bit_length() - 1
+                masks[u] ^= 1 << v
+                masks[w] ^= 1 << v
                 log.steps.append(("suppressed_degree_two", v, u, w))
-                if w in adj[u]:
+                if masks[u] >> w & 1:
                     log.steps.append(("dropped_parallel", u, w))
                 else:
-                    adj[u].add(w)
-                    adj[w].add(u)
-                changed = True
-    survivors = sorted(adj)
+                    masks[u] |= 1 << w
+                    masks[w] |= 1 << u
+    survivors = _bits(alive)
     log.vertex_map = {v: i for i, v in enumerate(survivors)}
-    out = SimpleGraph(len(survivors), labels=[g.labels[v] for v in survivors])
-    out.adj = [{log.vertex_map[w] for w in adj[v]} for v in survivors]
+    out = SimpleGraph.from_masks(_compacted(masks, survivors), [g.labels[v] for v in survivors])
     return out, log
 
 
@@ -209,63 +269,58 @@ def block_decomposition(g: SimpleGraph) -> list[SimpleGraph]:
     returned.
 
     Every edge lands in exactly one block; a bridge becomes a K2 block.
-    Block graphs inherit the original labels.
+    A block is the subgraph its vertices induce, as an edge joining two of
+    them outside it would leave a larger 2-connected subgraph. Block
+    graphs inherit the original labels.
     """
     import networkx as nx
 
-    blocks = []
-    for comp in nx.biconnected_component_edges(to_networkx(g)):
-        vs = sorted({x for e in comp for x in e})
-        index = {x: i for i, x in enumerate(vs)}
-        blocks.append(SimpleGraph(len(vs), ((index[u], index[v]) for u, v in comp),
-                                  labels=[g.labels[x] for x in vs]))
-    return blocks
+    return [induced_subgraph(g, comp) for comp in nx.biconnected_components(to_networkx(g))]
 
 
 def girth_and_bipartite(g: SimpleGraph) -> tuple[float, bool]:
     """Shortest cycle length (math.inf for forests) and bipartiteness.
 
-    Bipartiteness is tested first, by 2-colouring each component. A
-    bipartite graph has only even cycles, so its girth is at least 4, and
-    any simple graph's is at least 3. The breadth-first search from each
-    vertex in turn, which finds the shortest cycle through it, stops once
-    it has found a cycle of that least possible length."""
-    color = [-1] * g.n
+    Bipartiteness is tested first: a graph is bipartite iff no
+    breadth-first layer holds an edge. A bipartite graph has only even
+    cycles, so its girth is at least 4, and any simple graph's is at least
+    3. Then a breadth-first search runs from each vertex in turn, until a
+    cycle of that least length is found. At distance d, an edge inside the
+    layer closes a cycle of at most 2d + 1 edges, and a vertex at distance
+    d + 1 with two neighbours in the layer one of at most 2d + 2; from a
+    vertex on a shortest cycle, the first such bound is that cycle's
+    length."""
+    masks = g.masks
     bipartite = True
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack and bipartite:
-            v = stack.pop()
-            for w in g.adj[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    bipartite = False
-                    break
-
+    unseen = (1 << g.n) - 1
+    while unseen and bipartite:
+        seen = layer = unseen & -unseen
+        while layer:
+            reach = 0
+            for v in _bits(layer):
+                bipartite = bipartite and not masks[v] & layer
+                reach |= masks[v]
+            layer = reach & ~seen
+            seen |= layer
+        unseen &= ~seen
     least = 4 if bipartite else 3
     best = math.inf
     for s in range(g.n):
         if best == least:
             break  # no cycle is shorter
-        dist = {s: 0}
-        parent = {s: -1}
-        dq = deque([s])
-        while dq:
-            v = dq.popleft()
-            if 2 * dist[v] >= best:
-                break
-            for w in g.adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    dq.append(w)
-                elif parent[v] != w and parent[w] != v:
-                    cyc = dist[v] + dist[w] + 1
-                    if cyc < best:
-                        best = cyc
+        seen = layer = 1 << s
+        d = 0
+        while layer and 2 * d + 1 < best:
+            reach = twice = 0
+            for v in _bits(layer):
+                if masks[v] & layer:
+                    best = 2 * d + 1
+                fresh = masks[v] & ~seen
+                twice |= reach & fresh
+                reach |= fresh
+            if twice and 2 * d + 2 < best:
+                best = 2 * d + 2
+            layer = reach
+            seen |= reach
+            d += 1
     return best, bipartite

@@ -36,14 +36,15 @@ def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
 
 def assert_sound(g: SimpleGraph) -> None:
     """g's adjacency is what `SimpleGraph.add_edge` would have built: one
-    neighbour set per vertex, symmetric, loop-free and in range, with an
-    edge count that matches its edge list, and one label per vertex."""
-    assert len(g.adj) == g.n and len(g.labels) == g.n, g
-    for v, nbrs in enumerate(g.adj):
-        assert isinstance(nbrs, set), (v, nbrs)
-        for w in nbrs:
-            assert 0 <= w < g.n and w != v, (v, w)
-            assert v in g.adj[w], (v, w)
+    int mask per vertex, in range, with its own bit clear, and symmetric,
+    with an edge count that matches its edge list, and one label per
+    vertex."""
+    assert len(g.masks) == g.n and len(g.labels) == g.n, g
+    for v, mask in enumerate(g.masks):
+        assert type(mask) is int and 0 <= mask < 1 << g.n, (v, mask)
+        assert not mask >> v & 1, v
+        for w in range(g.n):
+            assert (mask >> w & 1) == (g.masks[w] >> v & 1), (v, w)
     assert g.edge_count == len(g.edges()), g
 
 

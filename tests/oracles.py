@@ -35,11 +35,22 @@ from diffgenus.groups import (
 )
 
 
+def neighbour_sets(g) -> list[set[int]]:
+    """One neighbour set per vertex of g, read off its edge list once, so
+    that an oracle shares nothing with the masks it checks."""
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def brute_force_genus(g) -> int:
     """Minimum orientable genus by enumerating every rotation system and
     tracing faces with a plain dict walk."""
     verts = range(g.n)
-    nbrs = {v: sorted(g.adj[v]) for v in verts}
+    adj = neighbour_sets(g)
+    nbrs = {v: sorted(adj[v]) for v in verts}
     choices = []
     for v in verts:
         ns = nbrs[v]
@@ -87,7 +98,7 @@ def brute_force_crosscap(g) -> int:
     so every rotation system is tried with every such sign pattern, and the
     faces are counted by `partial_face_counts`. Stops at 1, the least Euler
     genus of a nonorientable surface."""
-    nbrs = {v: sorted(g.adj[v]) for v in range(g.n)}
+    nbrs = {v: sorted(a) for v, a in enumerate(neighbour_sets(g))}
     tree = set()
     seen = set()
 
@@ -101,6 +112,7 @@ def brute_force_crosscap(g) -> int:
     dfs(0)
     edges = [(u, v) for u in range(g.n) for v in nbrs[u] if u < v]
     cotree = [e for e in edges if e not in tree]
+    darts = [(u, v) for u in range(g.n) for v in nbrs[u]]
     choices = [
         [tuple(ns)] if len(ns) <= 1 else [(ns[0],) + p for p in permutations(ns[1:])]
         for ns in nbrs.values()
@@ -113,7 +125,7 @@ def brute_force_crosscap(g) -> int:
                 continue
             signs = dict.fromkeys(tree, 1)
             signs.update(zip(cotree, pattern))
-            faces, _ = partial_face_counts(g, rotations, signs)
+            faces, _ = partial_face_counts(darts, rotations, signs)
             euler = 2 - g.n + len(edges) - faces
             if best is None or euler < best:
                 best = euler
@@ -123,6 +135,7 @@ def brute_force_crosscap(g) -> int:
 
 
 def _components(g) -> tuple[int, int]:
+    adj = neighbour_sets(g)
     seen = set()
     comps = 0
     isolated = 0
@@ -136,11 +149,11 @@ def _components(g) -> tuple[int, int]:
         while stack:
             v = stack.pop()
             size += 1
-            for w in g.adj[v]:
+            for w in adj[v]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        if size == 1 and not g.adj[s]:
+        if size == 1 and not adj[s]:
             isolated += 1
     return comps, isolated
 
@@ -169,8 +182,9 @@ def brute_force_difference(group) -> tuple[list[int], list[tuple[int, int]]]:
 
 def brute_force_has_complete_bipartite(g, m: int, n: int) -> bool:
     """K_{m,n} subgraph containment by trying every m-subset as the A side."""
+    adj = neighbour_sets(g)
     for a_side in combinations(range(g.n), m):
-        common = set.intersection(*(g.adj[a] for a in a_side)) - set(a_side)
+        common = set.intersection(*(adj[a] for a in a_side)) - set(a_side)
         if len(common) >= n:
             return True
     return False
@@ -182,13 +196,14 @@ def brute_force_girth(g) -> float:
     from collections import deque
 
     best = math.inf
-    edges = [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
+    adj = neighbour_sets(g)
+    edges = [(u, v) for u in range(g.n) for v in adj[u] if u < v]
     for u, v in edges:
         dist = {u: 0}
         dq = deque([u])
         while dq:
             x = dq.popleft()
-            for y in g.adj[x]:
+            for y in adj[x]:
                 if (x, y) in ((u, v), (v, u)):
                     continue
                 if y not in dist:
@@ -204,9 +219,10 @@ def brute_force_bipartite(g) -> bool:
     only)."""
     if g.n == 0:
         return True
+    adj = neighbour_sets(g)
     for bits in range(1 << (g.n - 1)):
         coloring = [0] + [(bits >> i) & 1 for i in range(g.n - 1)]
-        if all(coloring[u] != coloring[v] for u in range(g.n) for v in g.adj[u] if u < v):
+        if all(coloring[u] != coloring[v] for u in range(g.n) for v in adj[u] if u < v):
             return True
     return False
 
@@ -223,7 +239,8 @@ def kuratowski_witness(g) -> KuratowskiWitness | None:
     planar: an independent no-witness for `genus.is_planar`."""
     graph = nx.Graph()
     graph.add_nodes_from(range(g.n))
-    graph.add_edges_from((u, v) for u in range(g.n) for v in g.adj[u] if u < v)
+    adj = neighbour_sets(g)
+    graph.add_edges_from((u, v) for u in range(g.n) for v in adj[u] if u < v)
     ok, counter = nx.check_planarity(graph, counterexample=True)
     if ok:
         return None
@@ -233,8 +250,9 @@ def kuratowski_witness(g) -> KuratowskiWitness | None:
     return KuratowskiWitness(kind, branch, edges)
 
 
-def partial_face_counts(g, rotations: dict, signs=None) -> tuple[int, int]:
-    """(closed faces, open states) of a partial rotation system, by walking
+def partial_face_counts(darts, rotations: dict, signs=None) -> tuple[int, int]:
+    """(closed faces, open states) of a partial rotation system on a graph
+    with darts `darts`, both (u, v) and (v, u) for each edge, by walking
     every state: how `brute_force_crosscap` counts faces.
 
     Without signs a state is a dart (u, v); with signs (a dict keyed by
@@ -254,7 +272,6 @@ def partial_face_counts(g, rotations: dict, signs=None) -> tuple[int, int]:
                 o2 = o * signs[(u, v) if u < v else (v, u)]
                 w = rot[(i + 1) % d] if o2 == 1 else rot[(i - 1) % d]
                 succ[(u, v, o)] = (v, w, o2)
-    darts = [(u, v) for u in range(g.n) for v in g.adj[u]]
     states = darts if signs is None else [(u, v, o) for u, v in darts for o in (1, -1)]
     on_cycle = set()
     cycles = 0
@@ -491,7 +508,7 @@ def complete_multipartite_parts(g) -> list[int] | None:
     """
     if g.n == 0:
         return []
-    comp_adj = [set(range(g.n)) - g.adj[v] - {v} for v in range(g.n)]
+    comp_adj = [set(range(g.n)) - a - {v} for v, a in enumerate(neighbour_sets(g))]
     seen = [False] * g.n
     parts = []
     for s in range(g.n):
@@ -518,7 +535,7 @@ def replay_reduction(g, log) -> tuple[int, list[tuple[int, int]]]:
     """Apply a recorded reduction step list to g, checking each step, and
     return the vertex count and sorted edges of the result, renumbered in
     ascending order of the surviving vertices."""
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    adj = dict(enumerate(neighbour_sets(g)))
     for step in log.steps:
         kind = step[0]
         if kind == "removed_isolated":
@@ -556,6 +573,7 @@ def block_partition(g) -> set[frozenset[tuple[int, int]]]:
     other ends are connected in G - v, and the blocks are the classes this
     relation generates."""
     parent = {e: e for e in g.edges()}
+    adj = neighbour_sets(g)
 
     def find(e):
         while parent[e] != e:
@@ -565,17 +583,17 @@ def block_partition(g) -> set[frozenset[tuple[int, int]]]:
 
     for v in range(g.n):
         side = {}  # neighbour of v -> a representative of its component in G - v
-        for a in sorted(g.adj[v]):
+        for a in sorted(adj[v]):
             if a in side:
                 continue
             stack, reached = [a], {a}
             while stack:
                 x = stack.pop()
-                for y in g.adj[x]:
+                for y in adj[x]:
                     if y != v and y not in reached:
                         reached.add(y)
                         stack.append(y)
-            for b in g.adj[v] & reached:
+            for b in adj[v] & reached:
                 side[b] = a
         for b, a in side.items():
             parent[find((min(v, b), max(v, b)))] = find((min(v, a), max(v, a)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,6 +6,7 @@ from click.testing import CliRunner
 
 from graphs import complete_bipartite
 from diffgenus import genus
+from diffgenus.catalog import builtin_catalog
 from diffgenus.cli import main
 from diffgenus.embeddings import certificate_to_json
 from diffgenus.graphio import write_edgelist
@@ -103,6 +105,20 @@ def test_graph_build_dot():
     assert result.output.startswith("graph G {")
 
 
+def test_graph_build_output_is_pinned():
+    """Every catalog group up to order 60, each graph kind in both formats:
+    the digest was taken while graphs kept one neighbour set per vertex,
+    and the bytes must not move."""
+    h = hashlib.sha256()
+    for entry in builtin_catalog(60):
+        for kind in ("power", "enhanced", "difference"):
+            for fmt in ("edgelist", "dot"):
+                result = run("graph", "build", "--kind", kind, "--out", fmt, entry.name)
+                assert result.exit_code == 0, (entry.name, kind, fmt, result.output)
+                h.update(result.output.encode())
+    assert h.hexdigest() == "2677ee01770d7e3a3d8ab36778f2b961f3a95bbf7ea1c18a6dc7a9fd898ae525"
+
+
 def test_graph_reduce(tmp_path):
     el = run("graph", "build", "--kind", "difference", "Z18").output
     path = tmp_path / "d18.el"
@@ -126,6 +142,27 @@ def test_genus_compute_and_verify(tmp_path):
     result = run("genus", "verify", str(path), str(cert))
     assert result.exit_code == 0
     assert "certificate valid" in result.output
+
+
+def test_genus_verify_reads_a_certificate_saved_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "d20.el"
+    path.write_text(run("graph", "build", "--kind", "difference", "Z20").output)
+    cert = tmp_path / "cert.json"
+    assert run("genus", "compute", str(path), "--cert", str(cert)).exit_code == 0
+    cert.write_text(cert.read_text(), encoding="utf-8-sig")
+    assert cert.read_bytes().startswith(b"\xef\xbb\xbf")
+    result = run("genus", "verify", str(path), str(cert))
+    assert result.exit_code == 0, result.output
+    assert "certificate valid: orientable 1" in result.output
+
+
+@pytest.mark.parametrize("edge", ["-1 0", "0 3"])
+def test_genus_compute_on_an_out_of_range_endpoint_is_input_error(tmp_path, edge):
+    path = tmp_path / "range.el"
+    path.write_text(f"3 1\n{edge}\n")
+    result = run("genus", "compute", str(path))
+    assert result.exit_code == 2, result.output
+    assert "out of range" in result.output
 
 
 def test_genus_compute_on_a_repeated_edge_is_input_error(tmp_path):

@@ -59,7 +59,7 @@ def connected_random_graph(rng: random.Random, n_max=8, space_cap=60_000) -> Sim
         extra = rng.randint(0, n)
         for _ in range(extra):
             u, v = rng.randrange(n), rng.randrange(n)
-            if u != v and v not in g.adj[u]:
+            if u != v and not g.has_edge(u, v):
                 g.add_edge(u, v)
         if rotation_space_size(g) <= space_cap:
             return g
@@ -321,7 +321,7 @@ def test_is_planar_agrees_with_networkx_on_random_graphs(monkeypatch):
             else:
                 by_girth += 1
         disconnected += not g.is_connected()
-        isolated += any(not g.adj[v] for v in range(g.n))
+        isolated += any(g.degree(v) == 0 for v in range(g.n))
     assert min(by_count, by_girth, planar, disconnected, isolated) >= 20, (
         by_count, by_girth, planar, disconnected, isolated)
 
@@ -538,7 +538,7 @@ def _nonplanar_random_graph(rng: random.Random) -> SimpleGraph:
             g.add_edge(order[i], order[rng.randrange(i)])
         for _ in range(rng.randint(n, 2 * n)):
             u, v = rng.randrange(n), rng.randrange(n)
-            if u != v and v not in g.adj[u]:
+            if u != v and not g.has_edge(u, v):
                 g.add_edge(u, v)
         if not is_planar(g).planar:
             return g
@@ -941,7 +941,7 @@ def _min_degree_three(rng: random.Random, n: int, low: Optional[int] = None) -> 
     rng.shuffle(order)
     g = SimpleGraph(n, [(order[i], order[rng.randrange(i)]) for i in range(1, n)])
     for v in range(n):
-        others = [w for w in range(n) if w != v and w not in g.adj[v]]
+        others = [w for w in range(n) if w != v and not g.has_edge(v, w)]
         for w in rng.sample(others, max(0, (2 if v == low else 3) - g.degree(v))):
             g.add_edge(v, w)
     return g
@@ -950,7 +950,7 @@ def _min_degree_three(rng: random.Random, n: int, low: Optional[int] = None) -> 
 def _with_twin(g: SimpleGraph, v: int, closed: bool) -> SimpleGraph:
     """g and a new vertex with v's open neighbourhood (a false twin of v)
     or its closed one (a true twin)."""
-    return SimpleGraph(g.n + 1, [*g.edges(), *((w, g.n) for w in g.adj[v] | ({v} if closed else set()))])
+    return SimpleGraph(g.n + 1, [*g.edges(), *((w, g.n) for w in [*g.neighbors(v), *([v] if closed else [])])])
 
 
 def _assert_face_sets_match_the_oracles(graphs, count: int, space_cap: int) -> None:

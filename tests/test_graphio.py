@@ -44,6 +44,12 @@ def test_parse_edgelist_rejects_a_repeated_edge():
         parse_edgelist("3 3\n0 1\n1 2\n0 1\n")
 
 
+@pytest.mark.parametrize("edge", ["-1 0", "0 -1", "3 0", "0 3"])
+def test_parse_edgelist_rejects_an_out_of_range_endpoint(edge):
+    with pytest.raises(ValueError, match="out of range"):
+        parse_edgelist(f"3 1\n{edge}\n")
+
+
 def test_parse_edgelist_rejects_a_negative_edge_count():
     with pytest.raises(ValueError, match="negative edge count -1"):
         parse_edgelist("3 -1\n")

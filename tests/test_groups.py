@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import os
@@ -5,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from diffgenus import groups as gr
 from diffgenus.catalog import builtin_catalog
+from diffgenus.groupgraphs import difference_graph
 
 
 def test_trivial_group():
@@ -159,6 +162,37 @@ def test_not_nilpotent(s3):
     with pytest.raises(gr.NotNilpotentError):
         gr.sylow_decomposition(s3)
     assert not oracles.is_nilpotent(s3)
+
+
+def test_a_dropped_table_is_freed_without_the_cycle_collector():
+    """A table caches member sets, not `Subgroup`s, which point back at it,
+    and the witness that it is not nilpotent, not a raised error, whose
+    traceback would: so a table is freed as soon as it is dropped, with
+    the cyclic garbage collector off."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        z12 = gr.build_group("Z12")
+        gr.cyclic_subgroups(z12)
+        gr.maximal_cyclic_subgroups(z12)
+        gr.sylow_decomposition(z12)
+        difference_graph(z12)
+        ref = weakref.ref(z12)
+        del z12
+        assert ref() is None
+        s3 = _permutation_group([(1, 0, 2), (1, 2, 0)])
+        try:
+            gr.sylow_decomposition(s3)
+        except gr.NotNilpotentError:
+            pass
+        else:
+            pytest.fail("S3 has a Sylow decomposition")
+        ref = weakref.ref(s3)
+        del s3
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _permutation_group(gens):

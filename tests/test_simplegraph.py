@@ -31,6 +31,20 @@ def test_basic_construction():
         g.add_edge(1, 1)
     with pytest.raises(ValueError):
         g.add_edge(0, 5)
+    assert g.has_edge(0, 1) and g.has_edge(1, 0) and not g.has_edge(0, 2)
+    assert g.masks == [0b010, 0b101, 0b010]
+
+
+@pytest.mark.parametrize("edge", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+def test_an_out_of_range_endpoint_is_rejected(edge):
+    """A mask would shift by -1 with a different error, or set a bit
+    for a vertex that does not exist."""
+    with pytest.raises(ValueError, match="out of range"):
+        SimpleGraph(3, [edge])
+    g = SimpleGraph(3)
+    with pytest.raises(ValueError, match="out of range"):
+        g.add_edge(*edge)
+    assert g.masks == [0, 0, 0]
 
 
 def test_induced_subgraph_k5():
@@ -146,7 +160,7 @@ def test_blocks_match_the_definition():
         g = random_graph(rng, n, rng.uniform(0.1, 0.5))
         g.labels = rng.sample(range(100, 200), n)
         disconnected += not g.is_connected()
-        isolated += any(not g.adj[v] for v in range(g.n))
+        isolated += any(g.degree(v) == 0 for v in range(g.n))
         expected = {
             frozenset(frozenset((g.labels[u], g.labels[v])) for u, v in block) for block in oracles.block_partition(g)
         }
@@ -158,10 +172,11 @@ def test_blocks_match_the_definition():
 
 
 def test_builders_make_sound_graphs():
-    """induced_subgraph, reduce_homeomorphic and block_decomposition fill
-    neighbour sets without `add_edge`: on seeded random graphs, some of them
-    disconnected or with isolated vertices, each output is sound and keeps
-    the edges it should."""
+    """induced_subgraph, reduce_homeomorphic and block_decomposition build
+    masks without `add_edge`: on seeded random graphs, some of them
+    disconnected or with isolated vertices, and on sparse ones with masks
+    wider than a machine word and than the decoder's byte tables, each
+    output is sound and keeps the edges it should."""
     rng = random.Random(31)
     disconnected = isolated = 0
     for _ in range(200):
@@ -169,7 +184,7 @@ def test_builders_make_sound_graphs():
         g = random_graph(rng, n, rng.uniform(0.05, 0.7))
         g.labels = rng.sample(range(100, 200), n)
         disconnected += not g.is_connected()
-        isolated += any(not g.adj[v] for v in range(g.n))
+        isolated += any(g.degree(v) == 0 for v in range(g.n))
         vs = sorted(rng.sample(range(n), rng.randint(0, n)))
         sub = induced_subgraph(g, vs)
         assert_sound(sub)
@@ -183,6 +198,18 @@ def test_builders_make_sound_graphs():
             assert_sound(b)
         assert sum(b.edge_count for b in blocks) == g.edge_count
     assert disconnected >= 20 and isolated >= 20, (disconnected, isolated)
+    for _ in range(20):
+        n = rng.randint(65, 320)
+        g = random_graph(rng, n, rng.uniform(0.005, 0.05))
+        assert all(g.neighbors(v) == [w for w in range(n) if g.has_edge(v, w)] for v in range(n))
+        vs = sorted(rng.sample(range(n), rng.randint(0, n)))
+        index = {v: i for i, v in enumerate(vs)}
+        sub = induced_subgraph(g, vs)
+        assert_sound(sub)
+        assert sub.edges() == [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+        reduced, log = reduce_homeomorphic(g)
+        assert_sound(reduced)
+        assert (reduced.n, reduced.edges()) == oracles.replay_reduction(g, log)
 
 
 def test_group_layer_does_not_import_networkx():
