@@ -18,13 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .groups import (
-    GroupError,
-    GroupTable,
-    intersection_pattern,
-    maximal_cyclic_subgroups,
-    sylow_decomposition,
-)
+from .groups import GroupError, GroupTable, sylow_decomposition
 
 GE3 = 3
 
@@ -63,8 +57,6 @@ class ConditionReport:
     condition: str
     holds: bool
     exponent: int
-    order4_subgroups: list[tuple[int, ...]]
-    intersections: list[list[int]]
     note: str = OTHER_PAIR_READING
 
 
@@ -101,10 +93,7 @@ def condition_reports(p_group: GroupTable) -> list[ConditionReport]:
         raise GroupError(f"conditions C1-C3 apply to 2-groups; order is {order}")
     exp = p_group.exponent()
     holding = _CONDITIONS.get(_chain_pattern(p_group)[:2]) if exp == 4 else None
-    m4 = [s for s in maximal_cyclic_subgroups(p_group) if s.order == 4]
-    view = [tuple(sorted(s.members)) for s in m4]
-    inter = intersection_pattern(m4)
-    return [ConditionReport(c, c == holding, exp, view, inter) for c in ("C1", "C2", "C3")]
+    return [ConditionReport(c, c == holding, exp) for c in ("C1", "C2", "C3")]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ walking darts: after crossing an edge the walk turns to the next neighbor
 clockwise or counterclockwise according to the product of signs seen so far.
 The traversal runs on (dart, orientation) states; face boundary walks come in
 mirror pairs, so the face count is half the orbit count.
+
+`trace_faces` is the one check of a scheme against its graph, whether
+`make_scheme` built it or `certificate_from_json` read it from a file: the
+checksum binds, each vertex's rotation permutes its neighbours, and each
+edge (u, v) with u < v has exactly one sign in {-1, +1}, with no sign for
+any other pair. `make_scheme` only freezes rotations and signs.
 """
 
 from __future__ import annotations
@@ -55,25 +61,14 @@ def make_scheme(
     signs: Optional[Mapping[tuple[int, int], int]] = None,
     seed: Optional[int] = None,
 ) -> EmbeddingScheme:
-    """Validate rotations/signs against g and freeze them into a scheme."""
-    if len(rotations) != g.n:
-        raise SchemeError(f"expected {g.n} rotations, got {len(rotations)}")
-    rots = []
-    for v, rot in enumerate(rotations):
-        if sorted(rot) != g.neighbors(v):
-            raise SchemeError(f"rotation at {v} is not a permutation of its neighbors")
-        rots.append(tuple(int(x) for x in rot))
-    edge_list = g.edges()
+    """Freeze rotations and signs into a scheme bound to g by checksum,
+    each edge (u, v), u < v, signed +1 unless `signs` gives its sign. A
+    sign key that is not an edge raises; `trace_faces` checks the rest."""
     sign_map = dict(signs) if signs else {}
-    out_signs = []
-    for u, v in edge_list:
-        s = int(sign_map.pop((u, v), 1))
-        if s not in (-1, 1):
-            raise SchemeError(f"sign of edge ({u},{v}) must be +-1")
-        out_signs.append((u, v, s))
+    frozen = tuple((u, v, sign_map.pop((u, v), 1)) for u, v in g.edges())
     if sign_map:
         raise SchemeError(f"signs given for non-edges: {sorted(sign_map)}")
-    return EmbeddingScheme(tuple(rots), tuple(out_signs), g.checksum(), seed)
+    return EmbeddingScheme(tuple(map(tuple, rotations)), frozen, g.checksum(), seed)
 
 
 @dataclass
@@ -83,26 +78,44 @@ class FaceTrace:
     euler_genus: int
     orientable: bool
 
+    def matches(self, surface: str, genus: int) -> bool:
+        """Whether the traced faces embed the graph in the claimed surface:
+        an orientable claim needs a balanced scheme with Euler genus
+        2*genus, a nonorientable claim an unbalanced scheme with Euler genus
+        equal to the crosscap, or a planar one at crosscap 0."""
+        if surface == "orientable":
+            return self.orientable and self.euler_genus == 2 * genus
+        if surface == "nonorientable":
+            if genus == 0:
+                return self.orientable and self.euler_genus == 0
+            return (not self.orientable) and self.euler_genus == genus
+        raise ValueError(f"unknown surface {surface!r}")
+
 
 def trace_faces(g: SimpleGraph, scheme: EmbeddingScheme) -> FaceTrace:
     """Trace all facial walks of the scheme and report the Euler genus
     2c - V + E - F (c = number of components) and orientability.
 
-    Raises CertificateMismatch when the scheme belongs to another graph.
+    Raises CertificateMismatch when the scheme belongs to another graph
+    and SchemeError when it breaks a rule of the module docstring.
     """
     if scheme.graph_checksum != g.checksum():
         raise CertificateMismatch("scheme checksum does not match graph")
-    if len(scheme.rotations) != g.n:  # a scheme read from a file skips make_scheme
+    if len(scheme.rotations) != g.n:
         raise SchemeError(f"expected {g.n} rotations, got {len(scheme.rotations)}")
     for v, rot in enumerate(scheme.rotations):
         if sorted(rot) != g.neighbors(v):
             raise SchemeError(f"rotation at {v} is not a permutation of its neighbors")
-
-    sign = scheme.sign_map()
-    for u, v in g.edges():
-        # any other value would send the orientation walk off without end
-        if sign.get((u, v)) not in (-1, 1):
+    for u, v, s in scheme.signs:
+        if not (0 <= u < v < g.n and g.has_edge(u, v)):
+            raise SchemeError(f"sign given for ({u},{v}), not an edge with u < v")
+        if s not in (-1, 1):  # any other value would send the orientation walk off without end
             raise SchemeError(f"sign of edge ({u},{v}) must be +-1")
+    sign = scheme.sign_map()
+    if len(sign) != len(scheme.signs):
+        raise SchemeError("an edge has more than one sign")
+    if 2 * len(sign) != sum(map(len, scheme.rotations)):  # checked rotations hold 2E entries
+        raise SchemeError(f"edge {next(e for e in g.edges() if e not in sign)} has no sign")
     succ: list[dict[int, int]] = [dict() for _ in range(g.n)]
     pred: list[dict[int, int]] = [dict() for _ in range(g.n)]
     for v, rot in enumerate(scheme.rotations):
@@ -172,20 +185,10 @@ def _is_balanced(rotations: Sequence[Sequence[int]], sign: Mapping[tuple[int, in
 def verify_certificate(
     g: SimpleGraph, scheme: EmbeddingScheme, surface: str, genus: int
 ) -> bool:
-    """True iff the scheme embeds g in the claimed surface: an orientable
-    claim needs a balanced scheme with Euler genus 2*genus, a nonorientable
-    claim an unbalanced scheme with Euler genus equal to the crosscap.
-
-    Graph/scheme mismatches raise; a wrong claim just returns False.
-    """
-    trace = trace_faces(g, scheme)
-    if surface == "orientable":
-        return trace.orientable and trace.euler_genus == 2 * genus
-    if surface == "nonorientable":
-        if genus == 0:
-            return trace.orientable and trace.euler_genus == 0
-        return (not trace.orientable) and trace.euler_genus == genus
-    raise ValueError(f"unknown surface {surface!r}")
+    """True iff the scheme embeds g in the claimed surface, by
+    `FaceTrace.matches`. Graph/scheme mismatches raise; a wrong claim just
+    returns False."""
+    return trace_faces(g, scheme).matches(surface, genus)
 
 
 # ---------------------------------------------------------------------------

@@ -206,10 +206,7 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
     import networkx as nx  # here, so a run that tests no planarity never loads it
 
     n, m = g.n, g.edge_count
-    if m == 0:
-        scheme = make_scheme(g, [[] for _ in range(n)])
-        return PlanarityResult(True, scheme=scheme)
-    if m >= n:  # so n >= 3
+    if m >= n > 0:  # so n >= 3
         if m > 3 * n - 6 or _euler_count(g, girth_and_bipartite(g)[0]) > 0:
             return PlanarityResult(False)
     ok, emb = nx.check_planarity(to_networkx(g), counterexample=False)
@@ -610,7 +607,7 @@ def _scheme_from_faces(
                 queue.append(w)
     rotations = [rot[::-1] if flip[v] else rot for v, rot in enumerate(rotations)]
     signs = [-s if flip[u] != flip[v] else s for s, (u, v) in zip(signs, idx.edges)]
-    return _verified_scheme(g, idx.edges, rotations, signs, None, euler,
+    return _verified_scheme(g, idx.edges, rotations, signs, None, euler // 2 if orientable else euler,
                             ORIENTABLE if orientable else NONORIENTABLE)
 
 
@@ -673,17 +670,19 @@ def heuristic_embedding(
             rotations = [[back[w] for w in hit.rotations[perm[v]]] for v in range(g.n)]
             sign = hit.sign_map()
             signs = [sign[(perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])] for u, v in edges]
-            best, scheme = value, _verified_scheme(g, edges, rotations, signs, budget.seed, euler, surface)
+            best, scheme = value, _verified_scheme(g, edges, rotations, signs, budget.seed, value, surface)
     return scheme
 
 
-def _verified_scheme(g, edges, rotations, signs, seed, euler, surface):
+def _verified_scheme(g, edges, rotations, signs, seed, value, surface):
+    """The scheme, traced once and held to `verify_certificate`'s rule for
+    genus or crosscap `value` on `surface`."""
     scheme = make_scheme(g, rotations, dict(zip(edges, signs)), seed=seed)
     trace = trace_faces(g, scheme)
-    if trace.euler_genus != euler or trace.orientable != (surface == ORIENTABLE):
+    if not trace.matches(surface, value):
         raise SchemeError(
-            f"scheme scored at euler genus {euler} on the {surface} surface"
-            f" does not re-verify (traced {trace.euler_genus},"
+            f"scheme scored at {value} on the {surface} surface does not re-verify"
+            f" (traced euler genus {trace.euler_genus},"
             f" {'orientable' if trace.orientable else 'nonorientable'})"
         )
     return scheme

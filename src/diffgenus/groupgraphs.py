@@ -34,9 +34,10 @@ def _power_rows(g: GroupTable) -> list[int]:
     rows, orders = [0] * g.order, g.orders()
     for sub in cyclic_subgroups(g):
         mask = gens = 0
+        order = len(sub.members)
         for y in sub.members:
             mask |= 1 << y
-            if orders[y] == len(sub.members):
+            if orders[y] == order:
                 gens |= 1 << y
         for y in sub.members:
             rows[y] |= mask if gens >> y & 1 else gens

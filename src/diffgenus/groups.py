@@ -566,22 +566,6 @@ def maximal_cyclic_subgroups(g: GroupTable) -> list[Subgroup]:
     return [Subgroup(g, m) for m in g._cyclic.maximal]
 
 
-def intersection_pattern(subs: Sequence[Subgroup]) -> list[list[int]]:
-    """Matrix of pairwise intersection orders; diagonal holds subgroup orders."""
-    if subs:
-        parent = subs[0].parent
-        if any(s.parent is not parent for s in subs):
-            raise GroupError("subgroups have mixed parents")
-    k = len(subs)
-    out = [[0] * k for _ in range(k)]
-    for i in range(k):
-        out[i][i] = subs[i].order
-        for j in range(i):
-            v = len(subs[i].members & subs[j].members)
-            out[i][j] = out[j][i] = v
-    return out
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2

@@ -7,7 +7,8 @@ searches and a Kuratowski subdivision from networkx, this holds
 independent checks of the structural lemmas the pipeline rests on: the
 difference graph's vertex set, the lcm witness, the Sylow projection, the
 complete multipartite shape, the replay of a homeomorphic reduction and
-the partition of a graph's edges into blocks. It also keeps the
+the partition of a graph's edges into blocks, and the intersection
+pattern of subgroups that conditions C1-C3 speak of. It also keeps the
 harness's former two-branch status rule, against which the range rule is
 checked, the group layer's former numpy table validator and generating
 sequence, against which the tuple-row ones are checked, and its former
@@ -494,6 +495,14 @@ def sylow_projection(group) -> dict[int, tuple[int, ...]]:
             parts.append(powers[r * pow(r, -1, q)])
         out[x] = tuple(parts)
     return out
+
+
+def intersection_pattern(subs) -> list[list[int]]:
+    """Matrix of pairwise intersection orders of subgroups of one group;
+    the diagonal holds the subgroups' orders."""
+    if any(s.parent is not subs[0].parent for s in subs):
+        raise GroupError("subgroups have mixed parents")
+    return [[len(a.members & b.members) for b in subs] for a in subs]
 
 
 # ---------------------------------------------------------------------------

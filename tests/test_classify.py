@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from graphs import swap_semidirect_times_z3
+from oracles import intersection_pattern
 from diffgenus import groups as gr
 from diffgenus.catalog import builtin_catalog
 from diffgenus.classify import GE3, classify_crosscap, classify_genus, condition_reports
@@ -19,12 +20,18 @@ def _holding(g):
     return [r.condition for r in condition_reports(g) if r.holds]
 
 
+def _order4_maximal_cyclic(g):
+    return [s for s in gr.maximal_cyclic_subgroups(g) if s.order == 4]
+
+
 def test_condition_c1_z4z2():
-    report = condition_reports(gr.build_group("Z4 x Z2"))[0]
+    g = gr.build_group("Z4 x Z2")
+    report = condition_reports(g)[0]
     assert report.condition == "C1" and report.holds
     assert report.exponent == 4
-    assert len(report.order4_subgroups) == 2
-    assert report.intersections[0][1] == 2
+    m4 = _order4_maximal_cyclic(g)
+    assert len(m4) == 2
+    assert intersection_pattern(m4)[0][1] == 2
 
 
 def test_condition_c1_d8z2():
@@ -34,7 +41,7 @@ def test_condition_c1_d8z2():
 def test_condition_c3_q8(q8):
     c1, c2, c3 = condition_reports(q8)
     assert c3.holds
-    assert len(c3.order4_subgroups) == 3
+    assert len(_order4_maximal_cyclic(q8)) == 3
     assert not c1.holds
     assert not c2.holds
 

