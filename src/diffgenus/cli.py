@@ -149,7 +149,14 @@ def graph_build(kind, fmt, spec):
 @click.argument("path", type=click.Path(exists=True))
 @click.option("--log", "log_path", type=click.Path(), default=None)
 def graph_reduce(path, log_path):
-    """Homeomorphic reduction of an edge-list graph."""
+    """Homeomorphic reduction of an edge-list graph.
+
+    --log writes the steps in the order they were made, in input ids:
+    [removed_isolated, v]; [removed_degree_one, v, u], u being v's only
+    neighbour; [suppressed_degree_two, v, u, w], the edge u-w replacing
+    the path u-v-w; and [dropped_parallel, u, w] right after a suppression
+    whose u-w was an edge already. Then vertex_map sends each surviving
+    input id to its output id."""
     g = _load_graph(path)
     reduced, log = reduce_homeomorphic(g)
     if log_path:

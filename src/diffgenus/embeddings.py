@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .simplegraph import SimpleGraph
+from .simplegraph import SimpleGraph, edge_list_checksum
 
 
 class SchemeError(ValueError):
@@ -65,10 +65,11 @@ def make_scheme(
     each edge (u, v), u < v, signed +1 unless `signs` gives its sign. A
     sign key that is not an edge raises; `trace_faces` checks the rest."""
     sign_map = dict(signs) if signs else {}
-    frozen = tuple((u, v, sign_map.pop((u, v), 1)) for u, v in g.edges())
+    edges = g.edges()
+    frozen = tuple((u, v, sign_map.pop((u, v), 1)) for u, v in edges)
     if sign_map:
         raise SchemeError(f"signs given for non-edges: {sorted(sign_map)}")
-    return EmbeddingScheme(tuple(map(tuple, rotations)), frozen, g.checksum(), seed)
+    return EmbeddingScheme(tuple(map(tuple, rotations)), frozen, edge_list_checksum(g.n, edges), seed)
 
 
 @dataclass

@@ -4,6 +4,11 @@ closed walks (Ringel's view of an embedding as its faces; faces built one
 at a time, after Brinkmann, arXiv:2005.08243). Every scheme it finds is
 re-verified by face tracing and becomes a certificate.
 
+Planarity is decided on the homeomorphic reduction: networkx is asked
+only about a reduction with an edge, and a planar embedding of the
+reduction is lifted back to the graph through the reduction log. The
+piece keeps that reduction for its search.
+
 The face-set search, the one search, runs once per piece and surface, from
 the lower bound, on the graph's homeomorphic reduction, which has the same
 genus and crosscap and minimum degree >= 3. A search that completes
@@ -45,6 +50,7 @@ from typing import Optional
 
 from .embeddings import EmbeddingScheme, SchemeError, make_scheme, trace_faces
 from .simplegraph import (
+    ReductionLog,
     SimpleGraph,
     block_decomposition,
     girth_and_bipartite,
@@ -95,6 +101,7 @@ class GenusResult:
 class PlanarityResult:
     planar: bool
     scheme: Optional[EmbeddingScheme] = None
+    reduced: Optional[SimpleGraph] = None  # the homeomorphic reduction, when the test made one
 
 
 # ---------------------------------------------------------------------------
@@ -196,25 +203,73 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
     without a witness: networkx extracts a Kuratowski subdivision with one
     planarity test per edge, and nothing here reads one.
 
-    Euler's formula answers no before networkx is asked. A planar simple
-    graph on V >= 3 vertices has E <= 3V - 6 edges and, if it has a cycle
-    (E >= V ensures one), `_euler_count` <= 0: a bridge joining two of its
-    components keeps it planar and its girth c >= 3, and adds 1 to E and
-    at most 1 to floor(2E/c), so never lowers the count. The count settles
-    the Petersen graph (E = 15 on V = 10, girth 5) and K3,3, which the edge
-    count does not."""
-    import networkx as nx  # here, so a run that tests no planarity never loads it
+    Euler's formula answers no first. A planar simple graph on V >= 3
+    vertices has E <= 3V - 6 edges and, if it has a cycle (E >= V ensures
+    one), `_euler_count` <= 0: a bridge joining two of its components keeps
+    it planar and its girth c >= 3, and adds 1 to E and at most 1 to
+    floor(2E/c), so never lowers the count. The count settles the Petersen
+    graph (E = 15 on V = 10, girth 5) and K3,3, which the edge count does
+    not.
 
+    Otherwise the answer is the homeomorphic reduction's, which the result
+    keeps: deleting leaves, suppressing degree-2 vertices and dropping
+    parallel edges keep planarity (Mohar and Thomassen, Graphs on Surfaces,
+    2001). networkx is asked only about a reduction with an edge; an empty
+    one, as trees, cycles and most planar catalog graphs leave, is planar.
+    A yes lifts the reduction's embedding back to g through the log
+    (`_lift_rotations`), and the lifted scheme is traced at genus 0."""
     n, m = g.n, g.edge_count
     if m >= n > 0:  # so n >= 3
         if m > 3 * n - 6 or _euler_count(g, girth_and_bipartite(g)[0]) > 0:
             return PlanarityResult(False)
-    ok, emb = nx.check_planarity(to_networkx(g), counterexample=False)
-    if not ok:
-        return PlanarityResult(False)
-    rotations = [list(emb.neighbors_cw_order(v)) if g.masks[v] else [] for v in range(g.n)]
+    reduced, log = reduce_homeomorphic(g)
+    rotations: list[list[int]] = [[] for _ in range(n)]
+    if reduced.n:  # every vertex left has degree >= 3
+        import networkx as nx  # here, so a run that needs no planarity test never loads it
+
+        ok, emb = nx.check_planarity(to_networkx(reduced), counterexample=False)
+        if not ok:
+            return PlanarityResult(False, reduced=reduced)
+        survivors = list(log.vertex_map)
+        for v, i in log.vertex_map.items():
+            rotations[v] = [survivors[w] for w in emb.neighbors_cw_order(i)]
+    _lift_rotations(rotations, log)
     scheme = _verified_scheme(g, g.edges(), rotations, [1] * m, None, 0, ORIENTABLE)
-    return PlanarityResult(True, scheme=scheme)
+    return PlanarityResult(True, scheme=scheme, reduced=reduced)
+
+
+def _lift_rotations(rotations: list[list[int]], log: ReductionLog) -> None:
+    """Turn rotations of the reduced graph, in original ids, into rotations
+    of the graph the log reduced, undoing its steps from the last back to
+    the first. Each undo keeps the Euler genus:
+    - a deleted leaf goes back into its neighbour's rotation (V and E rise
+      by 1, and the face at that corner takes both sides of the new edge);
+    - a suppressed vertex subdivides the edge its suppression made, taking
+      that edge's place in both rotations (V and E rise by 1);
+    - a suppression whose edge was dropped as a parallel comes back as a
+      2-gon on the edge it doubled: v goes right after w in u's rotation
+      and right before u in w's, so u -> v -> w -> u is a new face (V + 1,
+      E + 2, F + 1).
+    An isolated vertex keeps its empty rotation."""
+    doubled = None  # the edge of the dropped parallel undone last
+    for step in reversed(log.steps):
+        if step[0] == "dropped_parallel":
+            doubled = step[1:]
+        elif step[0] == "removed_degree_one":
+            _, v, u = step
+            rotations[u].append(v)
+            rotations[v] = [u]
+        elif step[0] == "suppressed_degree_two":
+            _, v, u, w = step
+            ru, rw = rotations[u], rotations[w]
+            if doubled == (u, w):
+                ru.insert(ru.index(w) + 1, v)
+                rw.insert(rw.index(u), v)
+            else:
+                ru[ru.index(w)] = v
+                rw[rw.index(u)] = v
+            rotations[v] = [u, w]
+            doubled = None
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +675,7 @@ def heuristic_embedding(
     target: int,
     surface: str,
     budget: Optional[SearchBudget] = None,
-) -> Optional[EmbeddingScheme]:
+) -> Optional[tuple[EmbeddingScheme, int]]:
     """Seeded restarts of the face-set search for a scheme of g at the
     target genus or crosscap t >= 1. g must be connected with minimum
     degree >= 3, as the face-set search needs.
@@ -637,8 +692,9 @@ def heuristic_embedding(
     within a few thousand nodes under another (Gomes, Selman and Kautz,
     "Boosting combinatorial search through randomization", AAAI 1998).
 
-    Returns the scheme at best, mapped back to g and re-verified: a hit's,
-    or the neighbour-order scheme when no restart hits. None comes only
+    Returns the scheme at best, mapped back to g and re-verified (a hit's,
+    or the neighbour-order scheme when no restart hits), and best, which
+    the caller reads without tracing the scheme again. None comes only
     from no restart.
     """
     budget = budget or DEFAULT_BUDGET
@@ -671,7 +727,7 @@ def heuristic_embedding(
             sign = hit.sign_map()
             signs = [sign[(perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])] for u, v in edges]
             best, scheme = value, _verified_scheme(g, edges, rotations, signs, budget.seed, value, surface)
-    return scheme
+    return scheme, best
 
 
 def _verified_scheme(g, edges, rotations, signs, seed, value, surface):
@@ -697,8 +753,9 @@ class _Piece:
     """A connected graph and what is known of it on both surfaces: a
     planar embedding, or else a lower bound on its Euler genus min(2 genus,
     crosscap), which bounds the crosscap as it stands and the genus once
-    halved, rounding up; then, found on first use, its homeomorphic
-    reduction, the node cap of a face-set search on that, its split and the
+    halved, rounding up; its homeomorphic reduction, kept from the
+    planarity test or found on first use; then, found on first use, the
+    node cap of a face-set search on that, its split and the
     split's nonplanar pieces. Nothing here depends on a surface or a
     budget. Search results are never kept, so each search of a piece
     starts from these facts alone."""
@@ -710,6 +767,10 @@ class _Piece:
 
     @cached_property
     def reduced(self) -> SimpleGraph:
+        """The reduction the planarity test made, or, where Euler's formula
+        answered it, one made now."""
+        if self.planar.reduced is not None:
+            return self.planar.reduced
         return reduce_homeomorphic(self.graph)[0]
 
     @cached_property
@@ -835,12 +896,10 @@ def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusRe
     scheme, lower = _face_set_pass(g, surface, lower, stop, piece.node_cap, prov)
     upper = lower
     if scheme is None:
-        if stop is None or lower < stop:
-            scheme = heuristic_embedding(g, lower, surface, budget)
-        if scheme is None:
+        restarted = heuristic_embedding(g, lower, surface, budget) if stop is None or lower < stop else None
+        if restarted is None:
             return GenusResult(surface, lower, None, False, provenance=prov)
-        euler = trace_faces(g, scheme).euler_genus
-        upper = euler // 2 if surface == ORIENTABLE else euler
+        scheme, upper = restarted
         prov.append(f"restart certificate at {lower} (seed {budget.seed})" if upper == lower
                     else f"restart upper bound {upper}")
     return GenusResult(surface, lower, upper, upper == lower,

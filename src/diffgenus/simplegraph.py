@@ -1,7 +1,8 @@
 """Simple undirected graphs with the operations the genus pipeline needs:
-induced subgraphs, genus-preserving homeomorphic reduction, block
-decomposition (by networkx), girth/bipartiteness, and the conversion to
-networkx. networkx is imported inside the functions that use it, as the
+induced subgraphs, genus-preserving homeomorphic reduction with a log
+that undoes it step by step, block decomposition, girth/bipartiteness,
+and the conversion to networkx, whose one use is the planarity test of a
+nonempty reduction. networkx is imported inside that conversion, as the
 group layer imports this module and never needs networkx. A graph's
 adjacency is one int bitmask per vertex, which only this module writes."""
 
@@ -74,8 +75,7 @@ class SimpleGraph:
 
     def checksum(self) -> str:
         """Hex digest identifying the graph up to labels (vertex ids + edges)."""
-        payload = f"{self.n};" + ";".join(f"{u},{v}" for u, v in self.edges())
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return edge_list_checksum(self.n, self.edges())
 
     def connected_components(self) -> list[list[int]]:
         """Each component's vertices, ascending, by lowest vertex."""
@@ -112,6 +112,13 @@ class SimpleGraph:
     @staticmethod
     def path(n: int) -> "SimpleGraph":
         return SimpleGraph(n, ((i, i + 1) for i in range(n - 1)))
+
+
+def edge_list_checksum(n: int, edges: Iterable[tuple[int, int]]) -> str:
+    """`SimpleGraph.checksum` of the graph on n vertices whose edges(), in
+    order, are `edges`: for a caller that has decoded them already."""
+    payload = f"{n};" + ";".join(f"{u},{v}" for u, v in edges)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
@@ -193,11 +200,18 @@ def _compacted(masks: Sequence[int], vs: Sequence[int]) -> list[int]:
 
 @dataclass
 class ReductionLog:
-    """Replayable record of a homeomorphic reduction.
+    """Replayable record of a homeomorphic reduction, in original ids.
 
-    Step kinds: removed_isolated(v), removed_degree_one(v),
-    suppressed_degree_two(v, u, w), dropped_parallel(u, v).
-    vertex_map sends surviving original ids to output ids.
+    Step kinds, in the order they were made:
+    - removed_isolated(v): v had no neighbour left;
+    - removed_degree_one(v, u): v's only neighbour was u;
+    - suppressed_degree_two(v, u, w), u < w: v's two neighbours were u and
+      w, and the edge u-w took the place of the path u-v-w;
+    - dropped_parallel(u, w), right after the suppression that made it:
+      u and w were adjacent already, so that edge stayed single.
+    Each step names all it changed, so each can be undone on its own, from
+    the last back to the first. vertex_map sends surviving original ids to
+    output ids.
     """
 
     steps: list[tuple] = field(default_factory=list)
@@ -229,7 +243,7 @@ def reduce_homeomorphic(g: SimpleGraph) -> tuple[SimpleGraph, ReductionLog]:
             elif deg == 1:
                 u = m.bit_length() - 1
                 masks[u] ^= 1 << v
-                log.steps.append(("removed_degree_one", v))
+                log.steps.append(("removed_degree_one", v, u))
             else:
                 u, w = (m & -m).bit_length() - 1, m.bit_length() - 1
                 masks[u] ^= 1 << v
@@ -262,20 +276,57 @@ def to_networkx(g: SimpleGraph):
 
 
 def block_decomposition(g: SimpleGraph) -> list[SimpleGraph]:
-    """Maximal 2-connected subgraphs plus bridges, as networkx's
-    biconnected components (Hopcroft and Tarjan, CACM 16(6), 1973) close
-    them in a depth-first search that starts each component at its lowest
-    vertex and walks neighbours in ascending order. Only the blocks are
-    returned.
+    """Maximal 2-connected subgraphs plus bridges, in the order networkx's
+    biconnected components gives them: a depth-first search (Hopcroft and
+    Tarjan, CACM 16(6), 1973) that starts each component at its lowest
+    vertex, enters unvisited neighbours in ascending order and closes a
+    block when a child's subtree reaches no higher than its parent. A block
+    is that parent and the vertices found since the child, the child
+    included, that no earlier block closed. Isolated vertices make none.
 
     Every edge lands in exactly one block; a bridge becomes a K2 block.
     A block is the subgraph its vertices induce, as an edge joining two of
     them outside it would leave a larger 2-connected subgraph. Block
     graphs inherit the original labels.
     """
-    import networkx as nx
-
-    return [induced_subgraph(g, comp) for comp in nx.biconnected_components(to_networkx(g))]
+    masks = g.masks
+    disc = [0] * g.n  # discovery times, from 1 up
+    low = [0] * g.n  # least discovery time a back edge reaches from the subtree
+    place = [0] * g.n  # position on `found` of each vertex found below a root
+    visited, time, blocks = 0, 0, []
+    for root in range(g.n):
+        if visited >> root & 1 or not masks[root]:
+            continue
+        visited |= 1 << root
+        time += 1
+        disc[root] = low[root] = time
+        path, todo, found = [root], [masks[root]], []
+        while path:
+            left = todo[-1] & ~visited
+            if left:  # enter the lowest unvisited neighbour
+                w = (left & -left).bit_length() - 1
+                todo[-1] = left ^ 1 << w
+                visited |= 1 << w
+                time += 1
+                disc[w] = time
+                # every visited neighbour but the parent is an ancestor
+                back = masks[w] & visited & ~(1 << path[-1])
+                low[w] = min([disc[x] for x in _bits(back)], default=time)
+                place[w] = len(found)
+                path.append(w)
+                todo.append(masks[w])
+                found.append(w)
+                continue
+            v = path.pop()
+            todo.pop()
+            if path:
+                p = path[-1]
+                if low[v] >= disc[p]:
+                    blocks.append([p, *found[place[v]:]])
+                    del found[place[v]:]
+                elif low[v] < low[p]:
+                    low[p] = low[v]
+    return [induced_subgraph(g, block) for block in blocks]
 
 
 def girth_and_bipartite(g: SimpleGraph) -> tuple[float, bool]:

@@ -553,8 +553,9 @@ def replay_reduction(g, log) -> tuple[int, list[tuple[int, int]]]:
                 raise ValueError(f"replay: vertex {v} is not isolated")
             del adj[v]
         elif kind == "removed_degree_one":
-            (_, v) = step
-            (u,) = adj[v]
+            (_, v, u) = step
+            if adj[v] != {u}:
+                raise ValueError(f"replay: vertex {v} is not a leaf on {u}")
             adj[u].discard(v)
             del adj[v]
         elif kind == "suppressed_degree_two":

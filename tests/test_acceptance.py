@@ -258,7 +258,7 @@ def test_criterion_7_full_sweep():
                 assert computed.lower >= 3, (r.group_name, computed.lower)
     values, schemes = _sweep_digests(records)
     assert values == "0fc3ea57561eac65022cf2c209790ff3b03c9f96627209847483d7ba7ea70e5a"
-    assert schemes == "d31f1cf56f76eb4601c0696764b8892aec00d69eb7dd42dafb0503bea303f960"
+    assert schemes == "07fec0b41baf471329e1c2af5507f8601fd64ce755e4b9d6f6b61f82c8f8593e"
     elapsed = time.perf_counter() - start
     assert elapsed <= 900.0, elapsed
     print(
@@ -274,7 +274,7 @@ def test_order_200_sweep_is_pinned():
     assert summary.total == summary.consistent == 285
     assert _sweep_digests(records) == (
         "5dd599a7f0ad04cff2c829ec56e6460bf8c63ffc5636f187501f7ab97a253c05",
-        "ca055932a62a302e7b489ba06563816959bc630e0be756b3be859a76b036f5d8",
+        "d3062412293ffdfe32f6fbb868571fe695ef352fb2d0f8fb59268fea77e8f409",
     )
 
 

@@ -128,7 +128,8 @@ def test_graph_reduce(tmp_path):
     assert result.exit_code == 0
     assert result.output.splitlines()[0].split() == ["9", "18"]
     log = json.loads(log_path.read_text())
-    assert any(step[0] == "removed_degree_one" for step in log["steps"])
+    leaves = [step for step in log["steps"] if step[0] == "removed_degree_one"]
+    assert leaves and all(len(step) == 3 for step in leaves)
 
 
 def test_genus_compute_and_verify(tmp_path):

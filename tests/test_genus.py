@@ -327,24 +327,124 @@ def test_is_planar_agrees_with_networkx_on_random_graphs(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "build",
-    [lambda: from_networkx(nx.octahedral_graph()), lambda: from_networkx(nx.icosahedral_graph()),
-     lambda: from_networkx(nx.hypercube_graph(3)), lambda: complete_bipartite(2, 3),
-     lambda: complete_bipartite(2, 4), lambda: complete_bipartite(2, 7)],
+    "build, asked",
+    [(lambda: from_networkx(nx.octahedral_graph()), 1), (lambda: from_networkx(nx.icosahedral_graph()), 1),
+     (lambda: from_networkx(nx.hypercube_graph(3)), 1), (lambda: complete_bipartite(2, 3), 0),
+     (lambda: complete_bipartite(2, 4), 0), (lambda: complete_bipartite(2, 7), 0)],
     ids=["octahedron", "icosahedron", "Q3", "K2,3", "K2,4", "K2,7"],
 )
-def test_is_planar_boundary_edge_counts_reach_networkx(monkeypatch, build):
+def test_is_planar_boundary_edge_counts_reach_networkx(monkeypatch, build, asked):
     """E = 3V - 6 (the octahedron and icosahedron) and E = 2V - 4 with girth
     4 (the cube and K_{2,n}) are as many edges as a planar graph of that
-    girth has, so only networkx can answer: planar, with a scheme that
-    re-verifies."""
+    girth has, so Euler's formula cannot answer: planar, with a scheme that
+    re-verifies. The three solids have minimum degree 3 and are their own
+    reductions, so networkx is asked once; K_{2,n} reduces to nothing (its
+    degree-2 side is suppressed into one edge and dropped parallels of it,
+    whose ends then go as a leaf and an isolated vertex), so networkx is
+    not asked."""
     g = build()
     assert g.edge_count in (3 * g.n - 6, 2 * g.n - 4)
     calls = _spy_on_networkx_planarity(monkeypatch)
     res = is_planar(g)
-    assert res.planar and len(calls) == 1
+    assert res.planar and len(calls) == asked
+    assert res.reduced.n == (g.n if asked else 0)
     trace = trace_faces(g, res.scheme)
     assert trace.euler_genus == 0 and trace.orientable
+
+
+def _reducible_graph(rng: random.Random) -> SimpleGraph:
+    """A seeded graph whose reduction takes steps of every kind: a G(n, p)
+    core, dense enough to be nonplanar now and then, with some edges
+    subdivided into chains (each chain is suppressed into the edge it
+    replaced), some edges doubled by a path of length 2 (its middle vertex
+    is suppressed into a parallel, which is dropped), leaf chains hung on
+    it, isolated vertices beside it and, every third time, a second such
+    part."""
+    edges, n = [], 0
+    for _ in range(1 + (rng.random() < 1 / 3)):
+        core = random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.8))
+        base = n
+        n += core.n
+        for u, v in core.edges():
+            u, v = u + base, v + base
+            kind = rng.random()
+            if kind < 0.3:  # a chain of 1-3 new vertices in place of the edge
+                chain = [u, *range(n, n + rng.randint(1, 3)), v]
+                n += len(chain) - 2
+                edges += zip(chain, chain[1:])
+                continue
+            edges.append((u, v))
+            if kind < 0.5:  # a new vertex on both ends of the edge
+                edges += [(u, n), (v, n)]
+                n += 1
+        for _ in range(rng.randint(0, 3)):  # a leaf chain of 1-4 new vertices
+            chain = [rng.randrange(base, base + core.n), *range(n, n + rng.randint(1, 4))]
+            n += len(chain) - 1
+            edges += zip(chain, chain[1:])
+        n += rng.randint(0, 2)  # isolated vertices
+    return SimpleGraph(n, edges)
+
+
+def test_is_planar_matches_networkx_through_every_reduction_step():
+    """`is_planar` agrees with networkx on graphs whose reductions take
+    every kind of step, on disconnected graphs, and on 0 and 1 vertices;
+    every yes, lifted through the reduction log, traces to Euler genus 0
+    and orientable on the graph itself."""
+    rng = random.Random(41)
+    graphs = [SimpleGraph(0), SimpleGraph(1), SimpleGraph(2), SimpleGraph(2, [(0, 1)])]
+    graphs += [_reducible_graph(rng) for _ in range(400)]
+    kinds, seen = Counter(), Counter()
+    for g in graphs:
+        res = is_planar(g)
+        assert res.planar == nx.check_planarity(to_networkx(g))[0], (g.n, g.edges())
+        if res.planar:
+            trace = trace_faces(g, res.scheme)
+            assert trace.euler_genus == 0 and trace.orientable, (g.n, g.edges())
+            seen["planar, reduction empty" if res.reduced.n == 0 else "planar, reduction left"] += 1
+        else:
+            seen["nonplanar"] += 1
+        kinds.update(step[0] for step in reduce_homeomorphic(g)[1].steps)
+        seen["disconnected"] += not g.is_connected()
+    assert min(kinds[k] for k in ("removed_isolated", "removed_degree_one", "suppressed_degree_two",
+                                  "dropped_parallel")) >= 100, kinds
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: SimpleGraph(9, [(v, (v - 1) // 2) for v in range(1, 9)]), lambda: complete_bipartite(2, 9),
+     lambda: difference_graph(build_group("Z39")).graph],
+    ids=["tree", "K2,9", "Z39"],
+)
+def test_an_empty_reduction_is_planar_without_networkx(monkeypatch, build):
+    """A graph that reduces to nothing is planar, and its scheme, lifted
+    from no rotation at all, traces to genus 0 with no networkx call."""
+    g = build()
+    calls = _spy_on_networkx_planarity(monkeypatch)
+    res = is_planar(g)
+    assert res.planar and res.reduced.n == 0 and not calls
+    trace = trace_faces(g, res.scheme)
+    assert trace.euler_genus == 0 and trace.orientable
+
+
+def test_a_piece_keeps_the_reduction_its_planarity_test_made(monkeypatch):
+    """K3,3 with a leaf passes Euler's formula (2 - 7 + 10 - floor(20/4) =
+    0) and reaches networkx, which answers no about its reduction, K3,3;
+    the search then runs on that reduction, so the graph is reduced once."""
+    g = SimpleGraph(7, complete_bipartite(3, 3).edges() + [(0, 6)])
+    calls = _spy_on_networkx_planarity(monkeypatch)
+    reductions = []
+    original = genus_module.reduce_homeomorphic
+
+    def spy(h):
+        reductions.append(h.checksum())
+        return original(h)
+
+    monkeypatch.setattr(genus_module, "reduce_homeomorphic", spy)
+    res = exact_genus(g)
+    assert len(calls) == 1 and reductions == [g.checksum()]
+    assert res.exact and res.value == 1
+    assert res.certificate_graph.checksum() == complete_bipartite(3, 3).checksum()
 
 
 def test_is_planar_answers_dense_graphs_without_networkx(monkeypatch):
@@ -449,8 +549,8 @@ def test_heuristic_planar_target():
 
 def test_heuristic_hits_formula_targets():
     g = complete_bipartite(3, 10)
-    scheme = heuristic_embedding(g, 2, ORIENTABLE, SearchBudget(seed=0))
-    assert scheme is not None
+    scheme, value = heuristic_embedding(g, 2, ORIENTABLE, SearchBudget(seed=0))
+    assert value == 2
     assert verify_certificate(g, scheme, ORIENTABLE, 2)
 
 
@@ -461,19 +561,18 @@ def test_heuristic_nonorientable_target_validation():
 
 def test_heuristic_deterministic_given_seed():
     g = complete_bipartite(3, 6)
-    a = heuristic_embedding(g, 1, ORIENTABLE, SearchBudget(seed=5))
-    b = heuristic_embedding(g, 1, ORIENTABLE, SearchBudget(seed=5))
-    assert a is not None and b is not None
-    assert a.rotations == b.rotations
+    a, a_value = heuristic_embedding(g, 1, ORIENTABLE, SearchBudget(seed=5))
+    b, b_value = heuristic_embedding(g, 1, ORIENTABLE, SearchBudget(seed=5))
+    assert a.rotations == b.rotations and a_value == b_value
 
 
 def test_heuristic_follows_the_budget_seed():
     g = SimpleGraph.complete(7)
-    schemes = {seed: heuristic_embedding(g, 1, ORIENTABLE, budget=SearchBudget(seed=seed)) for seed in (0, 5)}
-    assert [scheme.seed for scheme in schemes.values()] == [0, 5]
-    assert schemes[0].rotations != schemes[5].rotations
-    for scheme in schemes.values():
-        assert verify_certificate(g, scheme, ORIENTABLE, 1)
+    found = {seed: heuristic_embedding(g, 1, ORIENTABLE, budget=SearchBudget(seed=seed)) for seed in (0, 5)}
+    assert [scheme.seed for scheme, _ in found.values()] == [0, 5]
+    assert found[0][0].rotations != found[5][0].rotations
+    for scheme, value in found.values():
+        assert value == 1 and verify_certificate(g, scheme, ORIENTABLE, 1)
 
 
 def test_heuristic_miss_returns_the_lowest_scheme_met():
@@ -484,11 +583,12 @@ def test_heuristic_miss_returns_the_lowest_scheme_met():
     starved = SearchBudget(restarts=3, nodes_per_restart=0, seed=3)
     neighbour_order = tuple(tuple(g.neighbors(v)) for v in range(g.n))
     for surface, negated in ((ORIENTABLE, []), (NONORIENTABLE, [g.edges()[genus_module._cotree_edges(g)[0]]])):
-        scheme = heuristic_embedding(g, 1, surface, starved)
+        scheme, value = heuristic_embedding(g, 1, surface, starved)
         assert scheme.rotations == neighbour_order
         assert [(u, v) for u, v, sign in scheme.signs if sign < 0] == negated
         trace = trace_faces(g, scheme)
         assert trace.orientable == (surface == ORIENTABLE) and trace.euler_genus > 2
+        assert value == (trace.euler_genus // 2 if surface == ORIENTABLE else trace.euler_genus)
         assert heuristic_embedding(g, 1, surface, budget=SearchBudget(restarts=0)) is None
 
 
@@ -520,8 +620,8 @@ def test_heuristic_certificates_are_pinned():
     found = []
     for g, target, surface, nodes, value in calls:
         budget = SearchBudget(restarts=4, nodes_per_restart=nodes, seed=1)
-        scheme = heuristic_embedding(g, target, surface, budget)
-        assert verify_certificate(g, scheme, surface, value)
+        scheme, reached = heuristic_embedding(g, target, surface, budget)
+        assert reached == value and verify_certificate(g, scheme, surface, value)
         found.append((scheme.rotations, scheme.signs))
     digest = hashlib.sha256(repr(found).encode()).hexdigest()
     assert digest == "03e91f5cd6d2e3c9b8e06837b093c262f8b91523e3382e04579e7f6e8c62e71d"
@@ -600,9 +700,9 @@ def _assert_crosscap_two(g: SimpleGraph) -> None:
     components = [reduce_homeomorphic(induced_subgraph(g, c))[0] for c in g.connected_components()]
     target = 2 if len(components) == 1 else 1
     for h in components:
-        scheme = heuristic_embedding(h, target, NONORIENTABLE)
+        scheme, value = heuristic_embedding(h, target, NONORIENTABLE)
         trace = trace_faces(h, scheme)
-        assert trace.euler_genus == target and not trace.orientable
+        assert value == trace.euler_genus == target and not trace.orientable
 
 
 def test_genus_of_graph_block_additivity():

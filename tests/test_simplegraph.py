@@ -20,6 +20,7 @@ from diffgenus.simplegraph import (
     girth_and_bipartite,
     induced_subgraph,
     reduce_homeomorphic,
+    to_networkx,
 )
 
 
@@ -169,6 +170,30 @@ def test_blocks_match_the_definition():
         ]
         assert len(found) == len(expected) and set(found) == expected
     assert disconnected >= 20 and isolated >= 20, (disconnected, isolated)
+
+
+def test_blocks_come_in_networkx_order():
+    """The blocks, as vertex lists and in order, are networkx's biconnected
+    components: on every component of each catalog difference graph up
+    to order 200 and on its reduction, and on seeded random graphs, some sparse
+    enough to be forests or disconnected and some wider than the decoder's
+    byte tables."""
+    from diffgenus.catalog import builtin_catalog
+    from diffgenus.groupgraphs import difference_graph
+
+    def expected(g):
+        return [sorted(block) for block in nx.biconnected_components(to_networkx(g))]
+
+    graphs = []
+    for entry in builtin_catalog(200):
+        g = difference_graph(entry.group).graph
+        graphs += [induced_subgraph(g, comp) for comp in g.connected_components() if len(comp) > 1]
+        graphs.append(reduce_homeomorphic(g)[0])
+    rng = random.Random(43)
+    graphs += [random_graph(rng, rng.randint(0, 30), rng.uniform(0.02, 0.4)) for _ in range(300)]
+    graphs += [random_graph(rng, rng.randint(257, 400), 2 / 300) for _ in range(5)]
+    for g in graphs:
+        assert [b.labels for b in block_decomposition(SimpleGraph.from_masks(g.masks))] == expected(g)
 
 
 def test_builders_make_sound_graphs():
