@@ -768,7 +768,8 @@ class _Piece:
     @cached_property
     def reduced(self) -> SimpleGraph:
         """The reduction the planarity test made, or, where Euler's formula
-        answered it, one made now."""
+        answered it, one made now: a dense piece that `lower_stop` stops
+        before its search, as most of a sweep's are, never needs one."""
         if self.planar.reduced is not None:
             return self.planar.reduced
         return reduce_homeomorphic(self.graph)[0]

@@ -430,21 +430,27 @@ def test_an_empty_reduction_is_planar_without_networkx(monkeypatch, build):
 def test_a_piece_keeps_the_reduction_its_planarity_test_made(monkeypatch):
     """K3,3 with a leaf passes Euler's formula (2 - 7 + 10 - floor(20/4) =
     0) and reaches networkx, which answers no about its reduction, K3,3;
-    the search then runs on that reduction, so the graph is reduced once."""
-    g = SimpleGraph(7, complete_bipartite(3, 3).edges() + [(0, 6)])
-    calls = _spy_on_networkx_planarity(monkeypatch)
-    reductions = []
-    original = genus_module.reduce_homeomorphic
+    the search then runs on that reduction. K6 with a leaf has more than
+    3V - 6 edges (16 on 7 vertices), so Euler's formula answers no before
+    any reduction, and the piece reduces the graph when its search starts.
+    Either way the graph is reduced once."""
+    cases = [(complete_bipartite(3, 3), 1), (SimpleGraph.complete(6), 0)]
+    for core, asked in cases:
+        g = SimpleGraph(core.n + 1, core.edges() + [(0, core.n)])
+        calls = _spy_on_networkx_planarity(monkeypatch)
+        reductions = []
+        original = genus_module.reduce_homeomorphic
 
-    def spy(h):
-        reductions.append(h.checksum())
-        return original(h)
+        def spy(h):
+            reductions.append(h.checksum())
+            return original(h)
 
-    monkeypatch.setattr(genus_module, "reduce_homeomorphic", spy)
-    res = exact_genus(g)
-    assert len(calls) == 1 and reductions == [g.checksum()]
-    assert res.exact and res.value == 1
-    assert res.certificate_graph.checksum() == complete_bipartite(3, 3).checksum()
+        monkeypatch.setattr(genus_module, "reduce_homeomorphic", spy)
+        res = exact_genus(g)
+        monkeypatch.undo()
+        assert len(calls) == asked and reductions == [g.checksum()]
+        assert res.exact and res.value == 1
+        assert res.certificate_graph.checksum() == core.checksum()
 
 
 def test_is_planar_answers_dense_graphs_without_networkx(monkeypatch):
