@@ -82,11 +82,12 @@ class GroupTable:
     """A finite group given by its full multiplication table.
 
     mult[a][b] is the index of the product a*b; index 0 is the identity.
-    The constructor accepts integer entries only and proves the table a
-    group (`_validate_table`); `build_group` and `ingest_table` store their
-    tables through `_built`, which skips the copy and the proof: the first
-    builds groups by construction, the second proves its parsed table
-    itself. Instances are immutable after
+    The constructor accepts integer entries only, range-checks them and
+    proves the table a group (`_validate_table`); `build_group` and
+    `ingest_table` store their tables through `_built`, which skips the copy
+    and both checks: the first builds groups by construction, the second
+    range-checks each entry as it parses it and proves the axioms itself
+    (`_prove_group`). Instances are immutable after
     construction and keep the table as a tuple of tuple rows, the one form
     the group layer builds, checks and reads. Two cached properties hold
     what is derived from it:
@@ -127,7 +128,7 @@ class GroupTable:
     def _built(cls, rows: _Rows, names: Optional[Sequence[str]], source: str) -> GroupTable:
         """The square table `rows` of ints, stored as it is, neither copied
         nor checked: a group by construction (`build_group`), or one that
-        `_validate_table` has already proven (`ingest_table`)."""
+        `ingest_table` has already range-checked and proven."""
         g = cls.__new__(cls)
         g._adopt(rows, names, source)
         return g
@@ -272,11 +273,24 @@ class _CyclicSpans(NamedTuple):
 
 
 def _validate_table(rows: _Rows) -> None:
-    """Raise unless the nonempty square table `rows` is a group with identity 0.
+    """Raise unless the nonempty square table `rows` of ints is a group with
+    identity 0: its entries are range-checked here, as Python reads a
+    negative index from the end of a row, and then `_prove_group` proves
+    the axioms. `GroupTable(...)` and the atoms of `build_group` take both
+    parts; `ingest_table` takes only the proof, as its parse has already
+    range-checked every entry."""
+    n = len(rows)
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
+        raise _latin_or(rows, LatinSquareError(f"an entry lies outside 0..{n - 1}"))
+    _prove_group(rows)
 
-    Entries are range-checked first, as Python reads a negative index from
-    the end of a row. A group's table is a Latin square, so its rows and
-    columns are scanned only once an axiom fails (`_latin_or`).
+
+def _prove_group(rows: _Rows) -> None:
+    """Raise unless the nonempty square table `rows`, whose entries are known
+    to lie in 0..n-1, is a group with identity 0.
+
+    A group's table is a Latin square, so its rows and columns are scanned
+    only once an axiom fails (`_latin_or`).
 
     Associativity is proven by Light's test (Clifford and Preston 1961,
     section 1.2): the elements g with (x*g)*y == x*(g*y) for all x, y are
@@ -284,13 +298,15 @@ def _validate_table(rows: _Rows) -> None:
     `_generating_sequence` picks, in O(|gens| n^2).
     """
     n = len(rows)
-    if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
-        raise _latin_or(rows, LatinSquareError(f"an entry lies outside 0..{n - 1}"))
     identity = tuple(range(n))
     if rows[0] != identity or tuple(row[0] for row in rows) != identity:
         raise _latin_or(rows, IdentityError("index 0 is not a two-sided identity"))
     for x, row in enumerate(rows):
-        if 0 not in row or rows[row.index(0)][x] != 0:
+        try:
+            inverse = rows[row.index(0)][x] == 0
+        except ValueError:  # no 0 in the row
+            inverse = False
+        if not inverse:
             raise _latin_or(rows, InverseError(x))
     for g in _generating_sequence(rows):
         # row x to the products x*(g*y); a tuple, as only n >= 2 has generators
@@ -420,16 +436,21 @@ def _direct_product(tables: list[_Rows], names: list[list[str]]) -> tuple[_Rows,
     """Pair (a, b) is the element a*nb + b, nb the order of the right factor.
 
     Row (a, b) is, for each a' in turn, row b of the right factor shifted
-    by (a*a')*nb; those shifted rows are made once and shared."""
+    by (a*a')*nb; those shifted rows are made once and shared, and each row
+    is one list extended by them and frozen once. The entries lie in
+    0..n-1 by construction, so no range check runs on them either."""
     mult, nms = tables[0], names[0]
     for t, nm in zip(tables[1:], names[1:]):
         nb = len(t)
         blocks = [[tuple(map(k.__add__, row)) for k in range(0, len(mult) * nb, nb)] for row in t]
-        mult = tuple(
-            tuple(chain.from_iterable(map(shifted.__getitem__, row_a)))
-            for row_a in mult
-            for shifted in blocks
-        )
+        rows = []
+        for row_a in mult:
+            for shifted in blocks:
+                row: list[int] = []
+                for a in row_a:
+                    row += shifted[a]
+                rows.append(tuple(row))
+        mult = tuple(rows)
         nms = [f"({x},{y})" for x in nms for y in nm]
     return mult, nms
 
@@ -471,7 +492,8 @@ def ingest_table(text: str, source: str = "<table>") -> GroupTable:
     allocates nothing. A row the lookup cannot read, or one with a wrong
     entry count, goes to `_parse_row`, which reads any spelling `int`
     accepts ("+1", "01") and raises the row's error with its line number.
-    The table is then proven a group once.
+    That parse is the table's one range check: the relabel keeps entries in
+    0..n-1, so the table is then proven a group by `_prove_group` alone.
     """
     rows: list[tuple[int, ...]] = []
     n: Optional[int] = None
@@ -505,7 +527,7 @@ def ingest_table(text: str, source: str = "<table>") -> GroupTable:
     if len(rows) != n:
         raise TableParseError(f"expected {n} rows, found {len(rows)}")
     table = tuple(_relabel_identity_to_zero(rows))
-    _validate_table(table)
+    _prove_group(table)
     return GroupTable._built(table, None, source)
 
 
@@ -557,8 +579,7 @@ def cyclic_subgroups(g: GroupTable) -> list[Subgroup]:
 
 def cyclic_subgroup_counts(g: GroupTable) -> dict[int, int]:
     """Number of cyclic subgroups of each order."""
-    counts: Counter[int] = Counter(s.order for s in cyclic_subgroups(g))
-    return dict(sorted(counts.items()))
+    return dict(sorted(Counter(map(len, g._cyclic.subgroups)).items()))
 
 
 def maximal_cyclic_subgroups(g: GroupTable) -> list[Subgroup]:

@@ -459,6 +459,53 @@ def test_ingest_reads_any_spelling_as_the_int_parser_does(index, seed, faults):
         assert expected == tuple(map(tuple, oracles.parse_table_text(text)))
 
 
+TABLE_DAMAGE = ("swap in a row", "another entry", "identity row", "loop")
+
+
+@pytest.mark.parametrize("damage", TABLE_DAMAGE)
+def test_ingest_raises_the_constructors_error_on_in_range_damage(damage):
+    """Seeded relabelled catalog tables of order <= 40, damaged with every
+    entry left in 0..n-1: two entries of a row swapped, an entry replaced by
+    another, the identity's row broken, or the order-5 loop relabelled.
+    The parse is the one range check on the ingest path, which then proves
+    only the axioms; it must raise the error, message and line that the
+    int() parser and the public constructor's full check raise. The
+    constructor still rejects an entry of -1 or n in the undamaged table,
+    whose identity is at 0, where only the range check can catch it."""
+    loop = [[int(x) for x in line.split()] for line in LOOP5.splitlines()[1:]]
+    for seed in range(60):
+        rng = random.Random(seed)
+        rows = loop if damage == "loop" else rng.choice(SMALL_CATALOG[1:]).rows()
+        n = len(rows)
+        perm = list(range(n))
+        rng.shuffle(perm)  # element x is written as perm[x]
+        table = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[perm[a]][perm[b]] = perm[rows[a][b]]
+        r, c, c2 = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        if damage == "identity row":
+            r = perm[0]
+        if damage in ("swap in a row", "identity row"):
+            table[r][c], table[r][c2] = table[r][c2], table[r][c]
+        elif damage == "another entry":
+            table[r][c] = (table[r][c] + rng.randrange(1, n)) % n
+        text = f"{n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in table)
+
+        def outcome(ingest):
+            try:
+                return ingest(text).rows()
+            except gr.GroupError as exc:
+                return type(exc), str(exc), getattr(exc, "line", None)
+
+        assert outcome(gr.ingest_table) == outcome(lambda t: gr.GroupTable(oracles.parse_table_text(t))), seed
+        for entry in (-1, n):
+            bad = [list(row) for row in rows]
+            bad[r][c] = entry
+            with pytest.raises(gr.LatinSquareError, match=f"row {r} is not a permutation"):
+                gr.GroupTable(bad)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [("1000000000\n", "expected 1000000000 rows, found 0"),
@@ -688,6 +735,33 @@ def test_direct_product_is_a_group_with_homomorphic_projections(s3, data):
     assert np.array_equal(mult // nb, a[np.ix_(x // nb, x // nb)])
     assert np.array_equal(mult % nb, b[np.ix_(x % nb, x % nb)])
     assert names == [f"({i},{j})" for i in range(len(a)) for j in range(len(b))]
+
+
+# The two parts the `tables` benchmark draws its groups from (bench/workloads.py):
+# a 2-group of order 16 times an odd part of order 5, 9 or 15.
+TABLE_TWO_PARTS = (
+    "Z16", "Z8 x Z2", "Z4 x Z4", "Z4 x Z2 x Z2", "Z2 x Z2 x Z2 x Z2",
+    "D16", "Q16", "SD16", "D8 x Z2", "Q8 x Z2",
+)
+TABLE_ODD_PARTS = (("Z5",), ("Z9", "Z3 x Z3"), ("Z15", "Z3 x Z5"))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_product_tables_match_the_definition(seed):
+    """`build_group` on "2-part x odd part" descriptors of order 80-240,
+    drawn as the `tables` benchmark draws them: the entry of (a, b)*(a', b')
+    is (a*a')*nb + (b*b'), read from the atoms' tables factor by factor."""
+    rng = random.Random(seed)
+    for odd_parts in TABLE_ODD_PARTS:
+        for _ in range(3):
+            descriptor = f"{rng.choice(TABLE_TWO_PARTS)} x {rng.choice(odd_parts)}"
+            atoms = [np.array(gr.build_group(atom).rows()) for atom in descriptor.split(" x ")]
+            want = atoms[0]
+            for right in atoms[1:]:
+                nb = len(right)
+                x = np.arange(len(want) * nb)
+                want = want[np.ix_(x // nb, x // nb)] * nb + right[np.ix_(x % nb, x % nb)]
+            assert np.array_equal(np.array(gr.build_group(descriptor).rows()), want), descriptor
 
 
 def test_associativity_is_exact_above_order_256():
