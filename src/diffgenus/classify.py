@@ -8,12 +8,14 @@ named groups of genus 1 and 2 are looked up by that key, with no
 isomorphism search. The interesting boundary is products P x Z3 with P a
 2-group of exponent 4: the intersection pattern of P's order-4 maximal
 cyclic subgroups (conditions C1, C2, C3) decides between genus 1, genus 2,
-and genus >= 3. That pattern is read from how many order-4 elements square
-to each involution.
+and genus >= 3. P is normal and holds every 2-element, so that pattern is
+read off the group itself, from how many order-4 elements square to each
+involution.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -68,11 +70,12 @@ def _chain_pattern(g: GroupTable) -> tuple[int, int, int]:
     """(pairs meeting in order 2, chains in those pairs, most chains through
     one involution) over the cyclic subgroups of order 4.
 
-    In a 2-group P of exponent 4 these are its order-4 maximal cyclic
-    subgroups, and P x Z3 has no others. Each holds one involution,
-    the square of its two generators, so two meet in order 2 exactly when
-    they share it. No other pair of maximal cyclic subgroups can meet
-    nontrivially, as a maximal one of order 2 lies in no other.
+    In a nilpotent group these are its Sylow 2-subgroup P's, and when P has
+    exponent 4 they are P's order-4 maximal cyclic subgroups. Each holds
+    one involution, the square of its two generators, so two meet in order
+    2 exactly when they share it. No other pair of maximal cyclic
+    subgroups can meet nontrivially, as a maximal one of order 2 lies in no
+    other.
     """
     squares = Counter(g.mult(x, x) for x in range(g.order) if g.element_order(x) == 4)
     chains = [n // 2 for n in squares.values()]
@@ -80,19 +83,24 @@ def _chain_pattern(g: GroupTable) -> tuple[int, int, int]:
     return pairs, sum(n for n in chains if n > 1), max(chains, default=0)
 
 
-def condition_reports(p_group: GroupTable) -> list[ConditionReport]:
-    """Intersection-pattern conditions on a 2-group of exponent 4.
+def condition_reports(g: GroupTable) -> list[ConditionReport]:
+    """Intersection-pattern conditions on the Sylow 2-subgroup P of the
+    nilpotent group g of even order, read off g's own table: P's exponent
+    is gcd(exp g, |P|), and g's order-4 elements and their squares are P's.
 
-    C1: one pair of order-4 maximal cyclic subgroups meets in order 2.
+    C1: one pair of order-4 maximal cyclic subgroups of P meets in order 2.
     C2: two disjoint such pairs. C3: a triple meeting pairwise in order 2,
     which then share one involution. In every case all remaining pairs of
-    maximal cyclic subgroups must meet trivially. At most one holds.
+    maximal cyclic subgroups must meet trivially. At most one holds, and
+    none unless P has exponent 4, the exponent each report carries.
+
+    Raises GroupError when g's order is odd and NotNilpotentError when g
+    is not nilpotent.
     """
-    order = p_group.order
-    if order < 2 or order & (order - 1):
-        raise GroupError(f"conditions C1-C3 apply to 2-groups; order is {order}")
-    exp = p_group.exponent()
-    holding = _CONDITIONS.get(_chain_pattern(p_group)[:2]) if exp == 4 else None
+    if g.order % 2:
+        raise GroupError(f"conditions C1-C3 need a Sylow 2-subgroup; order is {g.order}")
+    exp = math.gcd(g.exponent(), len(sylow_decomposition(g).components[0]))
+    holding = _CONDITIONS.get(_chain_pattern(g)[:2]) if exp == 4 else None
     return [ConditionReport(c, c == holding, exp) for c in ("C1", "C2", "C3")]
 
 
@@ -145,12 +153,12 @@ class _Structure:
 
 
 def _structure(g: GroupTable) -> _Structure:
+    """Sylow orders and exponents; a Sylow subgroup's exponent is the part
+    of exp g its order holds."""
     dec = sylow_decomposition(g)
-    sizes = [c.order for c in dec.components]
-    exponents = [
-        max(g.element_order(x) for x in c.members) for c in dec.components
-    ]
-    return _Structure(dec.primes, sizes, exponents)
+    sizes = [len(c) for c in dec.components]
+    exp = g.exponent()
+    return _Structure(dec.primes, sizes, [math.gcd(exp, size) for size in sizes])
 
 
 def _planar_family(g: GroupTable, st: _Structure) -> Optional[str]:

@@ -114,12 +114,12 @@ def group_info(spec):
     click.echo(f"order spectrum: {spectrum}")
     try:
         dec = gr.sylow_decomposition(g)
-        parts = ", ".join(f"{p}: order {c.order}" for p, c in zip(dec.primes, dec.components))
+        parts = ", ".join(f"{p}: order {len(c)}" for p, c in zip(dec.primes, dec.components))
         click.echo(f"nilpotent: yes (Sylow {parts})" if parts else "nilpotent: yes (trivial)")
     except NotNilpotentError as exc:
         click.echo(f"nilpotent: no ({exc})")
     maximal = gr.maximal_cyclic_subgroups(g)
-    sizes = Counter(s.order for s in maximal)
+    sizes = Counter(map(len, maximal))
     desc = " ".join(f"{o}^{c}" for o, c in sorted(sizes.items()))
     click.echo(f"maximal cyclic subgroups: {len(maximal)} (orders {desc})")
 
@@ -254,11 +254,7 @@ def classify_cmd(spec, as_json):
         cc = classify_crosscap(g)
     except NotNilpotentError as exc:
         raise InputError(f"not nilpotent: {exc}")
-    reports = []
-    dec = gr.sylow_decomposition(g)  # cached on the table by the classification above
-    if 2 in dec.primes:
-        two_part, _ = dec.components[dec.primes.index(2)].as_group()
-        reports = condition_reports(two_part)
+    reports = condition_reports(g) if g.order % 2 == 0 else []
     if as_json:
         doc = {
             "group": g.source or f"order-{g.order}",

@@ -32,14 +32,14 @@ def _power_rows(g: GroupTable) -> list[int]:
     its generators, are power-adjacent to all of its members, and the
     others to its generators."""
     rows, orders = [0] * g.order, g.orders()
-    for sub in cyclic_subgroups(g):
+    for members in cyclic_subgroups(g):
         mask = gens = 0
-        order = len(sub.members)
-        for y in sub.members:
+        order = len(members)
+        for y in members:
             mask |= 1 << y
             if orders[y] == order:
                 gens |= 1 << y
-        for y in sub.members:
+        for y in members:
             rows[y] |= mask if gens >> y & 1 else gens
     for x in range(g.order):
         rows[x] &= ~(1 << x)
@@ -50,11 +50,11 @@ def _enhanced_rows(g: GroupTable) -> list[int]:
     """Bitmask adjacency of the common-cyclic-subgroup relation."""
     n = g.order
     rows = [0] * n
-    for sub in maximal_cyclic_subgroups(g):
+    for members in maximal_cyclic_subgroups(g):
         mask = 0
-        for y in sub.members:
+        for y in members:
             mask |= 1 << y
-        for x in sub.members:
+        for x in members:
             rows[x] |= mask
     for x in range(n):
         rows[x] &= ~(1 << x)

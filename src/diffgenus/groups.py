@@ -93,9 +93,10 @@ class GroupTable:
     what is derived from it:
     `_cyclic`, one span per cyclic subgroup, which gives the element orders
     and the cyclic and maximal cyclic subgroups; and `_sylow`, the Sylow
-    decomposition or the witness that the group is not nilpotent. Both hold
-    member sets, never `Subgroup`s, which point back at the table, so a
-    dropped table is freed without the cyclic garbage collector.
+    decomposition or the witness that the group is not nilpotent. A
+    subgroup is its member set, here and in every structural query, and
+    nothing cached points back at the table, so a dropped table is freed
+    without the cyclic garbage collector.
     """
 
     def __init__(
@@ -162,11 +163,6 @@ class GroupTable:
         """Multiset of element orders, as {order: count}."""
         return dict(sorted(Counter(self.orders()).items()))
 
-    def name_of(self, g: int) -> str:
-        if self.names is not None:
-            return self.names[g]
-        return str(g)
-
     def __repr__(self) -> str:
         src = f" {self.source!r}" if self.source else ""
         return f"<GroupTable order={self.order}{src}>"
@@ -229,37 +225,13 @@ class GroupTable:
         return primes, components
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup of a GroupTable given by its member set."""
-
-    parent: GroupTable
-    members: frozenset[int]
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
-    def as_group(self) -> tuple[GroupTable, list[int]]:
-        """Relabel this subgroup as a standalone GroupTable.
-
-        Returns the new table and the list mapping new indices to parent
-        element indices (identity stays at 0).
-        """
-        elems = [0] + sorted(self.members - {0})
-        index = {e: i for i, e in enumerate(elems)}
-        mult = [[index[self.parent.mult(a, b)] for b in elems] for a in elems]
-        names = [self.parent.name_of(e) for e in elems]
-        sub = GroupTable(mult, names=names, source=f"subgroup of {self.parent.source}")
-        return sub, elems
-
-
 @dataclass
 class SylowDecomposition:
-    """Sylow components of a nilpotent group, one per prime of its order."""
+    """Sylow components of a nilpotent group, one per prime of its order:
+    each the member set of the unique Sylow p-subgroup."""
 
     primes: list[int]
-    components: list[Subgroup]
+    components: list[frozenset[int]]
 
 
 class _CyclicSpans(NamedTuple):
@@ -571,10 +543,10 @@ def table_to_text(g: GroupTable) -> str:
 # Structural queries
 
 
-def cyclic_subgroups(g: GroupTable) -> list[Subgroup]:
-    """All distinct cyclic subgroups, trivial included, by order then
-    members; each is spanned once (see `GroupTable._cyclic`)."""
-    return [Subgroup(g, m) for m in g._cyclic.subgroups]
+def cyclic_subgroups(g: GroupTable) -> list[frozenset[int]]:
+    """The member sets of all distinct cyclic subgroups, trivial included,
+    by order then members; each is spanned once (see `GroupTable._cyclic`)."""
+    return list(g._cyclic.subgroups)
 
 
 def cyclic_subgroup_counts(g: GroupTable) -> dict[int, int]:
@@ -582,9 +554,10 @@ def cyclic_subgroup_counts(g: GroupTable) -> dict[int, int]:
     return dict(sorted(Counter(map(len, g._cyclic.subgroups)).items()))
 
 
-def maximal_cyclic_subgroups(g: GroupTable) -> list[Subgroup]:
-    """Cyclic subgroups not properly contained in another cyclic subgroup."""
-    return [Subgroup(g, m) for m in g._cyclic.maximal]
+def maximal_cyclic_subgroups(g: GroupTable) -> list[frozenset[int]]:
+    """The member sets of the cyclic subgroups not properly contained in
+    another cyclic subgroup."""
+    return list(g._cyclic.maximal)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -609,7 +582,7 @@ def sylow_decomposition(g: GroupTable) -> SylowDecomposition:
     primes, found = g._sylow
     if primes is None:
         raise NotNilpotentError(*found)
-    return SylowDecomposition(primes, [Subgroup(g, m) for m in found])
+    return SylowDecomposition(list(primes), list(found))
 
 
 def is_p_group(g: GroupTable) -> bool:

@@ -2,7 +2,9 @@
 
 Everything here is written from first principles against the definitions,
 deliberately sharing no code with the package internals it checks; only
-the exception types come from the package. Besides the brute-force
+the exception types come from the package, and the `GroupTable`
+constructor, which proves a subgroup's own table (`subgroup_table`) a
+group. Besides the brute-force
 searches and a Kuratowski subdivision from networkx, this holds
 independent checks of the structural lemmas the pipeline rests on: the
 difference graph's vertex set, the lcm witness, the Sylow projection, the
@@ -28,6 +30,7 @@ import numpy as np
 from diffgenus.groups import (
     AssociativityError,
     GroupError,
+    GroupTable,
     IdentityError,
     InverseError,
     LatinSquareError,
@@ -498,11 +501,19 @@ def sylow_projection(group) -> dict[int, tuple[int, ...]]:
 
 
 def intersection_pattern(subs) -> list[list[int]]:
-    """Matrix of pairwise intersection orders of subgroups of one group;
-    the diagonal holds the subgroups' orders."""
-    if any(s.parent is not subs[0].parent for s in subs):
-        raise GroupError("subgroups have mixed parents")
-    return [[len(a.members & b.members) for b in subs] for a in subs]
+    """Matrix of pairwise intersection orders of the member sets `subs` of
+    subgroups of one group; the diagonal holds the subgroups' orders."""
+    return [[len(a & b) for b in subs] for a in subs]
+
+
+def subgroup_table(g, members) -> tuple[GroupTable, list[int]]:
+    """The subgroup of g on the member set `members` as a table of its own,
+    proven a group by the constructor, and the list mapping its indices to
+    g's elements (the identity stays at 0)."""
+    elems = [0] + sorted(set(members) - {0})
+    index = {e: i for i, e in enumerate(elems)}
+    mult = [[index[g.mult(a, b)] for b in elems] for a in elems]
+    return GroupTable(mult, source=f"subgroup of {g.source}"), elems
 
 
 # ---------------------------------------------------------------------------

@@ -197,22 +197,22 @@ def test_criterion_6_structural_suite():
         # elements of one Sylow part are never adjacent
         dec = sylow_decomposition(g)
         for comp in dec.components:
-            members = sorted(comp.members - {0})
+            members = sorted(comp - {0})
             for i, x in enumerate(members):
                 for y in members[i + 1 :]:
                     assert (x, y) not in edges, (entry.name, x, y)
         # the prime-part join is complete multipartite with the right parts
         keep, sizes = [], []
         for comp in dec.components:
-            part = sorted(comp.members - {0})
+            part = sorted(comp - {0})
             sizes.append(len(part))
             keep.extend(index[x] for x in part)
         sub = induced_subgraph(graph, keep)
         assert complete_multipartite_parts(sub) == sorted(sizes), entry.name
         # two prime-exponent factors: the whole graph is that bipartite join
-        exps = [max(g.element_order(x) for x in comp.members) for comp in dec.components]
+        exps = [max(g.element_order(x) for x in comp) for comp in dec.components]
         if len(dec.primes) == 2 and exps == dec.primes:
-            want = sorted(c.order - 1 for c in dec.components)
+            want = sorted(len(c) - 1 for c in dec.components)
             assert complete_multipartite_parts(graph) == want, entry.name
         # an element of order lcm(s, t) exists for every realized pair
         realized = sorted(set(orders))

@@ -89,10 +89,10 @@ def test_catalog_exponent_p_squared_dichotomy():
         p = gr._prime_factors(g.order)[0]
         if g.exponent() != p * p:
             continue
-        chains = [s for s in gr.cyclic_subgroups(g) if s.order == p * p]
+        chains = [s for s in gr.cyclic_subgroups(g) if len(s) == p * p]
         if len(chains) > 1:
             assert any(
-                len(a.members & b.members) == p
+                len(a & b) == p
                 for i, a in enumerate(chains)
                 for b in chains[i + 1 :]
             ), e.name

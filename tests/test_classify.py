@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from graphs import swap_semidirect_times_z3
-from oracles import intersection_pattern
+from oracles import intersection_pattern, subgroup_table
 from diffgenus import groups as gr
 from diffgenus.catalog import builtin_catalog
 from diffgenus.classify import GE3, classify_crosscap, classify_genus, condition_reports
@@ -21,7 +21,7 @@ def _holding(g):
 
 
 def _order4_maximal_cyclic(g):
-    return [s for s in gr.maximal_cyclic_subgroups(g) if s.order == 4]
+    return [s for s in gr.maximal_cyclic_subgroups(g) if len(s) == 4]
 
 
 def test_condition_c1_z4z2():
@@ -56,8 +56,21 @@ def test_condition_wrong_exponent():
 
 
 def test_condition_rejects_non_2_group():
-    with pytest.raises(gr.GroupError):
-        condition_reports(gr.build_group("Z9"))
+    for desc in ("Z1", "Z9"):
+        with pytest.raises(gr.GroupError):
+            condition_reports(gr.build_group(desc))
+
+
+def test_conditions_are_read_off_the_group_as_off_its_sylow_2_subgroup():
+    """On every even-order catalog group up to order 200 and the C2 probe,
+    the conditions read off the group's own table are those of its Sylow
+    2-subgroup, built as a table of its own: the same holding condition
+    and the same exponent."""
+    groups = [(e.name, e.group) for e in builtin_catalog(200) if e.order % 2 == 0]
+    groups.append(("C2 probe", swap_semidirect_times_z3()))
+    for name, g in groups:
+        two_part, _ = subgroup_table(g, gr.sylow_decomposition(g).components[0])
+        assert condition_reports(g) == condition_reports(two_part), name
 
 
 def test_conditions_mutually_exclusive_over_2_groups():
@@ -125,6 +138,8 @@ def test_classifier_requires_nilpotent(s3):
         classify_genus(s3)
     with pytest.raises(gr.NotNilpotentError):
         classify_crosscap(s3)
+    with pytest.raises(gr.NotNilpotentError):
+        condition_reports(s3)
 
 
 def test_classifier_is_isomorphism_invariant():
@@ -193,7 +208,7 @@ def test_c2_row():
     """(Z2 x Z2) : Z4 x Z3 reaches the C2 row, which no catalog group
     reaches."""
     g = swap_semidirect_times_z3()
-    two_part, _ = gr.sylow_decomposition(g).components[0].as_group()
+    two_part, _ = subgroup_table(g, gr.sylow_decomposition(g).components[0])
     assert two_part.order_spectrum() == {1: 1, 2: 7, 4: 8}
     assert _holding(two_part) == ["C2"]
     genus, crosscap = classify_genus(g), classify_crosscap(g)

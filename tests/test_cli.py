@@ -349,6 +349,21 @@ def test_classify_text_and_json():
     assert [c["holds"] for c in doc["conditions"]] == [False, False, True]
 
 
+def test_classify_lists_conditions_only_with_a_sylow_2_subgroup():
+    """Z1 has no Sylow 2-subgroup and lists no conditions; Z2's fails all
+    three, as its exponent is 2."""
+    result = run("classify", "Z1")
+    assert result.exit_code == 0 and "condition" not in result.output
+    assert json.loads(run("classify", "Z1", "--json").output)["conditions"] == []
+    result = run("classify", "Z2")
+    assert result.exit_code == 0
+    assert [line for line in result.output.splitlines() if line.startswith("condition")] == [
+        "condition C1: fails", "condition C2: fails", "condition C3: fails",
+    ]
+    conditions = json.loads(run("classify", "Z2", "--json").output)["conditions"]
+    assert [(c["condition"], c["holds"]) for c in conditions] == [("C1", False), ("C2", False), ("C3", False)]
+
+
 def test_classify_non_nilpotent_is_input_error(tmp_path):
     # S3's table: not nilpotent
     perms = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
