@@ -182,9 +182,13 @@ def _planar_family(g: GroupTable, st: _Structure) -> Optional[str]:
     return None
 
 
-def _classes(g: GroupTable) -> tuple[GenusClass, GenusClass]:
-    """Genus and crosscap class of the difference graph, read off the
-    Sylow structure."""
+def classify_both(g: GroupTable) -> tuple[GenusClass, GenusClass]:
+    """Genus and crosscap class of the difference graph, both read off one
+    pass over the Sylow structure.
+
+    Input must be nilpotent (NotNilpotentError otherwise); p-groups come
+    back as class 0 with an empty difference graph.
+    """
     st = _structure(g)
     if len(st.primes) <= 1:
         both = GenusClass(0, "p-group: empty difference graph")
@@ -209,17 +213,15 @@ def _classes(g: GroupTable) -> tuple[GenusClass, GenusClass]:
 
 
 def classify_genus(g: GroupTable) -> GenusClass:
-    """Genus class of the difference graph: 0 (planar), 1, 2, or >= 3.
-
-    Input must be nilpotent (NotNilpotentError otherwise); p-groups come
-    back as class 0 with an empty difference graph.
-    """
-    return _classes(g)[0]
+    """Genus class of the difference graph: 0 (planar), 1, 2, or >= 3, as
+    `classify_both` gives it."""
+    return classify_both(g)[0]
 
 
 def classify_crosscap(g: GroupTable) -> GenusClass:
-    """Crosscap class of the difference graph: 0 (planar), 1, 2, or >= 3."""
-    return _classes(g)[1]
+    """Crosscap class of the difference graph: 0 (planar), 1, 2, or >= 3, as
+    `classify_both` gives it."""
+    return classify_both(g)[1]
 
 
 def _ge3_reason(g: GroupTable, st: _Structure) -> tuple[str, str]:

@@ -14,7 +14,7 @@ import click
 
 from . import groups as gr
 from .catalog import MAX_CATALOG_ORDER, builtin_catalog
-from .classify import classify_crosscap, classify_genus, condition_reports
+from .classify import classify_both, condition_reports
 from .embeddings import (
     CertificateMismatch,
     SchemeError,
@@ -250,8 +250,7 @@ def classify_cmd(spec, as_json):
     """Predict genus and crosscap class of the difference graph."""
     g = _load_group(spec)
     try:
-        cg = classify_genus(g)
-        cc = classify_crosscap(g)
+        cg, cc = classify_both(g)
     except NotNilpotentError as exc:
         raise InputError(f"not nilpotent: {exc}")
     reports = condition_reports(g) if g.order % 2 == 0 else []

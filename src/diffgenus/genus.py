@@ -4,10 +4,14 @@ closed walks (Ringel's view of an embedding as its faces; faces built one
 at a time, after Brinkmann, arXiv:2005.08243). Every scheme it finds is
 re-verified by face tracing and becomes a certificate.
 
-Planarity is decided on the homeomorphic reduction: networkx is asked
-only about a reduction with an edge, and a planar embedding of the
-reduction is lifted back to the graph through the reduction log. The
-piece keeps that reduction for its search.
+Planarity is decided on the homeomorphic reduction by counts where they
+can: an empty reduction is planar, one on 4 vertices is K4, and a
+positive face count of the reduction or of one of its blocks (Euler's
+formula with triangular faces counted apart, after a greedy cover of the
+triangles) answers no. networkx is asked only about a reduction these
+leave open. A planar embedding of the reduction is lifted back to the
+graph through the reduction log. The piece keeps that reduction for its
+search.
 
 The face-set search, the one search, runs once per piece and surface, from
 the lower bound, on the graph's homeomorphic reduction, which has the same
@@ -40,6 +44,7 @@ minimum over unbalanced schemes.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -144,6 +149,63 @@ def _euler_count(g: SimpleGraph, girth: float) -> int:
     return 2 - g.n + g.edge_count - f_max
 
 
+def _triangle_count(g: SimpleGraph) -> int:
+    """2 - V + E - F_max with the triangular faces counted apart: a lower
+    bound on the Euler genus of g, each of whose components must have a
+    cycle, so that every facial walk holds one and is at least 3 long. A
+    facial walk of length 3 is a triangle of g, and takes one side of each
+    of its edges. So with C an edge cover of g's triangles, the triangular
+    faces are f3 <= min(2|C|, floor(2E/3)), every other face is at least 4
+    long, and F_max = f3 + floor((2E - 3 f3)/4), which never falls as f3
+    rises. C is a greedy cover: it takes the edge on the most uncovered
+    triangles next, read off a max-heap whose stale counts are pushed
+    again when popped (counts only fall), so the cover is near-linear in
+    the triangles. It stops once 2|C| reaches floor(2E/3)."""
+    masks, edges = g.masks, g.edges()
+    index = {e: i for i, e in enumerate(edges)}
+    triangles: list[tuple[int, int, int]] = []  # by edge indices
+    on: list[list[int]] = [[] for _ in edges]  # per edge: its triangles
+    for i, (u, v) in enumerate(edges):
+        common = masks[u] & masks[v] >> v + 1 << v + 1
+        while common:
+            w = (common & -common).bit_length() - 1
+            common ^= 1 << w
+            t = (i, index[(u, w)], index[(v, w)])
+            for e in t:
+                on[e].append(len(triangles))
+            triangles.append(t)
+    m = len(edges)
+    cap = 2 * m // 3
+    left = [len(ts) for ts in on]  # per edge: its uncovered triangles
+    heap = [(-c, e) for e, c in enumerate(left) if c]
+    heapq.heapify(heap)
+    covered = [False] * len(triangles)
+    cover = 0
+    while heap and 2 * cover < cap:
+        c, e = heapq.heappop(heap)
+        if -c != left[e]:
+            if left[e]:
+                heapq.heappush(heap, (-left[e], e))
+            continue
+        cover += 1
+        for t in on[e]:
+            if not covered[t]:
+                covered[t] = True
+                for f in triangles[t]:
+                    left[f] -= 1
+    f3 = min(2 * cover, cap)
+    return 2 - g.n + m - f3 - (2 * m - 3 * f3) // 4
+
+
+def _face_count(g: SimpleGraph) -> int:
+    """The better of the two counts on g, each of whose components has a
+    cycle: `_triangle_count` at girth 3, where it is at least the Euler
+    count, as its F_max is at most floor(2E/3); else `_euler_count`, which
+    at girth 4 or more is at least `_triangle_count`."""
+    girth = girth_and_bipartite(g)[0]
+    return _triangle_count(g) if girth == 3 else _euler_count(g, girth)
+
+
 def euler_lower_bound(g: SimpleGraph, surface: str) -> int:
     """Euler-formula bound on the genus or crosscap of connected g:
     `_euler_count`, halved and rounded up for the genus."""
@@ -195,7 +257,11 @@ def rotation_space_size(g: SimpleGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Planarity (library-backed; the embedding it returns is re-verified here)
+# Planarity (library-backed where no count decides; every embedding is
+# re-verified here)
+
+# the planar embedding of K4 on 0..3 that networkx's planarity test gives
+_K4_ROTATIONS = ((1, 3, 2), (0, 2, 3), (1, 0, 3), (2, 0, 1))
 
 
 def is_planar(g: SimpleGraph) -> PlanarityResult:
@@ -214,8 +280,14 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
     Otherwise the answer is the homeomorphic reduction's, which the result
     keeps: deleting leaves, suppressing degree-2 vertices and dropping
     parallel edges keep planarity (Mohar and Thomassen, Graphs on Surfaces,
-    2001). networkx is asked only about a reduction with an edge; an empty
-    one, as trees, cycles and most planar catalog graphs leave, is planar.
+    2001). Every vertex of a nonempty reduction has degree >= 3, so it has
+    at least 4 vertices and each of its components has a cycle.
+    - An empty reduction, as trees, cycles and most planar catalog graphs
+      leave, is planar.
+    - A reduction on 4 vertices is K4, embedded by `_K4_ROTATIONS`.
+    - A positive `_face_count` of the reduction, or else of one of its
+      blocks (Euler genus adds over blocks), answers no.
+    - networkx decides what these leave open.
     A yes lifts the reduction's embedding back to g through the log
     (`_lift_rotations`), and the lifted scheme is traced at genus 0."""
     n, m = g.n, g.edge_count
@@ -224,18 +296,34 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
             return PlanarityResult(False)
     reduced, log = reduce_homeomorphic(g)
     rotations: list[list[int]] = [[] for _ in range(n)]
-    if reduced.n:  # every vertex left has degree >= 3
-        import networkx as nx  # here, so a run that needs no planarity test never loads it
-
-        ok, emb = nx.check_planarity(to_networkx(reduced), counterexample=False)
-        if not ok:
+    if reduced.n:
+        if reduced.n == 4:
+            order = _K4_ROTATIONS
+        elif _face_count(reduced) > 0 or _block_count(reduced) > 0:
             return PlanarityResult(False, reduced=reduced)
+        else:
+            import networkx as nx  # here, so a run the counts decide never loads it
+
+            ok, emb = nx.check_planarity(to_networkx(reduced), counterexample=False)
+            if not ok:
+                return PlanarityResult(False, reduced=reduced)
+            order = [emb.neighbors_cw_order(i) for i in range(reduced.n)]
         survivors = list(log.vertex_map)
         for v, i in log.vertex_map.items():
-            rotations[v] = [survivors[w] for w in emb.neighbors_cw_order(i)]
+            rotations[v] = [survivors[w] for w in order[i]]
     _lift_rotations(rotations, log)
     scheme = _verified_scheme(g, g.edges(), rotations, [1] * m, None, 0, ORIENTABLE)
     return PlanarityResult(True, scheme=scheme, reduced=reduced)
+
+
+def _block_count(g: SimpleGraph) -> int:
+    """The highest `_face_count` of g's blocks that have a cycle, or 0 when
+    g is one block, whose count is g's own. Euler genus adds over blocks,
+    so a positive one shows g nonplanar."""
+    blocks = block_decomposition(g)
+    if len(blocks) == 1:
+        return 0
+    return max((_face_count(b) for b in blocks if b.edge_count >= b.n), default=0)
 
 
 def _lift_rotations(rotations: list[list[int]], log: ReductionLog) -> None:
@@ -977,19 +1065,21 @@ def genus_of_graph(
 
     both = surface == NONORIENTABLE and sum(len(pieces) for _, pieces in searched) > 1
     simple = True
+    k = 0  # pieces are numbered apart from the planar components
     for floor, pieces in searched:
         total, settled = 0, True  # of genus, of crosscap with one piece, else of eg
         for p in pieces:
             res = _exact_surface(p, surface, budget)
-            prov.append(f"piece {len(results)}: {_describe(res)}")
+            prov.append(f"piece {k}: {_describe(res)}")
             results.append(res)
             part, settled = res.lower, settled and res.exact
             if both:
                 orient = _exact_surface(p, ORIENTABLE, budget)
-                prov.append(f"piece {len(results) - 1} orientable: {_describe(orient)}")
+                prov.append(f"piece {k} orientable: {_describe(orient)}")
                 part, settled = min(2 * orient.lower, res.lower), settled and orient.exact
                 simple = simple and res.lower == 2 * orient.lower + 1
             total += part
+            k += 1
             upper = None if upper is None or res.upper is None else upper + res.upper
         if settled and floor > total:
             raise SchemeError(f"component bound {floor} exceeds exact block sum {total}")

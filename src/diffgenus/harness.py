@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .catalog import builtin_catalog
-from .classify import GE3, GenusClass, classify_crosscap, classify_genus
+from .classify import GE3, GenusClass, classify_both
 from .genus import (
     DEFAULT_BUDGET,
     GenusResult,
@@ -111,8 +111,7 @@ def verify_group(
     budget = budget or DEFAULT_BUDGET
     label = name or g.source or f"order-{g.order} group"
     t_start = time.perf_counter()
-    predicted_genus = classify_genus(g)  # raises NotNilpotentError if needed
-    predicted_crosscap = classify_crosscap(g)
+    predicted_genus, predicted_crosscap = classify_both(g)  # raises NotNilpotentError if needed
     t_classify = time.perf_counter()
 
     graph = difference_graph(g).graph

@@ -2,9 +2,10 @@
 induced subgraphs, genus-preserving homeomorphic reduction with a log
 that undoes it step by step, block decomposition, girth/bipartiteness,
 and the conversion to networkx, whose one use is the planarity test of a
-nonempty reduction. networkx is imported inside that conversion, as the
-group layer imports this module and never needs networkx. A graph's
-adjacency is one int bitmask per vertex, which only this module writes."""
+reduction that no face count decides and that is not K4. networkx is
+imported inside that conversion, as the group layer imports this module
+and never needs networkx. A graph's adjacency is one int bitmask per
+vertex, which only this module writes."""
 
 from __future__ import annotations
 
@@ -223,7 +224,9 @@ def reduce_homeomorphic(g: SimpleGraph) -> tuple[SimpleGraph, ReductionLog]:
     degree-2 vertices, dropping any parallel edges this creates.
 
     The output has the same genus and crosscap as the input. Trees and
-    cycles reduce to the empty graph.
+    cycles reduce to the empty graph. A graph no step applies to, such as
+    a reduction, comes back as itself, with no step and every vertex
+    mapped to itself.
     """
     masks = list(g.masks)
     alive = (1 << g.n) - 1
@@ -254,6 +257,9 @@ def reduce_homeomorphic(g: SimpleGraph) -> tuple[SimpleGraph, ReductionLog]:
                 else:
                     masks[u] |= 1 << w
                     masks[w] |= 1 << u
+    if not log.steps:
+        log.vertex_map = {v: v for v in range(g.n)}
+        return g, log
     survivors = _bits(alive)
     log.vertex_map = {v: i for i, v in enumerate(survivors)}
     out = SimpleGraph.from_masks(_compacted(masks, survivors), [g.labels[v] for v in survivors])

@@ -37,9 +37,11 @@ from diffgenus.genus import (
 )
 from diffgenus.groupgraphs import difference_graph
 from diffgenus.groups import build_group, is_p_group
+from diffgenus.harness import verify_sweep
 from diffgenus.simplegraph import (
     SimpleGraph,
     block_decomposition,
+    girth_and_bipartite,
     induced_subgraph,
     reduce_homeomorphic,
     to_networkx,
@@ -161,6 +163,73 @@ def test_euler_bound_never_exceeds_truth_with_degree_one_vertices():
             assert euler_lower_bound(g, NONORIENTABLE) <= oracles.brute_force_crosscap(g), g.edges()
             crosscaps += 1
     assert positive >= 2 and crosscaps >= 10, (positive, crosscaps)
+
+
+def _triangle_graph(rng: random.Random) -> SimpleGraph:
+    """A seeded connected graph with a triangle whose rotation space the
+    brute-force oracles can walk: one draw in three a dense G(n, p), else a
+    near-complete bipartite graph with 1-3 chords inside its sides, whose
+    few triangles the Euler count at girth 3 undercounts; a third of the
+    bipartite ones get a leaf."""
+    while True:
+        if rng.random() < 1 / 3:
+            g = random_graph(rng, rng.randint(4, 7), rng.uniform(0.5, 0.95))
+        else:
+            a, b = rng.randint(3, 4), rng.randint(3, 4)
+            edges = {(u, a + v) for u in range(a) for v in range(b) if rng.random() < 0.85}
+            for _ in range(rng.randint(1, 3)):
+                u, v = sorted(rng.sample(range(a + b), 2))
+                edges.add((u, v))
+            leaf = rng.random() < 1 / 3
+            if leaf:
+                edges.add((rng.randrange(a + b), a + b))
+            g = SimpleGraph(a + b + leaf, sorted(edges))
+        if g.is_connected() and girth_and_bipartite(g)[0] == 3 and rotation_space_size(g) <= 5_000:
+            return g
+
+
+def test_triangle_count_never_exceeds_the_euler_genus():
+    """The triangle count bounds the Euler genus min(2 genus, crosscap)
+    from below: on seeded small graphs with triangles against the
+    brute-force oracles (the crosscap one where it can walk every scheme),
+    and on K5 to K12 against their formulas, K7's crosscap of 3 included.
+    At girth 3 it is the face count `is_planar` reads, and at least the
+    Euler count; it beats that count on some of the graphs and meets the
+    Euler genus on some."""
+    rng = random.Random(43)
+    positive = tight = beats = crosscaps = 0
+    for _ in range(60):
+        g = _triangle_graph(rng)
+        count = genus_module._triangle_count(g)
+        assert genus_module._face_count(g) == count >= genus_module._euler_count(g, 3), g.edges()
+        euler = 2 * oracles.brute_force_genus(g)
+        assert count <= euler, g.edges()
+        if count >= 1 and rotation_space_size(g) << (g.edge_count - g.n + 1) <= 50_000:
+            euler = min(euler, oracles.brute_force_crosscap(g))
+            assert count <= euler, g.edges()
+            crosscaps += 1
+        positive += count > 0
+        tight += count == euler > 0
+        beats += count > genus_module._euler_count(g, 3)
+    assert min(positive, beats) >= 10 and min(tight, crosscaps) >= 3, (positive, tight, beats, crosscaps)
+    for n in range(5, 13):
+        euler = min(2 * formula_oracle("complete", (n,), ORIENTABLE), formula_oracle("complete", (n,), NONORIENTABLE))
+        assert genus_module._triangle_count(SimpleGraph.complete(n)) <= euler, n
+
+
+def test_triangle_count_on_the_catalog_reductions_that_reached_networkx():
+    """The six nonplanar reductions of the order-200 catalog that the Euler
+    count on the whole graph leaves open (girth 3, count 0) are decided by
+    the triangle count: Z20, Z28, Z44, Z4 x Z3 x Z3, Z4 x Z2 x Z3 and
+    D8 x Z2 x Z3 count 1, 2, 4, 3, 2 and 2, where the Euler count at girth
+    3 gives at most 0."""
+    want = {"Z20": 1, "Z28": 2, "Z44": 4, "Z4 x Z3 x Z3": 3, "Z4 x Z2 x Z3": 2, "D8 x Z2 x Z3": 2}
+    for name, count in want.items():
+        graph = difference_graph(build_group(name)).graph
+        (comp,) = [c for c in graph.connected_components() if len(c) > 1]
+        reduced = reduce_homeomorphic(induced_subgraph(graph, comp))[0]
+        assert genus_module._triangle_count(reduced) == count, name
+        assert genus_module._euler_count(reduced, 3) <= 0, name
 
 
 def test_subgraph_bound_finds_planted_bipartite():
@@ -427,15 +496,58 @@ def test_an_empty_reduction_is_planar_without_networkx(monkeypatch, build):
     assert trace.euler_genus == 0 and trace.orientable
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: SimpleGraph.complete(4),
+     lambda: SimpleGraph(8, [(0, 4), (4, 1), (0, 2), (0, 3), (1, 5), (5, 2), (1, 3), (2, 3), (3, 6), (6, 7)]),
+     lambda: difference_graph(build_group("Z12")).graph, lambda: difference_graph(build_group("D8 x Z3")).graph],
+    ids=["K4", "K4 subdivided, with a leaf chain", "Z12", "D8 x Z3"],
+)
+def test_a_k4_reduction_is_planar_without_networkx(monkeypatch, build):
+    """A reduction on 4 vertices is K4, as each vertex left has degree >= 3:
+    it takes the fixed rotation system networkx gives K4, lifted back to the
+    graph, which traces to genus 0 with no networkx call."""
+    g = build()
+    calls = _spy_on_networkx_planarity(monkeypatch)
+    res = is_planar(g)
+    assert res.planar and res.reduced.checksum() == SimpleGraph.complete(4).checksum() and not calls
+    trace = trace_faces(g, res.scheme)
+    assert trace.euler_genus == 0 and trace.orientable
+
+
+def test_block_counts_decide_two_k33_sharing_a_vertex(monkeypatch):
+    """Two K3,3 sharing a vertex are their own reduction, with girth 4 and
+    an Euler count of 2 - 11 + 18 - floor(36/4) = 0; each block, a K3,3,
+    counts 1, so `is_planar` answers no without networkx."""
+    side = [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)] + [(a, b) for a in (0, 6, 7) for b in (8, 9, 10)]
+    g = SimpleGraph(11, side)
+    calls = _spy_on_networkx_planarity(monkeypatch)
+    res = is_planar(g)
+    assert not res.planar and res.reduced is g and not calls
+    assert genus_module._face_count(g) == 0 and genus_module._block_count(g) == 1
+
+
+def test_pieces_are_numbered_apart_from_planar_components():
+    """K3,3 beside a disjoint triangle: the triangle is planar component 1,
+    and K3,3, component 0's one nonplanar piece, is piece 0."""
+    k33 = complete_bipartite(3, 3)
+    g = SimpleGraph(9, k33.edges() + [(6, 7), (6, 8), (7, 8)])
+    res = genus_of_graph(g)
+    assert res.exact and res.value == 1
+    assert [line.split(":")[0] for line in res.provenance] == ["component 0", "component 1", "piece 0"]
+
+
 def test_a_piece_keeps_the_reduction_its_planarity_test_made(monkeypatch):
     """K3,3 with a leaf passes Euler's formula (2 - 7 + 10 - floor(20/4) =
-    0) and reaches networkx, which answers no about its reduction, K3,3;
-    the search then runs on that reduction. K6 with a leaf has more than
-    3V - 6 edges (16 on 7 vertices), so Euler's formula answers no before
-    any reduction, and the piece reduces the graph when its search starts.
-    Either way the graph is reduced once."""
-    cases = [(complete_bipartite(3, 3), 1), (SimpleGraph.complete(6), 0)]
-    for core, asked in cases:
+    0), so `is_planar` reduces it, and the reduction, K3,3, has a positive
+    face count (2 - 6 + 9 - floor(18/4) = 1), which answers no without
+    networkx; the search then runs on that reduction, which the piece
+    keeps. K6 with a leaf has more than 3V - 6 edges (16 on 7 vertices),
+    so Euler's formula answers no before any reduction, and the piece
+    reduces the graph when its search starts. Either way the graph is
+    reduced once, and networkx is never asked."""
+    cases = [(complete_bipartite(3, 3), True), (SimpleGraph.complete(6), False)]
+    for core, reduced_by_test in cases:
         g = SimpleGraph(core.n + 1, core.edges() + [(0, core.n)])
         calls = _spy_on_networkx_planarity(monkeypatch)
         reductions = []
@@ -448,9 +560,67 @@ def test_a_piece_keeps_the_reduction_its_planarity_test_made(monkeypatch):
         monkeypatch.setattr(genus_module, "reduce_homeomorphic", spy)
         res = exact_genus(g)
         monkeypatch.undo()
-        assert len(calls) == asked and reductions == [g.checksum()]
+        assert not calls and reductions == [g.checksum()]
         assert res.exact and res.value == 1
         assert res.certificate_graph.checksum() == core.checksum()
+        kept = genus_module._piece(g).planar.reduced
+        assert (kept is not None) == reduced_by_test
+        assert kept is None or kept.checksum() == core.checksum()
+
+
+def test_the_order_200_sweep_asks_networkx_nothing_and_copies_each_graph_once(monkeypatch):
+    """Over `verify_sweep(200)` no planarity test reaches networkx: the
+    reductions of Z12 and D8 x Z3 are K4, and the six nonplanar ones that
+    the Euler count leaves open have positive triangle counts. And a graph
+    with nothing to reduce, such as a block that is reduced already, comes
+    back from `reduce_homeomorphic` as itself with no step, so, keyed by
+    checksum, no graph is reduced to a copy twice."""
+    calls = _spy_on_networkx_planarity(monkeypatch)
+    copies, returned = Counter(), Counter()
+    original = genus_module.reduce_homeomorphic
+
+    def spy(h):
+        out, log = original(h)
+        if out is h:
+            assert not log.steps and log.vertex_map == {v: v for v in range(h.n)}
+            assert all(h.degree(v) >= 3 for v in range(h.n))
+            returned[h.checksum()] += 1
+        else:
+            assert any(h.degree(v) < 3 for v in range(h.n))
+            copies[h.checksum()] += 1
+        return out, log
+
+    monkeypatch.setattr(genus_module, "reduce_homeomorphic", spy)
+    records, summary = verify_sweep(200)
+    assert summary.total == summary.consistent == 285
+    assert not calls
+    assert max(copies.values()) == 1 and sum(returned.values()) >= 26, (copies, returned)
+
+
+def test_is_planar_matches_networkx_on_triangulated_grids(monkeypatch):
+    """k x k grids with one diagonal per cell, planar, whose reductions
+    (only the two degree-2 corners go) no count decides, so networkx is
+    asked; and the same grids with an edge between the first and the last
+    interior vertex, nonplanar from k = 5, where no count decides either."""
+    reference = nx.check_planarity
+    calls = _spy_on_networkx_planarity(monkeypatch)
+    for k in range(3, 16):
+        edges = [(k * i + j, k * i + j + 1) for i in range(k) for j in range(k - 1)]  # across
+        edges += [(k * i + j, k * i + j + k) for i in range(k - 1) for j in range(k)]  # down
+        edges += [(k * i + j, k * i + j + k + 1) for i in range(k - 1) for j in range(k - 1)]  # diagonal
+        grid = SimpleGraph(k * k, edges)
+        assert grid.edge_count == 3 * k * k - 4 * k + 1
+        inner = [k * i + j for i in range(1, k - 1) for j in range(1, k - 1)]
+        u, v = inner[0], inner[-1]
+        crossed = SimpleGraph(k * k, edges + ([(u, v)] if u != v and not grid.has_edge(u, v) else []))
+        for g in (grid, crossed):
+            res = is_planar(g)
+            assert res.planar == reference(to_networkx(g))[0] == (g is grid or k < 5), k
+            assert res.reduced.n == k * k - 2
+            if res.planar:
+                trace = trace_faces(g, res.scheme)
+                assert trace.euler_genus == 0 and trace.orientable
+    assert len(calls) == 26
 
 
 def test_is_planar_answers_dense_graphs_without_networkx(monkeypatch):
@@ -464,22 +634,37 @@ def test_is_planar_answers_dense_graphs_without_networkx(monkeypatch):
 
 
 def test_is_planar_answers_no_alone_exactly_when_the_euler_bound_is_positive(monkeypatch):
-    """`is_planar` and `euler_lower_bound` share one face count: on every
-    component of the planarity corpus's graphs and on the pendant cores,
-    networkx is left unasked for a no exactly when the bound is positive,
-    degree-1 vertices or not."""
+    """`is_planar` and `euler_lower_bound` share one face count, and a
+    count decides wherever it can: on every component of the planarity
+    corpus's graphs and on the pendant cores, a positive bound answers no
+    without networkx, degree-1 vertices or not; and networkx is asked
+    exactly when no count decides, that is, when the reduction is neither
+    empty nor K4 and neither its face count nor a block's is positive. An
+    answer that no networkx call gave matches networkx all the same."""
     graphs = [induced_subgraph(h, comp) for h in _planarity_corpus(random.Random(37))
               for comp in h.connected_components()] + _pendant_cores()
+    reference = nx.check_planarity
     calls = _spy_on_networkx_planarity(monkeypatch)
-    positive = leafy = 0
+    positive = leafy = by_reduction = asked_total = 0
     for g in graphs:
         asked = len(calls)
-        alone = not is_planar(g).planar and len(calls) == asked
+        planar = is_planar(g).planar
+        asked = len(calls) - asked
         bound = euler_lower_bound(g, NONORIENTABLE)
-        assert alone == (bound > 0), g.edges()
+        reduced = reduce_homeomorphic(g)[0]
+        counted = reduced.n > 4 and (genus_module._face_count(reduced) > 0
+                                     or genus_module._block_count(reduced) > 0)
+        decided = bound > 0 or reduced.n in (0, 4) or counted
+        assert asked == (not decided), g.edges()
+        assert planar == reference(to_networkx(g))[0], g.edges()
+        if bound > 0:
+            assert not planar, g.edges()
         positive += bound > 0
         leafy += bound > 0 and min(g.degree(v) for v in range(g.n)) == 1
+        by_reduction += bound <= 0 and counted
+        asked_total += asked
     assert positive >= 60 and leafy >= 5, (positive, leafy)
+    assert by_reduction >= 20 and asked_total >= 20, (by_reduction, asked_total)
 
 
 # -- exact searches ----------------------------------------------------------

@@ -2,14 +2,17 @@ import json
 import weakref
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import two_branch_status
+from diffgenus import classify
 from diffgenus import groups as gr
 from diffgenus import harness
 from diffgenus.catalog import builtin_catalog
 from diffgenus.classify import GenusClass
+from diffgenus.cli import main
 from diffgenus.embeddings import certificate_from_json, verify_certificate
 from diffgenus.genus import NONORIENTABLE, ORIENTABLE, GenusResult
 from diffgenus.groupgraphs import GroupGraph
@@ -214,3 +217,28 @@ def test_a_p_group_record_takes_the_common_path(name):
         assert res.surface == surface
         assert (res.lower, res.upper, res.exact) == (0, 0, True)
     assert list(record.timings_ms) == ["classify", "build_graph", "genus", "crosscap", "total"]
+
+
+@pytest.mark.parametrize("desc", ["Z44", "Q8 x Z3", "Z8", "Z30"])
+def test_the_classifier_reads_a_group_once(monkeypatch, desc):
+    """`verify_group` and `diffgenus classify` read both classes from one
+    pass over the Sylow structure, and give the classes that
+    `classify_genus` and `classify_crosscap` give."""
+    g = gr.build_group(desc)
+    reads = []
+    original = classify._structure
+
+    def spy(group):
+        reads.append(group)
+        return original(group)
+
+    monkeypatch.setattr(classify, "_structure", spy)
+    record = harness.verify_group(g)
+    assert len(reads) == 1
+    out = CliRunner().invoke(main, ["classify", desc, "--json"])
+    assert out.exit_code == 0 and len(reads) == 2
+    doc = json.loads(out.output)
+    assert record.predicted_genus == classify.classify_genus(g)
+    assert record.predicted_crosscap == classify.classify_crosscap(g)
+    assert doc["genus"] == record.predicted_genus.to_json_dict()
+    assert doc["crosscap"] == record.predicted_crosscap.to_json_dict()

@@ -130,6 +130,24 @@ def test_reduce_replay_and_idempotence():
         assert again.edges() == reduced.edges()
 
 
+def test_a_graph_with_nothing_to_reduce_comes_back_as_itself():
+    """No step applies to K4, the Petersen graph, the empty graph or any
+    reduction, so each comes back as the same object, with no step and
+    every vertex mapped to itself, and no masks are copied."""
+    rng = random.Random(5)
+    graphs = [SimpleGraph.complete(4), SimpleGraph(0),
+              SimpleGraph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                          + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])]
+    graphs += [reduce_homeomorphic(random_graph(rng, rng.randint(5, 12), rng.uniform(0.3, 0.7)))[0]
+               for _ in range(20)]
+    for g in graphs:
+        masks = g.masks
+        out, log = reduce_homeomorphic(g)
+        assert out is g and out.masks is masks
+        assert not log.steps and log.vertex_map == {v: v for v in range(g.n)}
+    assert sum(g.n > 0 for g in graphs) >= 12
+
+
 def _cut_labels(blocks: list[SimpleGraph]) -> list:
     """The labels that lie in two or more blocks: the cut vertices."""
     counts = Counter(label for b in blocks for label in b.labels)
