@@ -107,6 +107,7 @@ class PlanarityResult:
     planar: bool
     scheme: Optional[EmbeddingScheme] = None
     reduced: Optional[SimpleGraph] = None  # the homeomorphic reduction, when the test made one
+    blocks: Optional[list[SimpleGraph]] = None  # the reduction's blocks, when the test found them
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +198,6 @@ def _triangle_count(g: SimpleGraph) -> int:
     return 2 - g.n + m - f3 - (2 * m - 3 * f3) // 4
 
 
-def _face_count(g: SimpleGraph) -> int:
-    """The better of the two counts on g, each of whose components has a
-    cycle: `_triangle_count` at girth 3, where it is at least the Euler
-    count, as its F_max is at most floor(2E/3); else `_euler_count`, which
-    at girth 4 or more is at least `_triangle_count`."""
-    girth = girth_and_bipartite(g)[0]
-    return _triangle_count(g) if girth == 3 else _euler_count(g, girth)
-
-
 def euler_lower_bound(g: SimpleGraph, surface: str) -> int:
     """Euler-formula bound on the genus or crosscap of connected g:
     `_euler_count`, halved and rounded up for the genus."""
@@ -285,8 +277,9 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
     - An empty reduction, as trees, cycles and most planar catalog graphs
       leave, is planar.
     - A reduction on 4 vertices is K4, embedded by `_K4_ROTATIONS`.
-    - A positive `_face_count` of the reduction, or else of one of its
-      blocks (Euler genus adds over blocks), answers no.
+    - A positive `_triangle_count` of the reduction, or else of one of its
+      blocks (Euler genus adds over blocks), answers no; a no-answer keeps
+      the blocks where the test found them.
     - networkx decides what these leave open.
     A yes lifts the reduction's embedding back to g through the log
     (`_lift_rotations`), and the lifted scheme is traced at genus 0."""
@@ -299,14 +292,17 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
     if reduced.n:
         if reduced.n == 4:
             order = _K4_ROTATIONS
-        elif _face_count(reduced) > 0 or _block_count(reduced) > 0:
+        elif _triangle_count(reduced) > 0:
             return PlanarityResult(False, reduced=reduced)
         else:
+            blocks = block_decomposition(reduced)
+            if len(blocks) > 1 and any(_triangle_count(b) > 0 for b in blocks if b.edge_count >= b.n):
+                return PlanarityResult(False, reduced=reduced, blocks=blocks)
             import networkx as nx  # here, so a run the counts decide never loads it
 
             ok, emb = nx.check_planarity(to_networkx(reduced), counterexample=False)
             if not ok:
-                return PlanarityResult(False, reduced=reduced)
+                return PlanarityResult(False, reduced=reduced, blocks=blocks)
             order = [emb.neighbors_cw_order(i) for i in range(reduced.n)]
         survivors = list(log.vertex_map)
         for v, i in log.vertex_map.items():
@@ -314,16 +310,6 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
     _lift_rotations(rotations, log)
     scheme = _verified_scheme(g, g.edges(), rotations, [1] * m, None, 0, ORIENTABLE)
     return PlanarityResult(True, scheme=scheme, reduced=reduced)
-
-
-def _block_count(g: SimpleGraph) -> int:
-    """The highest `_face_count` of g's blocks that have a cycle, or 0 when
-    g is one block, whose count is g's own. Euler genus adds over blocks,
-    so a positive one shows g nonplanar."""
-    blocks = block_decomposition(g)
-    if len(blocks) == 1:
-        return 0
-    return max((_face_count(b) for b in blocks if b.edge_count >= b.n), default=0)
 
 
 def _lift_rotations(rotations: list[list[int]], log: ReductionLog) -> None:
@@ -869,8 +855,11 @@ class _Piece:
     @cached_property
     def split(self) -> tuple[SimpleGraph, list[SimpleGraph], list[SimpleGraph]]:
         """The reduction, the blocks of that, and each block reduced again.
-        Reduction keeps the genus and the crosscap."""
-        blocks = block_decomposition(self.reduced)
+        Reduction keeps the genus and the crosscap. The blocks are the
+        planarity test's where it found them."""
+        blocks = self.planar.blocks
+        if blocks is None:
+            blocks = block_decomposition(self.reduced)
         return self.reduced, blocks, [reduce_homeomorphic(block)[0] for block in blocks]
 
     @cached_property

@@ -193,15 +193,14 @@ def test_triangle_count_never_exceeds_the_euler_genus():
     from below: on seeded small graphs with triangles against the
     brute-force oracles (the crosscap one where it can walk every scheme),
     and on K5 to K12 against their formulas, K7's crosscap of 3 included.
-    At girth 3 it is the face count `is_planar` reads, and at least the
-    Euler count; it beats that count on some of the graphs and meets the
-    Euler genus on some."""
+    At girth 3 it is at least the Euler count; it beats that count on some
+    of the graphs and meets the Euler genus on some."""
     rng = random.Random(43)
     positive = tight = beats = crosscaps = 0
     for _ in range(60):
         g = _triangle_graph(rng)
         count = genus_module._triangle_count(g)
-        assert genus_module._face_count(g) == count >= genus_module._euler_count(g, 3), g.edges()
+        assert count >= genus_module._euler_count(g, 3), g.edges()
         euler = 2 * oracles.brute_force_genus(g)
         assert count <= euler, g.edges()
         if count >= 1 and rotation_space_size(g) << (g.edge_count - g.n + 1) <= 50_000:
@@ -515,16 +514,22 @@ def test_a_k4_reduction_is_planar_without_networkx(monkeypatch, build):
     assert trace.euler_genus == 0 and trace.orientable
 
 
-def test_block_counts_decide_two_k33_sharing_a_vertex(monkeypatch):
+def test_block_counts_decide_two_k33_sharing_a_vertex(monkeypatch, planning_calls):
     """Two K3,3 sharing a vertex are their own reduction, with girth 4 and
-    an Euler count of 2 - 11 + 18 - floor(36/4) = 0; each block, a K3,3,
-    counts 1, so `is_planar` answers no without networkx."""
+    a count of 2 - 11 + 18 - floor(36/4) = 0; each block, a K3,3, counts
+    1, so `is_planar` answers no without networkx. The exact search splits
+    the graph into the blocks that test found, decomposing it once."""
     side = [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)] + [(a, b) for a in (0, 6, 7) for b in (8, 9, 10)]
     g = SimpleGraph(11, side)
     calls = _spy_on_networkx_planarity(monkeypatch)
     res = is_planar(g)
     assert not res.planar and res.reduced is g and not calls
-    assert genus_module._face_count(g) == 0 and genus_module._block_count(g) == 1
+    assert genus_module._triangle_count(g) == 0
+    assert [genus_module._triangle_count(b) for b in res.blocks] == [1, 1]
+    planning_calls.clear()
+    assert exact_genus(g).lower == 2
+    steps = Counter(step for step, _ in planning_calls.elements())
+    assert steps["block_decomposition"] == 1 and not calls, steps
 
 
 def test_pieces_are_numbered_apart_from_planar_components():
@@ -540,7 +545,7 @@ def test_pieces_are_numbered_apart_from_planar_components():
 def test_a_piece_keeps_the_reduction_its_planarity_test_made(monkeypatch):
     """K3,3 with a leaf passes Euler's formula (2 - 7 + 10 - floor(20/4) =
     0), so `is_planar` reduces it, and the reduction, K3,3, has a positive
-    face count (2 - 6 + 9 - floor(18/4) = 1), which answers no without
+    triangle count (2 - 6 + 9 - floor(18/4) = 1), which answers no without
     networkx; the search then runs on that reduction, which the piece
     keeps. K6 with a leaf has more than 3V - 6 edges (16 on 7 vertices),
     so Euler's formula answers no before any reduction, and the piece
@@ -639,7 +644,7 @@ def test_is_planar_answers_no_alone_exactly_when_the_euler_bound_is_positive(mon
     corpus's graphs and on the pendant cores, a positive bound answers no
     without networkx, degree-1 vertices or not; and networkx is asked
     exactly when no count decides, that is, when the reduction is neither
-    empty nor K4 and neither its face count nor a block's is positive. An
+    empty nor K4 and neither its triangle count nor a block's is positive. An
     answer that no networkx call gave matches networkx all the same."""
     graphs = [induced_subgraph(h, comp) for h in _planarity_corpus(random.Random(37))
               for comp in h.connected_components()] + _pendant_cores()
@@ -652,8 +657,8 @@ def test_is_planar_answers_no_alone_exactly_when_the_euler_bound_is_positive(mon
         asked = len(calls) - asked
         bound = euler_lower_bound(g, NONORIENTABLE)
         reduced = reduce_homeomorphic(g)[0]
-        counted = reduced.n > 4 and (genus_module._face_count(reduced) > 0
-                                     or genus_module._block_count(reduced) > 0)
+        counted = reduced.n > 4 and any(genus_module._triangle_count(b) > 0
+                                        for b in [reduced, *block_decomposition(reduced)] if b.edge_count >= b.n)
         decided = bound > 0 or reduced.n in (0, 4) or counted
         assert asked == (not decided), g.edges()
         assert planar == reference(to_networkx(g))[0], g.edges()
