@@ -14,8 +14,10 @@ graph through the reduction log. The piece keeps that reduction for its
 search.
 
 The face-set search, the one search, runs once per piece and surface, from
-the lower bound, on the graph's homeomorphic reduction, which has the same
-genus and crosscap and minimum degree >= 3. A search that completes
+the plan-time lower bound, on the graph's homeomorphic reduction, which has
+the same genus and crosscap and minimum degree >= 3. That bound is the
+larger of the Euler and K_{m,n} bounds and a sum of face counts over the
+reduction's blocks, found only where the former is below the stop. A search that completes
 without a hit proves the bound + 1; one that hits gives the value, with a
 certificate on the reduction. Its node cap is picked before it starts:
 `_NODE_CAP` on a rotation space that fits `_EXHAUSTIVE_CAP`, else
@@ -104,10 +106,17 @@ class GenusResult:
 
 @dataclass
 class PlanarityResult:
+    """A planarity test's answer, with what it found on the way that a
+    nonplanar graph's search and lower bound read again: the graph's girth,
+    its homeomorphic reduction, that reduction's triangle count and its
+    blocks, each where the test got that far."""
+
     planar: bool
     scheme: Optional[EmbeddingScheme] = None
     reduced: Optional[SimpleGraph] = None  # the homeomorphic reduction, when the test made one
     blocks: Optional[list[SimpleGraph]] = None  # the reduction's blocks, when the test found them
+    girth: Optional[float] = None  # the graph's, when Euler's formula read it
+    count: Optional[int] = None  # `_triangle_count` of the reduction, when the test made one
 
 
 # ---------------------------------------------------------------------------
@@ -279,30 +288,36 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
     - A reduction on 4 vertices is K4, embedded by `_K4_ROTATIONS`.
     - A positive `_triangle_count` of the reduction, or else of one of its
       blocks (Euler genus adds over blocks), answers no; a no-answer keeps
-      the blocks where the test found them.
+      the girth, the reduction's count and the blocks where the test
+      found them.
     - networkx decides what these leave open.
     A yes lifts the reduction's embedding back to g through the log
     (`_lift_rotations`), and the lifted scheme is traced at genus 0."""
     n, m = g.n, g.edge_count
+    girth = None
     if m >= n > 0:  # so n >= 3
-        if m > 3 * n - 6 or _euler_count(g, girth_and_bipartite(g)[0]) > 0:
+        if m > 3 * n - 6:
             return PlanarityResult(False)
+        girth = girth_and_bipartite(g)[0]
+        if _euler_count(g, girth) > 0:
+            return PlanarityResult(False, girth=girth)
     reduced, log = reduce_homeomorphic(g)
     rotations: list[list[int]] = [[] for _ in range(n)]
     if reduced.n:
         if reduced.n == 4:
             order = _K4_ROTATIONS
-        elif _triangle_count(reduced) > 0:
-            return PlanarityResult(False, reduced=reduced)
         else:
-            blocks = block_decomposition(reduced)
-            if len(blocks) > 1 and any(_triangle_count(b) > 0 for b in blocks if b.edge_count >= b.n):
-                return PlanarityResult(False, reduced=reduced, blocks=blocks)
+            no = PlanarityResult(False, reduced=reduced, girth=girth, count=_triangle_count(reduced))
+            if no.count > 0:
+                return no
+            no.blocks = block_decomposition(reduced)
+            if len(no.blocks) > 1 and any(_triangle_count(b) > 0 for b in no.blocks if b.edge_count >= b.n):
+                return no
             import networkx as nx  # here, so a run the counts decide never loads it
 
             ok, emb = nx.check_planarity(to_networkx(reduced), counterexample=False)
             if not ok:
-                return PlanarityResult(False, reduced=reduced, blocks=blocks)
+                return no
             order = [emb.neighbors_cw_order(i) for i in range(reduced.n)]
         survivors = list(log.vertex_map)
         for v, i in log.vertex_map.items():
@@ -826,11 +841,13 @@ def _verified_scheme(g, edges, rotations, signs, seed, value, surface):
 class _Piece:
     """A connected graph and what is known of it on both surfaces: a
     planar embedding, or else a lower bound on its Euler genus min(2 genus,
-    crosscap), which bounds the crosscap as it stands and the genus once
-    halved, rounding up; its homeomorphic reduction, kept from the
-    planarity test or found on first use; then, found on first use, the
-    node cap of a face-set search on that, its split and the
-    split's nonplanar pieces. Nothing here depends on a surface or a
+    crosscap) from Euler's formula and K_{m,n} subgraphs, which bounds the
+    crosscap as it stands and the genus once halved, rounding up; its
+    homeomorphic reduction, kept from the planarity test or found on first
+    use; then, found on first use, the node cap of a face-set search on
+    that, the reduction's blocks and their face counts, its split and the
+    split's nonplanar pieces. A piece made from a block of a split knows
+    that its reduction is one block. Nothing here depends on a surface or a
     budget. Search results are never kept, so each search of a piece
     starts from these facts alone."""
 
@@ -838,6 +855,7 @@ class _Piece:
     planar: PlanarityResult
     euler_lower: int = 0
     provenance: list[str] = field(default_factory=list)
+    block: bool = False  # a reduced block of a split, so 2-connected
 
     @cached_property
     def reduced(self) -> SimpleGraph:
@@ -853,14 +871,51 @@ class _Piece:
         return _NODE_CAP if rotation_space_size(self.graph) <= _EXHAUSTIVE_CAP else _FACE_NODE_CAP
 
     @cached_property
+    def blocks(self) -> list[SimpleGraph]:
+        """The reduction's blocks: the planarity test's where it found
+        them, the reduction alone for a block of a split (a reduced
+        2-connected graph is 2-connected), else found now."""
+        if self.planar.blocks is not None:
+            return self.planar.blocks
+        if self.block:
+            return [self.reduced]
+        return block_decomposition(self.reduced)
+
+    @cached_property
+    def face_counts(self) -> list[int]:
+        """The positive face counts of the reduction's blocks: each block's
+        larger of `_triangle_count` and `_euler_count` at its own girth, a
+        lower bound on its Euler genus. The reduction's triangle count is
+        the planarity test's where it made one, and a block that is this
+        graph adds only that, as `euler_lower` holds its Euler count."""
+        counts = []
+        for b in self.blocks:
+            if b.edge_count < b.n:
+                continue  # a bridge
+            count = self.planar.count if b is self.planar.reduced else _triangle_count(b)
+            if b is not self.graph:
+                count = max(count, _euler_count(b, girth_and_bipartite(b)[0]))
+            if count > 0:
+                counts.append(count)
+        return counts
+
+    def bound(self, surface: str) -> int:
+        """The plan-time lower bound on `surface`: the larger of
+        `euler_lower`'s and the sum over the blocks' face counts. Euler
+        genus adds over blocks, so the crosscap, which is at least the
+        Euler genus, is at least the counts' sum; the genus adds over
+        blocks (Battle, Harary, Kodama and Youngs 1962), and a block's is
+        at least half its Euler genus, so the genus is at least the sum of
+        the halved counts, each rounded up."""
+        counts = self.face_counts
+        summed = sum(counts) if surface == NONORIENTABLE else sum((c + 1) // 2 for c in counts)
+        return max(_lower_on(surface, self.euler_lower), summed)
+
+    @cached_property
     def split(self) -> tuple[SimpleGraph, list[SimpleGraph], list[SimpleGraph]]:
         """The reduction, the blocks of that, and each block reduced again.
-        Reduction keeps the genus and the crosscap. The blocks are the
-        planarity test's where it found them."""
-        blocks = self.planar.blocks
-        if blocks is None:
-            blocks = block_decomposition(self.reduced)
-        return self.reduced, blocks, [reduce_homeomorphic(block)[0] for block in blocks]
+        Reduction keeps the genus and the crosscap."""
+        return self.reduced, self.blocks, [reduce_homeomorphic(block)[0] for block in self.blocks]
 
     @cached_property
     def nonplanar(self) -> list[_Piece]:
@@ -870,7 +925,7 @@ class _Piece:
         graph's bound, when that is higher: Euler genus adds over blocks,
         so it has this graph's."""
         checksum = self.graph.checksum()
-        pieces = [self if b.checksum() == checksum else _piece(b) for b in self.split[2] if b.edge_count]
+        pieces = [self if b.checksum() == checksum else _piece(b, block=True) for b in self.split[2] if b.edge_count]
         nonplanar = [p for p in pieces if not p.planar.planar]
         if len(nonplanar) == 1 and nonplanar[0].euler_lower < self.euler_lower:
             p = nonplanar[0]
@@ -879,20 +934,22 @@ class _Piece:
         return nonplanar
 
 
-def _piece(g: SimpleGraph) -> _Piece:
-    """The facts about connected g that hold on both surfaces. The K_{m,n}
-    bound is sought only when `_degree_cap` leaves it room to beat the
-    Euler bound: where the cap does not, the bound could not raise the lower
-    end, so skipping it leaves the bound and its provenance as they are."""
+def _piece(g: SimpleGraph, block: bool = False) -> _Piece:
+    """The facts about connected g that hold on both surfaces; `block` says
+    that g is a reduced block of a split. g's girth is read once, by the
+    planarity test where Euler's formula ran there. The K_{m,n} bound is
+    sought only when `_degree_cap` leaves it room to beat the Euler bound:
+    where the cap does not, the bound could not raise the lower end, so
+    skipping it leaves the bound and its provenance as they are."""
     if g.edge_count and not g.is_connected():
         raise ValueError("exact search needs a connected graph")
     planar = is_planar(g)
     if planar.planar:
-        return _Piece(g, planar, provenance=["planar embedding found"])
+        return _Piece(g, planar, provenance=["planar embedding found"], block=block)
     # the crosscap bounds below are Euler genus bounds: K_{m,n} has Euler
     # genus min(2 genus, crosscap) = its crosscap
     lower, prov = 1, ["nonplanar"]
-    elb = euler_lower_bound(g, NONORIENTABLE)
+    elb = _euler_count(g, girth_and_bipartite(g)[0] if planar.girth is None else planar.girth)
     if elb > lower:
         lower = elb
         prov.append(f"euler bound {elb}")
@@ -901,7 +958,7 @@ def _piece(g: SimpleGraph) -> _Piece:
         if sub_bound > lower:
             lower = sub_bound
             prov.append(f"subgraph {sub_desc} bound {sub_bound}")
-    return _Piece(g, planar, lower, prov)
+    return _Piece(g, planar, lower, prov, block)
 
 
 def _degree_cap(g: SimpleGraph) -> int:
@@ -921,9 +978,12 @@ def _lower_on(surface: str, euler_lower: int) -> int:
 
 def exact_genus(g: SimpleGraph, budget: Optional[SearchBudget] = None) -> GenusResult:
     """Orientable genus of a connected graph: lower bounds, then one
-    face-set pass from the bound on the graph's homeomorphic reduction,
-    which raises it by each value it excludes until it hits or its node cap
-    is spent: `_NODE_CAP` on a rotation space that fits `_EXHAUSTIVE_CAP`,
+    face-set pass from the bound on the graph's homeomorphic reduction.
+    Where no stop is set, or the Euler and K_{m,n} bound is below it, the
+    pass starts from `_Piece.bound` instead, which adds the halved face
+    counts of the reduction's blocks, each rounded up. The pass
+    raises the bound by each value it excludes until it hits or its node
+    cap is spent: `_NODE_CAP` on a rotation space that fits `_EXHAUSTIVE_CAP`,
     else `_FACE_NODE_CAP`. A pass stopped by the cap is followed by the
     restart phase on the reduction, from the bound it reached: the upper
     end is the lowest value a seeded restart hits, or the neighbour-order
@@ -968,9 +1028,14 @@ def _exact_surface(piece: _Piece, surface: str, budget: SearchBudget) -> GenusRe
                            certificate_graph=piece.graph, provenance=prov)
 
     g = piece.reduced
-    lower = _lower_on(surface, piece.euler_lower)
-    prov.append(f"lower bound {lower}")
     stop = budget.lower_stop
+    lower = _lower_on(surface, piece.euler_lower)
+    if stop is None or lower < stop:
+        counted = piece.bound(surface)
+        if counted > lower:
+            lower = counted
+            prov.append(f"block face count bound {lower}")
+    prov.append(f"lower bound {lower}")
     scheme, lower = _face_set_pass(g, surface, lower, stop, piece.node_cap, prov)
     upper = lower
     if scheme is None:
@@ -1018,6 +1083,12 @@ def genus_of_graph(
     surface and the budget, so every call runs its own, and its result is
     the one a call on the graph alone gives.
 
+    A nonplanar component's floor is its own Euler and K_{m,n} bound. Where
+    no stop is set, or that floor is below it, the floor is raised to the
+    sum of its pieces' plan-time bounds where that is higher (`_Piece.bound`, which reads each
+    piece's face count), and a floor at the stop ends the component before
+    any search.
+
     The genus adds over the pieces. The crosscap (Stahl and Beineke, J.
     Graph Theory 1 (1977) 75-78) is the sum over the nonplanar pieces of
     eg(B) = min(2 genus(B), crosscap(B)), plus 1 when every one of them is
@@ -1043,11 +1114,17 @@ def genus_of_graph(
             results.append(_exact_surface(whole, surface, budget))
             continue
         # the unreduced component's bounds also bound the sum over its pieces
-        # (reduction can break bipartiteness and weaken the girth bound)
-        floor = _lower_on(surface, whole.euler_lower)
-        prov.append(f"component {ci}: lower bound {floor} [{'; '.join(whole.provenance)}]")
-        if budget.lower_stop is not None and floor >= budget.lower_stop:
-            prov.append(f"component {ci}: stopped at lower bound >= {budget.lower_stop}")
+        # (reduction can break bipartiteness and weaken the girth bound), and
+        # so does the sum of the pieces' own
+        floor, why = _lower_on(surface, whole.euler_lower), whole.provenance
+        stop = budget.lower_stop
+        if stop is None or floor < stop:
+            summed = sum(p.bound(surface) for p in whole.nonplanar)
+            if summed > floor:
+                floor, why = summed, [*why, f"pieces' bounds sum to {summed}"]
+        prov.append(f"component {ci}: lower bound {floor} [{'; '.join(why)}]")
+        if stop is not None and floor >= stop:
+            prov.append(f"component {ci}: stopped at lower bound >= {stop}")
             lower, upper, exact = lower + floor, None, False
             continue
         searched.append((floor, whole.nonplanar))

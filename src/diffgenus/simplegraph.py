@@ -293,7 +293,8 @@ def block_decomposition(g: SimpleGraph) -> list[SimpleGraph]:
     Every edge lands in exactly one block; a bridge becomes a K2 block.
     A block is the subgraph its vertices induce, as an edge joining two of
     them outside it would leave a larger 2-connected subgraph. Block
-    graphs inherit the original labels.
+    graphs inherit the original labels. A graph that is one block on all
+    its vertices comes back as itself, uncopied.
     """
     masks = g.masks
     disc = [0] * g.n  # discovery times, from 1 up
@@ -332,6 +333,8 @@ def block_decomposition(g: SimpleGraph) -> list[SimpleGraph]:
                     del found[place[v]:]
                 elif low[v] < low[p]:
                     low[p] = low[v]
+    if len(blocks) == 1 and len(blocks[0]) == g.n:
+        return [g]
     return [induced_subgraph(g, block) for block in blocks]
 
 

@@ -17,6 +17,7 @@ import oracles
 from graphs import complete_bipartite, from_networkx, random_graph
 from diffgenus.catalog import builtin_catalog
 from diffgenus import genus as genus_module
+from diffgenus import harness
 from diffgenus.embeddings import FaceTrace, SchemeError, trace_faces, verify_certificate
 from diffgenus.genus import (
     NONORIENTABLE,
@@ -37,7 +38,7 @@ from diffgenus.genus import (
 )
 from diffgenus.groupgraphs import difference_graph
 from diffgenus.groups import build_group, is_p_group
-from diffgenus.harness import verify_sweep
+from diffgenus.harness import verify_group, verify_sweep
 from diffgenus.simplegraph import (
     SimpleGraph,
     block_decomposition,
@@ -1043,14 +1044,21 @@ def test_certificates_bind_to_derived_subgraphs():
 
 
 @pytest.mark.parametrize("exact", [exact_genus, exact_crosscap])
-def test_exact_search_tests_planarity_once_and_never_splits(planning_calls, exact):
+def test_exact_search_tests_planarity_once_and_splits_at_most_once(planning_calls, exact):
+    """One planarity test, and at most one block split, which the plan-time
+    bound reads: none for the planar cycle, one of K5 and of K3,3 (the
+    reduction of K3,3 with a path hung at a vertex), each its own one
+    block, and none where the planarity test split the reduction already."""
     graphs = [SimpleGraph.complete(5), _glue(complete_bipartite(3, 3), SimpleGraph.path(3), "shared"),
-              SimpleGraph.cycle(5)]
+              SimpleGraph.cycle(5), _glue(complete_bipartite(3, 3), complete_bipartite(3, 3), "shared")]
+    splits = []
     for g in graphs:
         planning_calls.clear()
         exact(g)
         steps = Counter(step for step, _ in planning_calls.elements())
-        assert steps["is_planar"] == 1 and steps["block_decomposition"] == 0, steps
+        assert steps["is_planar"] == 1 and steps["block_decomposition"] <= 1, steps
+        splits.append(steps["block_decomposition"])
+    assert splits == [1, 1, 0, 1]
 
 
 def test_plan_copies_only_a_component_that_does_not_span(monkeypatch):
@@ -1088,6 +1096,160 @@ def test_derived_subgraphs_contains_reduction():
     reduced, _ = reduce_homeomorphic(g)
     assert g.checksum() in checksums
     assert reduced.checksum() in checksums
+
+
+# -- plan-time bounds ------------------------------------------------------------
+
+
+def _six_ten_draws(rng: random.Random, count: int) -> list[SimpleGraph]:
+    """Seeded connected nonplanar graphs on 6 vertices and 10 edges."""
+    pairs = list(combinations(range(6), 2))
+    draws = []
+    while len(draws) < count:
+        g = SimpleGraph(6, rng.sample(pairs, 10))
+        if g.is_connected() and not nx.check_planarity(to_networkx(g))[0]:
+            draws.append(g)
+    return draws
+
+
+def test_plan_time_bound_never_exceeds_the_block_additive_truth():
+    """Graphs of 2-3 parts joined at shared vertices or by bridges: K5,
+    K3,3, K3,4, Petersen, seeded (6, 10) draws and paths. The genus adds
+    over the parts (Battle, Harary, Kodama and Youngs 1962), and the
+    crosscap is the sum of their Euler genera min(2 genus, crosscap), plus
+    1 when every nonplanar part has crosscap 2 genus + 1 (Stahl and
+    Beineke 1977). A piece's plan-time bound, and the sum of its split's
+    pieces' bounds that `genus_of_graph` takes as the floor, stay at or
+    below both values, and the face counts raise the bound on many of
+    them."""
+    rng = random.Random(71)
+    parts = [(SimpleGraph.complete(5), 1, 1), (complete_bipartite(3, 3), 1, 1), (complete_bipartite(3, 4), 1, 1),
+             (_petersen(), 1, 1), (SimpleGraph.path(3), 0, 0), (SimpleGraph.path(2), 0, 0)]
+    parts += [(g, oracles.brute_force_genus(g), oracles.brute_force_crosscap(g)) for g in _six_ten_draws(rng, 6)]
+    raised = 0
+    for _ in range(40):
+        chosen = [rng.choice(parts) for _ in range(rng.randint(2, 3))]
+        if all(genus == 0 for _, genus, _ in chosen):
+            continue
+        g = chosen[0][0]
+        for part, _, _ in chosen[1:]:
+            g = _glue(g, part, rng.choice(["shared", "bridge"]))
+        nonplanar = [(genus, crosscap) for _, genus, crosscap in chosen if genus or crosscap]
+        truth = {
+            ORIENTABLE: sum(genus for genus, _ in nonplanar),
+            NONORIENTABLE: sum(min(2 * genus, crosscap) for genus, crosscap in nonplanar)
+            + all(crosscap == 2 * genus + 1 for genus, crosscap in nonplanar),
+        }
+        piece = genus_module._piece(g)
+        for surface, value in truth.items():
+            summed = sum(p.bound(surface) for p in piece.nonplanar)
+            assert piece.bound(surface) <= value and summed <= value, (surface, value, g.edges())
+            raised += piece.bound(surface) > genus_module._lower_on(surface, piece.euler_lower)
+    assert raised >= 20, raised
+
+
+def test_two_k7_sharing_a_vertex_are_bounded_by_euler_genera_not_crosscaps():
+    """K7 has genus 1 and crosscap 3 (Franklin 1934), so two sharing a
+    vertex have genus 2 and crosscap 2 + 2 + 1 = 5: a sum of the blocks'
+    crosscaps, 6, would overshoot. Each K7 has a face count of 2, which
+    bounds its Euler genus min(2, 3), so the bounds are 2 and 4."""
+    k7 = SimpleGraph.complete(7)
+    piece = genus_module._piece(_glue(k7, k7, "shared"))
+    assert piece.face_counts == [2, 2]
+    assert (piece.bound(ORIENTABLE), piece.bound(NONORIENTABLE)) == (2, 4)
+    assert [(p.bound(ORIENTABLE), p.bound(NONORIENTABLE)) for p in piece.nonplanar] == [(1, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("block", [complete_bipartite(3, 3), SimpleGraph.complete(5)], ids=["K3,3", "K5"])
+def test_two_blocks_sharing_a_vertex_start_at_their_genus(block):
+    """Each block's face count is 1, so the plan-time genus bound is
+    1 + 1 = 2 where the Euler bound is 1; halving the summed count, 1,
+    would not reach it. The one pass hits at 2 with no exclusion."""
+    res = exact_genus(_glue(block, block, "shared"), NO_RESTARTS)
+    assert res.exact and res.value == 2, res.provenance
+    assert "block face count bound 2" in res.provenance
+    assert not any("excludes" in line for line in res.provenance), res.provenance
+    assert verify_certificate(res.certificate_graph, res.certificate, ORIENTABLE, 2)
+
+
+def test_z36_and_z42_are_bounded_by_their_face_counts_at_plan_time():
+    """Z36's difference graph reduces to one block with a face count of 27
+    against an Euler count of 13, which are its genus 14 and crosscap 27:
+    the crosscap's one pass hits at the bound. Z42's count gives 24 and
+    48, the values its exclusions reached before."""
+    for name, bounds in [("Z36", (14, 27)), ("Z42", (24, 48))]:
+        piece = genus_module._piece(difference_graph(build_group(name)).graph)
+        assert (piece.bound(ORIENTABLE), piece.bound(NONORIENTABLE)) == bounds, name
+    res = genus_of_graph(difference_graph(build_group("Z36")).graph, surface=NONORIENTABLE)
+    assert res.exact and res.value == 27
+    assert not any("excludes" in line for line in res.provenance), res.provenance
+
+
+def test_planning_reads_each_graphs_girth_once(monkeypatch):
+    """`_piece` reads a nonplanar graph's girth once: from the planarity
+    test, where Euler's formula ran there, or else itself. Over the
+    records of the catalog groups up to order 40 and exact searches on a
+    dense graph and on a reduced one, every nonplanar planned graph gets
+    one girth search while it is planned, and no other graph gets one."""
+    girths = Counter()
+    original_girth, original_piece = genus_module.girth_and_bipartite, genus_module._piece
+
+    def girth(g):
+        girths[g.checksum()] += 1
+        return original_girth(g)
+
+    planned = []
+
+    def piece(g, *args, **kwargs):
+        girths.clear()
+        p = original_piece(g, *args, **kwargs)
+        planned.append((p.planar.planar, girths[g.checksum()], sum(girths.values())))
+        return p
+
+    monkeypatch.setattr(genus_module, "girth_and_bipartite", girth)
+    monkeypatch.setattr(genus_module, "_piece", piece)
+    for e in builtin_catalog(40):
+        if not is_p_group(e.group):
+            verify_group(e.group, name=e.name)
+    exact_genus(SimpleGraph.complete(6))
+    exact_crosscap(_glue(complete_bipartite(3, 3), complete_bipartite(3, 3), "shared"))
+    nonplanar = [(own, total) for is_planar_, own, total in planned if not is_planar_]
+    assert len(nonplanar) >= 20 and all(own == total == 1 for own, total in nonplanar), nonplanar
+
+
+def test_order_200_sweep_counts_triangles_for_a_bound_only_below_the_stop(monkeypatch):
+    """Over `verify_sweep(200)` the plan-time bound counts triangles only
+    where the piece's Euler bound is below `lower_stop`: never under the
+    stop of 3 that a predicted ">= 3" sets, as every such piece's Euler
+    bound reaches it. The planarity tests count 6 reductions; the bound
+    counts 7 more, once per record whose dense reduction no planarity
+    test counted, and reads the planarity test's count on the others."""
+    calls = Counter()
+    state = {"planar": 0, "stop": None}
+    original_count, original_planar = genus_module._triangle_count, genus_module.is_planar
+    original_genus_of_graph = harness.genus_of_graph
+
+    def count(g):
+        calls["planarity" if state["planar"] else f"bound, stop {state['stop']}"] += 1
+        return original_count(g)
+
+    def planar(g):
+        state["planar"] += 1
+        try:
+            return original_planar(g)
+        finally:
+            state["planar"] -= 1
+
+    def genus_of_graph_spy(g, budget=None, surface=ORIENTABLE):
+        state["stop"] = budget.lower_stop if budget else None
+        return original_genus_of_graph(g, budget, surface)
+
+    monkeypatch.setattr(genus_module, "_triangle_count", count)
+    monkeypatch.setattr(genus_module, "is_planar", planar)
+    monkeypatch.setattr(harness, "genus_of_graph", genus_of_graph_spy)
+    records, summary = verify_sweep(200)
+    assert summary.consistent == summary.total == 285
+    assert calls == Counter({"planarity": 6, "bound, stop None": 7}), calls
 
 
 # -- face-set search alone (no heuristic restarts) ------------------------------
@@ -1349,19 +1511,23 @@ def test_face_set_search_skips_a_graph_with_a_leaf():
 
 
 def test_face_set_node_cap_falls_back_to_the_restart_phase(monkeypatch):
-    """Excluding genus 1 for K5 and K5 sharing a vertex, searched whole,
-    takes 18,349 nodes, more than a cap of 10,000, so the restart phase
-    from 1 gives the upper end 2 and its scheme, bound to the reduction.
-    Split into its two K5 blocks, the graph's genus is exact 2."""
-    monkeypatch.setattr(genus_module, "_FACE_NODE_CAP", 10_000)
-    g = _glue(SimpleGraph.complete(5), SimpleGraph.complete(5), "shared")
+    """K6 and K5 sharing an edge is one block, whose plan-time bound is its
+    Euler bound 1. Excluding genus 1 takes 1,719 nodes, more than a cap of
+    1,000, so the restart phase from 1 gives the upper end 2 and its
+    scheme, bound to the reduction. Uncapped, the pass settles genus 2."""
+    k5_on_an_edge = [tuple(x if x < 2 else x + 4 for x in e) for e in SimpleGraph.complete(5).edges()]
+    g = SimpleGraph(9, SimpleGraph.complete(6).edges() + k5_on_an_edge)
+    assert len(block_decomposition(g)) == 1 and rotation_space_size(g) > genus_module._EXHAUSTIVE_CAP
+    assert _face_sets(g, 2, ORIENTABLE) == (None, 1_719)
+    res = exact_genus(g)
+    assert res.exact and res.value == 2
+    assert res.provenance[-3:] == ["lower bound 1", "face-set search excludes 1", "face-set certificate at 2"]
+    monkeypatch.setattr(genus_module, "_FACE_NODE_CAP", 1_000)
     res = exact_genus(g, SearchBudget(restarts=8))
     assert res.provenance[-2:] == ["face-set search stopped by node cap at 1", "restart upper bound 2"]
     assert not res.exact and (res.lower, res.upper) == (1, 2)
     assert res.certificate_graph.checksum() == reduce_homeomorphic(g)[0].checksum()
     assert verify_certificate(res.certificate_graph, res.certificate, ORIENTABLE, 2)
-    res = genus_of_graph(g)
-    assert res.exact and res.value == 2
 
 
 def test_restart_phase_settles_the_z40_genus():
@@ -1374,12 +1540,13 @@ def test_restart_phase_settles_the_z40_genus():
 
 
 def test_face_set_search_settles_two_k5_sharing_a_vertex():
-    # its rotation space is past _EXHAUSTIVE_CAP, so the one pass runs
-    # under _FACE_NODE_CAP
+    """Each K5 block has a face count of 1, so the plan-time bound is 2, the
+    genus, and the one pass hits there with no exclusion. Its rotation
+    space is past _EXHAUSTIVE_CAP, so the pass runs under _FACE_NODE_CAP."""
     g = _glue(SimpleGraph.complete(5), SimpleGraph.complete(5), "shared")
     res = exact_genus(g, NO_RESTARTS)
     assert res.exact and res.value == 2, (res.lower, res.upper, res.provenance)
-    assert res.provenance[-2:] == ["face-set search excludes 1", "face-set certificate at 2"]
+    assert res.provenance[-3:] == ["block face count bound 2", "lower bound 2", "face-set certificate at 2"]
     assert verify_certificate(res.certificate_graph, res.certificate, ORIENTABLE, 2)
 
 

@@ -160,6 +160,26 @@ def test_blocks_k5_single():
     assert blocks[0].edge_count == 10
 
 
+def test_a_two_connected_graph_is_its_own_block_uncopied():
+    """A graph that is one block on all its vertices comes back as itself,
+    as `reduce_homeomorphic` returns a graph with nothing to reduce: K5,
+    K3,3, the Petersen graph and Z36's difference graph reduced. A graph
+    with two or more blocks, or with an isolated vertex beside its one
+    block, still gets a copy per block."""
+    from diffgenus.groupgraphs import difference_graph
+    from diffgenus.groups import build_group
+
+    z36 = reduce_homeomorphic(difference_graph(build_group("Z36")).graph)[0]
+    for g in [SimpleGraph.complete(5), complete_bipartite(3, 3), from_networkx(nx.petersen_graph()), z36]:
+        assert g.n and [b is g for b in block_decomposition(g)] == [True]
+    two_k5 = SimpleGraph(9, SimpleGraph.complete(5).edges() + [(0, v) for v in range(5, 9)]
+                         + [(u, v) for u in range(5, 9) for v in range(u + 1, 9)])
+    isolated = SimpleGraph(6, SimpleGraph.complete(5).edges())
+    for g, sizes in [(two_k5, [5, 5]), (isolated, [5])]:
+        blocks = block_decomposition(g)
+        assert [b.n for b in blocks] == sizes and all(b is not g for b in blocks)
+
+
 def test_blocks_two_triangles_at_a_vertex():
     g = SimpleGraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
     blocks = block_decomposition(g)
