@@ -17,9 +17,10 @@ The face-set search, the one search, runs once per piece and surface, from
 the plan-time lower bound, on the graph's homeomorphic reduction, which has
 the same genus and crosscap and minimum degree >= 3. That bound is the
 larger of the Euler and K_{m,n} bounds and a sum of face counts over the
-reduction's blocks, found only where the former is below the stop. A search that completes
-without a hit proves the bound + 1; one that hits gives the value, with a
-certificate on the reduction. Its node cap is picked before it starts:
+reduction's blocks, found only where the former is below the stop. A
+search that completes without a hit proves the bound + 1; one that hits
+gives the value, with a certificate on the reduction. Its node cap is
+picked before it starts:
 `_NODE_CAP` on a rotation space that fits `_EXHAUSTIVE_CAP`, else
 `_FACE_NODE_CAP`. Only a pass that stops at its cap leaves the piece to
 the restart phase, `heuristic_embedding`: seeded relabellings of the
@@ -883,18 +884,16 @@ class _Piece:
 
     @cached_property
     def face_counts(self) -> list[int]:
-        """The positive face counts of the reduction's blocks: each block's
-        larger of `_triangle_count` and `_euler_count` at its own girth, a
-        lower bound on its Euler genus. The reduction's triangle count is
-        the planarity test's where it made one, and a block that is this
-        graph adds only that, as `euler_lower` holds its Euler count."""
+        """The positive `_triangle_count`s of the reduction's blocks, each a
+        lower bound on the block's Euler genus; the reduction's own is the
+        planarity test's where it made one. At girth 3 the count is at
+        least the Euler count and at girth 4 it is the Euler count, so only
+        a block of girth 5 or more could count higher by Euler's formula."""
         counts = []
         for b in self.blocks:
             if b.edge_count < b.n:
                 continue  # a bridge
             count = self.planar.count if b is self.planar.reduced else _triangle_count(b)
-            if b is not self.graph:
-                count = max(count, _euler_count(b, girth_and_bipartite(b)[0]))
             if count > 0:
                 counts.append(count)
         return counts
@@ -981,10 +980,10 @@ def exact_genus(g: SimpleGraph, budget: Optional[SearchBudget] = None) -> GenusR
     face-set pass from the bound on the graph's homeomorphic reduction.
     Where no stop is set, or the Euler and K_{m,n} bound is below it, the
     pass starts from `_Piece.bound` instead, which adds the halved face
-    counts of the reduction's blocks, each rounded up. The pass
-    raises the bound by each value it excludes until it hits or its node
-    cap is spent: `_NODE_CAP` on a rotation space that fits `_EXHAUSTIVE_CAP`,
-    else `_FACE_NODE_CAP`. A pass stopped by the cap is followed by the
+    counts of the reduction's blocks, each rounded up. The pass raises the
+    bound by each value it excludes until it hits or its node cap is spent:
+    `_NODE_CAP` on a rotation space that fits `_EXHAUSTIVE_CAP`, else
+    `_FACE_NODE_CAP`. A pass stopped by the cap is followed by the
     restart phase on the reduction, from the bound it reached: the upper
     end is the lowest value a seeded restart hits, or the neighbour-order
     scheme's when none does. Every certificate binds to the reduction."""
@@ -1085,9 +1084,9 @@ def genus_of_graph(
 
     A nonplanar component's floor is its own Euler and K_{m,n} bound. Where
     no stop is set, or that floor is below it, the floor is raised to the
-    sum of its pieces' plan-time bounds where that is higher (`_Piece.bound`, which reads each
-    piece's face count), and a floor at the stop ends the component before
-    any search.
+    sum of its pieces' plan-time bounds where that is higher
+    (`_Piece.bound`, which reads each piece's face counts), and a floor at
+    the stop ends the component before any search.
 
     The genus adds over the pieces. The crosscap (Stahl and Beineke, J.
     Graph Theory 1 (1977) 75-78) is the sum over the nonplanar pieces of
