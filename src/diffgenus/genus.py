@@ -6,12 +6,12 @@ re-verified by face tracing and becomes a certificate.
 
 Planarity is decided on the homeomorphic reduction by counts where they
 can: an empty reduction is planar, one on 4 vertices is K4, and a
-positive face count of the reduction or of one of its blocks (Euler's
-formula with triangular faces counted apart, after a greedy cover of the
-triangles) answers no. networkx is asked only about a reduction these
-leave open. A planar embedding of the reduction is lifted back to the
-graph through the reduction log. The piece keeps that reduction for its
-search.
+positive face count of one of its blocks (Euler's formula with triangular
+faces counted apart, after a greedy cover of the triangles) answers no.
+networkx is asked only about a reduction these leave open. A planar
+embedding of the reduction is lifted back to the graph through the
+reduction log. The piece keeps that reduction, its blocks and their
+counts for its search and its bound.
 
 The face-set search, the one search, runs once per piece and surface, from
 the plan-time lower bound, on the graph's homeomorphic reduction, which has
@@ -38,7 +38,8 @@ hits the same scheme first.
 Each graph is planned once: `GraphPlan` keeps a `_Piece` per component,
 and a `_Piece` keeps all that is known of a connected graph on both
 surfaces, down to the nonplanar pieces of its split, which are `_Piece`s
-too.
+too. A split that hands back the reduction whole leaves the component as
+its own piece, so no graph is planned twice.
 
 The Euler genus of an embedding scheme is 2 - V + E - F on each component;
 orientable genus is half the minimum over all-positive schemes, crosscap the
@@ -50,7 +51,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from collections import Counter
 from functools import cached_property
 from itertools import chain
@@ -109,15 +110,15 @@ class GenusResult:
 class PlanarityResult:
     """A planarity test's answer, with what it found on the way that a
     nonplanar graph's search and lower bound read again: the graph's girth,
-    its homeomorphic reduction, that reduction's triangle count and its
-    blocks, each where the test got that far."""
+    its homeomorphic reduction, and that reduction's blocks with their face
+    counts, each where the test got that far."""
 
     planar: bool
     scheme: Optional[EmbeddingScheme] = None
     reduced: Optional[SimpleGraph] = None  # the homeomorphic reduction, when the test made one
     blocks: Optional[list[SimpleGraph]] = None  # the reduction's blocks, when the test found them
+    counts: Optional[list[int]] = None  # `_face_counts(blocks)`, with the blocks
     girth: Optional[float] = None  # the graph's, when Euler's formula read it
-    count: Optional[int] = None  # `_triangle_count` of the reduction, when the test made one
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +209,16 @@ def _triangle_count(g: SimpleGraph) -> int:
     return 2 - g.n + m - f3 - (2 * m - 3 * f3) // 4
 
 
+def _face_counts(blocks: list[SimpleGraph]) -> list[int]:
+    """The positive `_triangle_count`s of the blocks with a cycle, each a
+    lower bound on its block's Euler genus; a bridge has no face count. At
+    girth 3 the count is at least the Euler count and at girth 4 it is the
+    Euler count, so only a block of girth 5 or more could count higher by
+    Euler's formula."""
+    counts = (_triangle_count(b) for b in blocks if b.edge_count >= b.n)
+    return [c for c in counts if c > 0]
+
+
 def euler_lower_bound(g: SimpleGraph, surface: str) -> int:
     """Euler-formula bound on the genus or crosscap of connected g:
     `_euler_count`, halved and rounded up for the genus."""
@@ -271,13 +282,12 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
     without a witness: networkx extracts a Kuratowski subdivision with one
     planarity test per edge, and nothing here reads one.
 
-    Euler's formula answers no first. A planar simple graph on V >= 3
-    vertices has E <= 3V - 6 edges and, if it has a cycle (E >= V ensures
-    one), `_euler_count` <= 0: a bridge joining two of its components keeps
-    it planar and its girth c >= 3, and adds 1 to E and at most 1 to
-    floor(2E/c), so never lowers the count. The count settles the Petersen
-    graph (E = 15 on V = 10, girth 5) and K3,3, which the edge count does
-    not.
+    Euler's formula answers no first. A planar simple graph with a cycle
+    (E >= V ensures one) has `_euler_count` <= 0: a bridge joining two of
+    its components keeps it planar and its girth c >= 3, and adds 1 to E
+    and at most 1 to floor(2E/c), so never lowers the count. The count is
+    positive wherever E > 3V - 6, as F_max <= 2E/3, and it settles the
+    Petersen graph (E = 15 on V = 10, girth 5) and K3,3.
 
     Otherwise the answer is the homeomorphic reduction's, which the result
     keeps: deleting leaves, suppressing degree-2 vertices and dropping
@@ -287,18 +297,19 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
     - An empty reduction, as trees, cycles and most planar catalog graphs
       leave, is planar.
     - A reduction on 4 vertices is K4, embedded by `_K4_ROTATIONS`.
-    - A positive `_triangle_count` of the reduction, or else of one of its
-      blocks (Euler genus adds over blocks), answers no; a no-answer keeps
-      the girth, the reduction's count and the blocks where the test
-      found them.
+    - Otherwise a positive `_triangle_count` of one of the reduction's
+      blocks with a cycle answers no, as Euler genus adds over blocks. The
+      whole reduction's count is not taken: the blocks' vertices sum to
+      V + b - c (b blocks, c components), their edges to E, and their
+      greedy f3 and F_max to at most the whole's, so their positive counts
+      sum to at least it. A no-answer keeps the girth, the blocks and
+      their positive counts.
     - networkx decides what these leave open.
     A yes lifts the reduction's embedding back to g through the log
     (`_lift_rotations`), and the lifted scheme is traced at genus 0."""
     n, m = g.n, g.edge_count
     girth = None
-    if m >= n > 0:  # so n >= 3
-        if m > 3 * n - 6:
-            return PlanarityResult(False)
+    if m >= n > 0:  # so g has a cycle
         girth = girth_and_bipartite(g)[0]
         if _euler_count(g, girth) > 0:
             return PlanarityResult(False, girth=girth)
@@ -308,11 +319,9 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
         if reduced.n == 4:
             order = _K4_ROTATIONS
         else:
-            no = PlanarityResult(False, reduced=reduced, girth=girth, count=_triangle_count(reduced))
-            if no.count > 0:
-                return no
-            no.blocks = block_decomposition(reduced)
-            if len(no.blocks) > 1 and any(_triangle_count(b) > 0 for b in no.blocks if b.edge_count >= b.n):
+            blocks = block_decomposition(reduced)
+            no = PlanarityResult(False, reduced=reduced, blocks=blocks, counts=_face_counts(blocks), girth=girth)
+            if no.counts:
                 return no
             import networkx as nx  # here, so a run the counts decide never loads it
 
@@ -844,11 +853,10 @@ class _Piece:
     planar embedding, or else a lower bound on its Euler genus min(2 genus,
     crosscap) from Euler's formula and K_{m,n} subgraphs, which bounds the
     crosscap as it stands and the genus once halved, rounding up; its
-    homeomorphic reduction, kept from the planarity test or found on first
-    use; then, found on first use, the node cap of a face-set search on
-    that, the reduction's blocks and their face counts, its split and the
-    split's nonplanar pieces. A piece made from a block of a split knows
-    that its reduction is one block. Nothing here depends on a surface or a
+    homeomorphic reduction, its blocks and their face counts, each kept
+    from the planarity test or found on first use; then, found on first
+    use, the node cap of a face-set search on the reduction, its split and
+    the split's nonplanar pieces. Nothing here depends on a surface or a
     budget. Search results are never kept, so each search of a piece
     starts from these facts alone."""
 
@@ -856,7 +864,6 @@ class _Piece:
     planar: PlanarityResult
     euler_lower: int = 0
     provenance: list[str] = field(default_factory=list)
-    block: bool = False  # a reduced block of a split, so 2-connected
 
     @cached_property
     def reduced(self) -> SimpleGraph:
@@ -869,34 +876,20 @@ class _Piece:
 
     @cached_property
     def node_cap(self) -> int:
-        return _NODE_CAP if rotation_space_size(self.graph) <= _EXHAUSTIVE_CAP else _FACE_NODE_CAP
+        """Judged on the reduction, the graph the face-set pass searches."""
+        return _NODE_CAP if rotation_space_size(self.reduced) <= _EXHAUSTIVE_CAP else _FACE_NODE_CAP
 
     @cached_property
     def blocks(self) -> list[SimpleGraph]:
         """The reduction's blocks: the planarity test's where it found
-        them, the reduction alone for a block of a split (a reduced
-        2-connected graph is 2-connected), else found now."""
-        if self.planar.blocks is not None:
-            return self.planar.blocks
-        if self.block:
-            return [self.reduced]
-        return block_decomposition(self.reduced)
+        them, else found now."""
+        return self.planar.blocks if self.planar.blocks is not None else block_decomposition(self.reduced)
 
     @cached_property
     def face_counts(self) -> list[int]:
-        """The positive `_triangle_count`s of the reduction's blocks, each a
-        lower bound on the block's Euler genus; the reduction's own is the
-        planarity test's where it made one. At girth 3 the count is at
-        least the Euler count and at girth 4 it is the Euler count, so only
-        a block of girth 5 or more could count higher by Euler's formula."""
-        counts = []
-        for b in self.blocks:
-            if b.edge_count < b.n:
-                continue  # a bridge
-            count = self.planar.count if b is self.planar.reduced else _triangle_count(b)
-            if count > 0:
-                counts.append(count)
-        return counts
+        """`_face_counts` of the reduction's blocks: the planarity test's
+        where it counted them, else counted now."""
+        return self.planar.counts if self.planar.counts is not None else _face_counts(self.blocks)
 
     def bound(self, surface: str) -> int:
         """The plan-time lower bound on `surface`: the larger of
@@ -919,36 +912,30 @@ class _Piece:
     @cached_property
     def nonplanar(self) -> list[_Piece]:
         """The nonplanar pieces of the split, searched in this graph's
-        place; a graph the split leaves whole is its own piece, searched
-        with the reduction the split made. One piece alone carries this
-        graph's bound, when that is higher: Euler genus adds over blocks,
-        so it has this graph's."""
-        checksum = self.graph.checksum()
-        pieces = [self if b.checksum() == checksum else _piece(b, block=True) for b in self.split[2] if b.edge_count]
-        nonplanar = [p for p in pieces if not p.planar.planar]
-        if len(nonplanar) == 1 and nonplanar[0].euler_lower < self.euler_lower:
-            p = nonplanar[0]
-            nonplanar = [replace(p, euler_lower=self.euler_lower,
-                                 provenance=[*p.provenance, f"component bound {self.euler_lower}"])]
-        return nonplanar
+        place. A split that hands back the reduction itself, one block with
+        nothing left to reduce, leaves this graph as its own piece, with its
+        own bounds, searched on that reduction; every other reduced block is
+        planned as a piece of its own."""
+        pieces = [self if b is self.reduced else _piece(b) for b in self.split[2] if b.edge_count]
+        return [p for p in pieces if not p.planar.planar]
 
 
-def _piece(g: SimpleGraph, block: bool = False) -> _Piece:
-    """The facts about connected g that hold on both surfaces; `block` says
-    that g is a reduced block of a split. g's girth is read once, by the
-    planarity test where Euler's formula ran there. The K_{m,n} bound is
-    sought only when `_degree_cap` leaves it room to beat the Euler bound:
-    where the cap does not, the bound could not raise the lower end, so
-    skipping it leaves the bound and its provenance as they are."""
+def _piece(g: SimpleGraph) -> _Piece:
+    """The facts about connected g that hold on both surfaces. g's girth is
+    read once, by the planarity test, which reads it on every graph with a
+    cycle, so on every nonplanar one. The K_{m,n} bound is sought only when
+    `_degree_cap` leaves it room to beat the Euler bound: where the cap
+    does not, the bound could not raise the lower end, so skipping it
+    leaves the bound and its provenance as they are."""
     if g.edge_count and not g.is_connected():
         raise ValueError("exact search needs a connected graph")
     planar = is_planar(g)
     if planar.planar:
-        return _Piece(g, planar, provenance=["planar embedding found"], block=block)
+        return _Piece(g, planar, provenance=["planar embedding found"])
     # the crosscap bounds below are Euler genus bounds: K_{m,n} has Euler
     # genus min(2 genus, crosscap) = its crosscap
     lower, prov = 1, ["nonplanar"]
-    elb = _euler_count(g, girth_and_bipartite(g)[0] if planar.girth is None else planar.girth)
+    elb = _euler_count(g, planar.girth)
     if elb > lower:
         lower = elb
         prov.append(f"euler bound {elb}")
@@ -957,7 +944,7 @@ def _piece(g: SimpleGraph, block: bool = False) -> _Piece:
         if sub_bound > lower:
             lower = sub_bound
             prov.append(f"subgraph {sub_desc} bound {sub_bound}")
-    return _Piece(g, planar, lower, prov, block)
+    return _Piece(g, planar, lower, prov)
 
 
 def _degree_cap(g: SimpleGraph) -> int:

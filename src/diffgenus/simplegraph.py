@@ -79,19 +79,24 @@ class SimpleGraph:
         return edge_list_checksum(self.n, self.edges())
 
     def connected_components(self) -> list[list[int]]:
-        """Each component's vertices, ascending, by lowest vertex."""
+        """Each component's vertices, ascending, by lowest vertex. An
+        isolated vertex is its own component at once, with no operation on
+        a set as wide as the graph."""
         masks, comps = self.masks, []
-        unseen = (1 << self.n) - 1
-        while unseen:
-            comp = layer = unseen & -unseen
+        seen = [False] * self.n
+        for s in range(self.n):
+            if seen[s]:
+                continue
+            comp = layer = 1 << s if masks[s] else 0  # no wide set for an isolated vertex
             while layer:  # one breadth-first layer at a time
                 reach = 0
                 for v in _bits(layer):
                     reach |= masks[v]
                 layer = reach & ~comp
                 comp |= layer
-            unseen ^= comp
-            comps.append(_bits(comp))
+            comps.append(_bits(comp) if comp else [s])
+            for v in comps[-1]:
+                seen[v] = True
         return comps
 
     def is_connected(self) -> bool:

@@ -49,6 +49,7 @@ def planning_calls(monkeypatch):
             return original(g, *args, **kwargs)
         return spy
 
-    for name in ("is_planar", "euler_lower_bound", "bipartite_subgraph_bound", "block_decomposition"):
+    for name in ("is_planar", "euler_lower_bound", "bipartite_subgraph_bound", "block_decomposition",
+                 "_triangle_count"):
         monkeypatch.setattr(genus, name, spying(name, getattr(genus, name)))
     return calls

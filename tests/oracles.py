@@ -138,28 +138,31 @@ def brute_force_crosscap(g) -> int:
     return best
 
 
-def _components(g) -> tuple[int, int]:
+def components(g) -> list[list[int]]:
+    """Each component's vertices, ascending, by lowest vertex: a search over
+    neighbour sets from each vertex no earlier search reached."""
     adj = neighbour_sets(g)
-    seen = set()
-    comps = 0
-    isolated = 0
+    seen: set[int] = set()
+    comps = []
     for s in range(g.n):
         if s in seen:
             continue
-        comps += 1
-        stack = [s]
         seen.add(s)
-        size = 0
+        stack, comp = [s], []
         while stack:
             v = stack.pop()
-            size += 1
+            comp.append(v)
             for w in adj[v]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        if size == 1 and not adj[s]:
-            isolated += 1
-    return comps, isolated
+        comps.append(sorted(comp))
+    return comps
+
+
+def _components(g) -> tuple[int, int]:
+    comps = components(g)
+    return len(comps), sum(len(comp) == 1 for comp in comps)
 
 
 def brute_force_difference(group) -> tuple[list[int], list[tuple[int, int]]]:

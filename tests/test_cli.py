@@ -215,15 +215,16 @@ def test_genus_compute_certifies_a_bracket(tmp_path, monkeypatch):
 
 
 def test_genus_compute_settles_the_z24_crosscap(tmp_path):
-    # the one nonplanar piece starts from the component's bound 8, not its
-    # own 6, and the face-set search finds a scheme there
+    # the component reduces to one block, so it is its own piece: the
+    # search starts from the component's Euler bound 8 and hits there
     path = tmp_path / "d24.el"
     path.write_text(run("graph", "build", "--kind", "difference", "Z24").output)
     cert = tmp_path / "cert.json"
     result = run("genus", "compute", str(path), "--surface", "n", "--cert", str(cert))
     assert result.exit_code == 0, result.output
     assert "crosscap: 8 (exact)" in result.output
-    assert "component bound 8; lower bound 8; face-set certificate at 8" in result.output
+    assert "piece 0: exact 8 [nonplanar; euler bound 8; lower bound 8; face-set certificate at 8]" in result.output
+    assert "excludes" not in result.output
     result = run("genus", "verify", str(path), str(cert))
     assert result.exit_code == 0
     assert "certificate valid: nonorientable 8" in result.output

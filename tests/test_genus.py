@@ -371,8 +371,9 @@ def _planarity_corpus(rng: random.Random) -> list[SimpleGraph]:
 
 def test_is_planar_agrees_with_networkx_on_random_graphs(monkeypatch):
     """Every answer matches networkx's planarity test, and every yes comes
-    with a scheme that traces to genus 0; each of the edge count, the girth
-    bound and networkx gives some of the answers."""
+    with a scheme that traces to genus 0; the Euler count answers some
+    graphs with E > 3V - 6 and some sparser ones at their girth, and
+    networkx the rest."""
     reference = nx.check_planarity
     calls = _spy_on_networkx_planarity(monkeypatch)
     by_count = by_girth = planar = disconnected = isolated = 0
@@ -519,7 +520,8 @@ def test_block_counts_decide_two_k33_sharing_a_vertex(monkeypatch, planning_call
     """Two K3,3 sharing a vertex are their own reduction, with girth 4 and
     a count of 2 - 11 + 18 - floor(36/4) = 0; each block, a K3,3, counts
     1, so `is_planar` answers no without networkx. The exact search splits
-    the graph into the blocks that test found, decomposing it once."""
+    the graph into the blocks that test found, decomposing it once, and
+    counts each block once: its bound reads the planarity test's counts."""
     side = [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)] + [(a, b) for a in (0, 6, 7) for b in (8, 9, 10)]
     g = SimpleGraph(11, side)
     calls = _spy_on_networkx_planarity(monkeypatch)
@@ -530,7 +532,47 @@ def test_block_counts_decide_two_k33_sharing_a_vertex(monkeypatch, planning_call
     planning_calls.clear()
     assert exact_genus(g).lower == 2
     steps = Counter(step for step, _ in planning_calls.elements())
-    assert steps["block_decomposition"] == 1 and not calls, steps
+    assert steps["block_decomposition"] == 1 and steps["_triangle_count"] == 2 and not calls, steps
+
+
+def _glued_corpus(rng: random.Random, count: int) -> list[SimpleGraph]:
+    """K5, K3,3, K3,4, Petersen, K4 and paths, 2-4 of them joined one after
+    another at a shared vertex or by a bridge: K4s joined by a bridge are
+    planar, and the bridge stays in the reduction."""
+    parts = [SimpleGraph.complete(5), complete_bipartite(3, 3), complete_bipartite(3, 4), _petersen(),
+             SimpleGraph.complete(4), SimpleGraph.path(2), SimpleGraph.path(3)]
+    graphs = []
+    for _ in range(count):
+        g = rng.choice(parts)
+        for _ in range(rng.randint(1, 3)):
+            g = _glue(g, rng.choice(parts), rng.choice(["shared", "bridge"]))
+        graphs.append(g)
+    return graphs
+
+
+def test_block_counts_sum_to_at_least_the_reductions_count():
+    """`is_planar` counts the reduction's blocks, not the reduction: on the
+    seeded planarity corpus and on glued graphs, the positive counts of the
+    blocks with a cycle sum to at least the whole reduction's count, so no
+    whole count is positive where every block's is not, and every answer
+    matches networkx. A no-answer that split the reduction keeps each
+    block's count."""
+    rng = random.Random(53)
+    positive = above = kept = 0
+    for g in _planarity_corpus(rng) + _glued_corpus(rng, 150):
+        reduced = reduce_homeomorphic(g)[0]
+        if reduced.n:
+            whole = genus_module._triangle_count(reduced)
+            counts = genus_module._face_counts(block_decomposition(reduced))
+            assert sum(counts) >= whole, g.edges()
+            positive += whole > 0
+            above += sum(counts) > max(whole, 0)
+        res = is_planar(g)
+        assert res.planar == nx.check_planarity(to_networkx(g))[0], g.edges()
+        if res.blocks is not None:
+            assert res.counts == genus_module._face_counts(res.blocks), g.edges()
+            kept += bool(res.counts)
+    assert min(positive, above, kept) >= 20, (positive, above, kept)
 
 
 def test_pieces_are_numbered_apart_from_planar_components():
@@ -580,7 +622,9 @@ def test_the_order_200_sweep_asks_networkx_nothing_and_copies_each_graph_once(mo
     the Euler count leaves open have positive triangle counts. And a graph
     with nothing to reduce, such as a block that is reduced already, comes
     back from `reduce_homeomorphic` as itself with no step, so, keyed by
-    checksum, no graph is reduced to a copy twice."""
+    checksum, no graph is reduced to a copy twice. A component whose
+    reduction is one block is its own piece, so that block is not reduced
+    again: 18 reductions over the sweep return their input."""
     calls = _spy_on_networkx_planarity(monkeypatch)
     copies, returned = Counter(), Counter()
     original = genus_module.reduce_homeomorphic
@@ -600,7 +644,7 @@ def test_the_order_200_sweep_asks_networkx_nothing_and_copies_each_graph_once(mo
     records, summary = verify_sweep(200)
     assert summary.total == summary.consistent == 285
     assert not calls
-    assert max(copies.values()) == 1 and sum(returned.values()) >= 26, (copies, returned)
+    assert max(copies.values()) == 1 and sum(returned.values()) == 18, (copies, returned)
 
 
 def test_is_planar_matches_networkx_on_triangulated_grids(monkeypatch):
@@ -1048,17 +1092,19 @@ def test_exact_search_tests_planarity_once_and_splits_at_most_once(planning_call
     """One planarity test, and at most one block split, which the plan-time
     bound reads: none for the planar cycle, one of K5 and of K3,3 (the
     reduction of K3,3 with a path hung at a vertex), each its own one
-    block, and none where the planarity test split the reduction already."""
+    block, and one for two K3,3 sharing a vertex, in the planarity test.
+    Each block with a cycle is counted once."""
     graphs = [SimpleGraph.complete(5), _glue(complete_bipartite(3, 3), SimpleGraph.path(3), "shared"),
               SimpleGraph.cycle(5), _glue(complete_bipartite(3, 3), complete_bipartite(3, 3), "shared")]
-    splits = []
+    splits, counts = [], []
     for g in graphs:
         planning_calls.clear()
         exact(g)
         steps = Counter(step for step, _ in planning_calls.elements())
         assert steps["is_planar"] == 1 and steps["block_decomposition"] <= 1, steps
         splits.append(steps["block_decomposition"])
-    assert splits == [1, 1, 0, 1]
+        counts.append(steps["_triangle_count"])
+    assert splits == [1, 1, 0, 1] and counts == [1, 1, 0, 2]
 
 
 def test_plan_copies_only_a_component_that_does_not_span(monkeypatch):
@@ -1186,8 +1232,8 @@ def test_z36_and_z42_are_bounded_by_their_face_counts_at_plan_time():
 
 
 def test_planning_reads_each_graphs_girth_once(monkeypatch):
-    """`_piece` reads a nonplanar graph's girth once: from the planarity
-    test, where Euler's formula ran there, or else itself. Over the
+    """`_piece` reads a nonplanar graph's girth once, from the planarity
+    test, which reads it on every graph with a cycle. Over the
     records of the catalog groups up to order 40 and exact searches on a
     dense graph and on a reduced one, every nonplanar planned graph gets
     one girth search while it is planned, and no other graph gets one."""
@@ -1221,9 +1267,11 @@ def test_order_200_sweep_counts_triangles_for_a_bound_only_below_the_stop(monkey
     """Over `verify_sweep(200)` the plan-time bound counts triangles only
     where the piece's Euler bound is below `lower_stop`: never under the
     stop of 3 that a predicted ">= 3" sets, as every such piece's Euler
-    bound reaches it. The planarity tests count 6 reductions; the bound
-    counts 7 more, once per record whose dense reduction no planarity
-    test counted, and reads the planarity test's count on the others."""
+    bound reaches it. Every count comes from the bound, once per block of
+    a searched component: each component it reaches is dense enough that
+    Euler's formula answers its planarity test before any reduction, and
+    a component whose reduction is one block is its own piece, so no
+    second planarity test counts that block."""
     calls = Counter()
     state = {"planar": 0, "stop": None}
     original_count, original_planar = genus_module._triangle_count, genus_module.is_planar
@@ -1249,7 +1297,7 @@ def test_order_200_sweep_counts_triangles_for_a_bound_only_below_the_stop(monkey
     monkeypatch.setattr(harness, "genus_of_graph", genus_of_graph_spy)
     records, summary = verify_sweep(200)
     assert summary.consistent == summary.total == 285
-    assert calls == Counter({"planarity": 6, "bound, stop None": 7}), calls
+    assert calls == Counter({"bound, stop None": 13}), calls
 
 
 # -- face-set search alone (no heuristic restarts) ------------------------------
@@ -1350,16 +1398,44 @@ def test_one_face_set_pass_settles_a_small_space_past_the_small_cap(monkeypatch)
     assert res.exact and res.value == 2
 
 
-def test_one_face_set_pass_settles_a_sparse_cubic_crosscap():
-    # a pass that starts over at the bound after 100,000 nodes left [1, ?]
-    g = SimpleGraph(18, [
+def _sparse_cubic() -> SimpleGraph:
+    """A cubic graph on 18 vertices with crosscap 2, whose exclusion of 1
+    takes about 101,500 nodes, more than _FACE_NODE_CAP."""
+    return SimpleGraph(18, [
         (0, 4), (0, 8), (0, 10), (1, 2), (1, 3), (1, 15), (2, 4), (2, 12), (3, 9), (3, 17),
         (4, 17), (5, 9), (5, 14), (5, 16), (6, 7), (6, 8), (6, 13), (7, 9), (7, 10), (8, 11),
         (10, 13), (11, 14), (11, 16), (12, 14), (12, 15), (13, 16), (15, 17),
     ])
+
+
+def _with_leaves(g: SimpleGraph, at: int, count: int) -> SimpleGraph:
+    return SimpleGraph(g.n + count, g.edges() + [(at, g.n + i) for i in range(count)])
+
+
+def test_one_face_set_pass_settles_a_sparse_cubic_crosscap():
+    # a pass that starts over at the bound after 100,000 nodes left [1, ?]
+    g = _sparse_cubic()
     res = exact_crosscap(g, NO_RESTARTS)
     assert res.exact and res.value == 2, (res.lower, res.upper, res.provenance)
     assert verify_certificate(g, res.certificate, NONORIENTABLE, 2)
+
+
+def test_node_cap_is_judged_on_the_reduction():
+    """The face-set pass searches the reduction, so its node cap is read
+    off the reduction's rotation space: leaves hung on a vertex, or edges
+    subdivided, leave the cap as it is. Ten leaves on a vertex of the
+    sparse cubic graph would put its space past _EXHAUSTIVE_CAP, and under
+    _FACE_NODE_CAP the pass could not exclude 1; judged on the reduction,
+    both searches settle crosscap 2, with a certificate that verifies."""
+    for core in (complete_bipartite(3, 3), _sparse_cubic()):
+        cap = genus_module._piece(core).node_cap
+        variants = [_with_leaves(core, 0, 10), _subdivided(core, {e: 2 for e in core.edges()[::2]})]
+        assert [genus_module._piece(g).node_cap for g in variants] == [cap, cap]
+    g = _with_leaves(_sparse_cubic(), 0, 10)
+    assert genus_module.rotation_space_size(g) > genus_module._EXHAUSTIVE_CAP
+    for res in (exact_crosscap(g), genus_of_graph(g, surface=NONORIENTABLE)):
+        assert res.exact and res.value == 2, (res.lower, res.upper, res.provenance)
+        assert verify_certificate(res.certificate_graph, res.certificate, NONORIENTABLE, 2)
 
 
 def test_crosscap_search_skips_balanced_schemes():

@@ -48,6 +48,19 @@ def test_an_out_of_range_endpoint_is_rejected(edge):
     assert g.masks == [0, 0, 0]
 
 
+def test_components_match_a_search_oracle_with_many_isolated_vertices():
+    """Seeded sparse graphs, most of whose vertices are isolated, some wide
+    enough that their masks pass the 256 bits `_bits` tables, keep the
+    search oracle's components and order; an isolated vertex is its own
+    component, placed by its number."""
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.choice([1, 5, 40, 300, 1200])
+        g = SimpleGraph(n, [rng.sample(range(n), 2) for _ in range(rng.randint(0, n // 4))])
+        assert g.connected_components() == oracles.components(g), (n, g.edges())
+    assert SimpleGraph(4, [(1, 3)]).connected_components() == [[0], [1, 3], [2]]
+
+
 def test_induced_subgraph_k5():
     k5 = SimpleGraph.complete(5)
     sub = induced_subgraph(k5, [0, 2, 4])
